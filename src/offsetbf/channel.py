@@ -137,6 +137,15 @@ class Scenario:
         return np.array([u.sinr_target for u in self.users])
 
     def sigma_e_vector(self) -> np.ndarray:
+        """Per-user i.i.d. error standard deviations sigma_e.
+
+        The design chain models errors as CN(0, sigma_e^2 I); a user with a
+        general error model has no such sigma_e, so it raises ValueError.
+        """
+        general = [k for k, u in enumerate(self.users) if not u.uncertainty.iid_flag]
+        if general:
+            raise ValueError(f"users {general} have a general error model; "
+                             "the design chain needs sigma_e^2 I covariances")
         return np.array([u.uncertainty.iid_std for u in self.users])
 
 

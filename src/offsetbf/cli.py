@@ -115,11 +115,6 @@ def _build_scenario(cfg: RunConfig, seed=None):
     return generate_scenario(geometry, fading, seed)
 
 
-def _const_offset_directions(h_est, gammas):
-    nu = directions.solve_nu_constant_offset(h_est, gammas)
-    return directions.directions_constant_offset(nu, h_est, gammas)
-
-
 def _fixed_r_directions(name, scenario, cfg: RunConfig):
     h_est = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
@@ -134,7 +129,7 @@ def _fixed_r_directions(name, scenario, cfg: RunConfig):
                 / cfg.total_power
         return directions.rzf_directions(h_est, loading)
     if name == "const_offset":
-        return _const_offset_directions(h_est, gammas)
+        return directions.const_offset_directions(h_est, gammas)
     raise ValueError(f"not a fixed-r algorithm: {name}")
 
 
@@ -159,22 +154,18 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
         return BeamformerSet(directions=u_rows, powers=report.powers), report
 
     if name == "maxr":
-        u_rows = _const_offset_directions(h_est, gammas)
+        u_rows = directions.const_offset_directions(h_est, gammas)
         coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
         beta, _, report = powerload.max_r_power_load(
             coupling, noise, cfg.total_power, variance_mode=cfg.variance_mode)
         return BeamformerSet(directions=u_rows, powers=beta), report
 
     if name in ("maxr_reschedule", "maxr_powersave"):
-        retained, report = powerload.reschedule(
+        retained, report, u_rows, coupling = powerload.reschedule(
             h_est, gammas, sigma_e, noise, cfg.total_power, r_min=cfg.r_min,
             variance_mode=cfg.variance_mode)
-        idx = np.array(retained)
-        u_rows = _const_offset_directions(h_est[idx], gammas[idx])
         if name == "maxr_powersave":
-            coupling = powerload.coupling_matrix(h_est[idx], u_rows,
-                                                 gammas[idx], sigma_e[idx])
-            capped = powerload.power_saving_cap(coupling, noise[idx],
+            capped = powerload.power_saving_cap(coupling, noise[retained],
                                                 cfg.total_power, r_cap=cfg.r_cap,
                                                 variance_mode=cfg.variance_mode)
             capped.rescheduled = report.rescheduled
@@ -183,7 +174,7 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
         return (BeamformerSet(directions=u_rows, powers=report.powers), report)
 
     if name == "avg_outage":
-        u_rows = _const_offset_directions(h_est, gammas)
+        u_rows = directions.const_offset_directions(h_est, gammas)
         coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
         beta, r_star, report = powerload.max_r_power_load(
             coupling, noise, cfg.total_power, variance_mode=cfg.variance_mode)

@@ -2,8 +2,8 @@
 
 Baseline ZF / MRT / RZF directions, the iterative closed-form robust design
 (dual fixed point plus per-user eigen equation), the constant-offset variant
-with a single shared matrix inverse, and the massive-MISO approximation
-nu_k ~= gamma_k / alpha_k for nearly orthogonal channels.
+solved in the K-dimensional span of the users' channels, and the massive-MISO
+approximation nu_k ~= gamma_k / alpha_k for nearly orthogonal channels.
 """
 
 from dataclasses import dataclass
@@ -21,14 +21,13 @@ COND_LIMIT = 1e12
 class DualState:
     """Dual variables of the SINR constraints and the proxy directions.
 
-    psi_direction holds the unit vectors psi_f_k / nu_k; the full dual vector
-    is nu_k * psi_direction[k]. d stores the (unnormalized) proxies that were
-    supplied for the direction of d_k = r sqrt(2) sigma_e Q_k h_est_k.
+    psi_direction holds the unit vectors psi_f_k / nu_k, the proxies for the
+    direction of d_k = r sqrt(2) sigma_e Q_k h_est_k; the full dual vector is
+    nu_k * psi_direction[k].
     """
 
     nu: np.ndarray             # (K,)
     psi_direction: np.ndarray  # (K, N_t) unit rows
-    d: np.ndarray              # (K, N_t)
 
     def __post_init__(self):
         norms = np.linalg.norm(self.psi_direction, axis=1)
@@ -140,7 +139,7 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
             max_rel = max(max_rel, abs(nu_new - nu[k]) / nu_new)
             nu[k] = nu_new
         if max_rel < tol:
-            return DualState(nu=nu, psi_direction=psi, d=psi.copy())
+            return DualState(nu=nu, psi_direction=psi)
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 
@@ -185,21 +184,26 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
                              tol: float = 1e-10, max_iters: int = 500) -> np.ndarray:
     """Fixed point nu_k^{-1} = h_k^H (I + sum_j nu_j h_j h_j^H)^{-1} h_k (1 + 1/gamma_k).
 
-    The matrix is shared by all users, so each sweep needs one factorization.
+    The N_t x N_t matrix is I plus a rank-K term, so the iteration runs in the
+    users' span: with H the K x N_t matrix of rows h_k^H, G = H H^H = [h_i^H h_j]
+    and N = diag(nu), the push-through identity gives
+    h_k^H (I + H^H N H)^{-1} h_k = [(I + G N)^{-1} G]_kk.
+    Forming G costs O(K^2 N_t) once; each sweep is then one K x K solve,
+    O(K^3).
     """
     gammas = np.asarray(gammas, dtype=float)
-    k_users, nt = h_est.shape
-    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
+    k_users = h_est.shape[0]
+    gram = h_est.conj() @ h_est.T          # [i, j] = h_i^H h_j
+    eye = np.eye(k_users)
     nu = nu_massive_approx(h_est, gammas)
 
     for _ in range(max_iters):
-        m = np.eye(nt, dtype=complex) + np.einsum("j,jil->il", nu, outers)
         try:
-            x = np.linalg.solve(m, h_est.T)    # column k is M^{-1} h_k
+            x = np.linalg.solve(eye + gram * nu, gram)    # (I + G N)^{-1} G
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("dual fixed point made the shared matrix singular",
                                    last_iterate=nu) from exc
-        vals = np.real(np.einsum("ik,ik->k", h_est.T.conj(), x)) * (1.0 + 1.0 / gammas)
+        vals = np.real(np.diagonal(x)) * (1.0 + 1.0 / gammas)
         if np.any(vals <= 0):
             raise ConvergenceError("dual fixed point left the positive cone",
                                    last_iterate=nu)
@@ -214,18 +218,31 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
 
 def directions_constant_offset(nu: np.ndarray, h_est: np.ndarray,
                                gammas: np.ndarray) -> np.ndarray:
-    """Principal eigenvectors of (nu_k/gamma_k) h_k h_k^H - sum_{j!=k} nu_j h_j h_j^H."""
-    gammas = np.asarray(gammas, dtype=float)
-    k_users = h_est.shape[0]
-    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
-    total = np.einsum("j,jil->il", nu, outers)
+    """Principal eigenvectors of B_k = (nu_k/gamma_k) h_k h_k^H - sum_{j!=k} nu_j h_j h_j^H.
 
-    u_rows = np.zeros_like(h_est)
-    for k in range(k_users):
-        b = (nu[k] / gammas[k] + nu[k]) * outers[k] - total
-        eigvals, eigvecs = np.linalg.eigh(b)
-        u_rows[k] = _phase_align(eigvecs[:, -1], h_est[k])
-    return u_rows
+    B_k lives in the users' span: with the reduced QR factorization
+    h_est^T = Q R, B_k = Q (R D_k R^H) Q^H, where D_k = diag(-nu) with entry
+    (k, k) set to nu_k / gamma_k. One batched eigh over the K small Hermitian
+    matrices R D_k R^H gives the top eigenvectors y_k, and u_k = Q y_k, with
+    phase fixed so that h_k^H u_k >= 0. The QR costs O(K^2 N_t) and the eigh
+    O(K^4).
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    basis, coords = np.linalg.qr(h_est.T)  # column k of coords is h_k in basis
+    # small[k] = R diag(-nu) R^H + (nu_k/gamma_k + nu_k) c_k c_k^H, c_k = R[:, k]
+    total = (coords * nu) @ coords.conj().T
+    outers = np.einsum("ik,jk->kij", coords, coords.conj())
+    small = (nu / gammas + nu)[:, None, None] * outers - total
+    _, vecs = np.linalg.eigh(small)
+    u_rows = vecs[:, :, -1] @ basis.T      # row k is (Q y_k)^T
+    return np.array([_phase_align(u, h) for u, h in zip(u_rows, h_est)])
+
+
+def const_offset_directions(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Constant-offset directions for estimated channels h_est (K, N_t):
+    the dual fixed point, then the principal eigenvectors."""
+    nu = solve_nu_constant_offset(h_est, gammas)
+    return directions_constant_offset(nu, h_est, gammas)
 
 
 def alg1_design(scenario, r: float, variance_mode: str = None,

@@ -308,8 +308,8 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
     While max_r_power_load yields r < r_min and at least two users remain, the
     user with the largest entry of A^{-1} sigma^2 is dropped and the design is
     rebuilt on the retained set. directions_fn(h_sub, gammas_sub) supplies
-    directions for a retained subset; the default recomputes the
-    constant-offset directions. Dropped users are reported as in outage.
+    directions for a retained subset; the default is the constant-offset
+    design. Dropped users are reported as in outage.
 
     A retained set with nearly identical estimates can make the direction
     solve diverge, or leave the offset loading infeasible outright; such a set
@@ -317,7 +317,8 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
     approximation of A^{-1} sigma^2 (gamma_k sigma_k^2 over the beam gain, or
     over the channel norm when no directions exist) and the loop continues.
 
-    Returns (retained original indices, DesignReport).
+    Returns (retained original indices, DesignReport, directions, coupling),
+    the last two built for the retained set, so callers can reuse them.
     """
     gammas = np.asarray(gammas, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -325,11 +326,7 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
     sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,)).copy()
 
     if directions_fn is None:
-        from .directions import directions_constant_offset, solve_nu_constant_offset
-
-        def directions_fn(h_sub, gammas_sub):
-            nu = solve_nu_constant_offset(h_sub, gammas_sub)
-            return directions_constant_offset(nu, h_sub, gammas_sub)
+        from .directions import const_offset_directions as directions_fn
 
     retained = list(range(k))
     dropped = []
@@ -358,7 +355,7 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
         if r >= r_min or len(retained) == 1:
             report.rescheduled = list(dropped)
             report.served_indices = list(retained)
-            return retained, report
+            return retained, report, u_sub, coupling
         worst = int(np.argmax(coupling.a_inv @ noise_sub))
         dropped.append(retained.pop(worst))
 

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from offsetbf.channel import FadingConfig, GeometryConfig, generate_scenario
-from offsetbf.directions import (directions_constant_offset, mrt_directions,
+from offsetbf.directions import (const_offset_directions,
+                                 directions_constant_offset, mrt_directions,
                                  solve_nu_constant_offset, zf_directions)
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
@@ -34,12 +35,6 @@ GAMMA = 4.0
 SIGMA_E = 0.1
 
 
-def constant_offset_design(h, gammas):
-    """Shared-offset directions for estimated channels h (K, N_t)."""
-    nu = solve_nu_constant_offset(h, gammas)
-    return directions_constant_offset(nu, h, gammas)
-
-
 def feasible_unit_instances(n_instances, k=3, nt=4, sigma_e=SIGMA_E, r=2.0,
                             tol=1e-10, max_tries=1000):
     """Random unit-scale instances where the loading at offset r exists.
@@ -56,7 +51,7 @@ def feasible_unit_instances(n_instances, k=3, nt=4, sigma_e=SIGMA_E, r=2.0,
         rng = np.random.default_rng(seed)
         h = standard_complex(rng, (k, nt))
         try:
-            u = constant_offset_design(h, gammas)
+            u = const_offset_directions(h, gammas)
             coupling = coupling_matrix(h, u, gammas, sig)
             report = alg2_power_load(coupling, noise, r, tol=tol)
         except DESIGN_ERRORS:
@@ -72,7 +67,7 @@ def test_criterion_01_perfect_csi_equalizes_sinr_in_one_iteration():
     scenario = unit_scale_scenario(seed=0, sigma_e=0.0)
     h = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
-    u = constant_offset_design(h, gammas)
+    u = const_offset_directions(h, gammas)
     coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector())
     report = alg2_power_load(coupling, scenario.noise_vector(), 2.0)
     design = BeamformerSet(directions=u, powers=report.powers)
@@ -152,7 +147,7 @@ def test_criterion_05_loading_converges_within_five_iterations():
         h = scenario.h_est_matrix()
         gammas = scenario.sinr_targets()
         try:
-            u = constant_offset_design(h, gammas)
+            u = const_offset_directions(h, gammas)
             coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector())
             report = alg2_power_load(coupling, scenario.noise_vector(), 2.0,
                                      tol=1e-6)
@@ -176,7 +171,7 @@ def test_criterion_06_max_offset_exhausts_budget_and_equalizes():
         sig = np.full(3, SIGMA_E)
         noise = np.ones(3)
         try:
-            u = constant_offset_design(h, gammas)
+            u = const_offset_directions(h, gammas)
             coupling = coupling_matrix(h, u, gammas, sig)
             beta, r, report = max_r_power_load(coupling, noise, total_power,
                                                tol=1e-12)
@@ -201,7 +196,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     gammas = np.full(3, GAMMA)
     sig = np.full(3, SIGMA_E)
     noise = np.ones(3)
-    u_sym = constant_offset_design(h_sym, gammas)
+    u_sym = const_offset_directions(h_sym, gammas)
     c_sym = coupling_matrix(h_sym, u_sym, gammas, sig)
     beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, noise, 10.0, tol=1e-12)
     sigma_sym = np.array([st.sigma for st in rep_sym.achieved_stats])
@@ -217,7 +212,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         rng = np.random.default_rng(seed)
         h = standard_complex(rng, (3, 4))
         try:
-            u = constant_offset_design(h, gammas)
+            u = const_offset_directions(h, gammas)
             coupling = coupling_matrix(h, u, gammas, sig)
             # Calibrate the budget so the common offset lands mid-range,
             # where the quadratic tail model is at its best.
@@ -309,7 +304,7 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
         rng = np.random.default_rng(seed)
         h = standard_complex(rng, (2, 2))
         try:
-            u = constant_offset_design(h, gammas)
+            u = const_offset_directions(h, gammas)
             coupling = coupling_matrix(h, u, gammas, np.full(2, SIGMA_E))
             report = alg2_power_load(coupling, noise, r, tol=1e-12)
         except DESIGN_ERRORS:
@@ -352,10 +347,10 @@ def test_criterion_09_power_saving_spends_less_with_more_antennas():
         h_full = np.sqrt(gain)[:, None] * g - sig[:, None] * e
         for nt in nt_grid:
             h = h_full[:, :nt]
-            retained, _ = reschedule(h, gammas, sig, noise, total_power=1.0,
-                                     r_min=2.0)
+            retained = reschedule(h, gammas, sig, noise, total_power=1.0,
+                                  r_min=2.0)[0]
             idx = np.array(retained)
-            u = constant_offset_design(h[idx], gammas[idx])
+            u = const_offset_directions(h[idx], gammas[idx])
             coupling = coupling_matrix(h[idx], u, gammas[idx], sig[idx])
             capped = power_saving_cap(coupling, noise[idx], total_power=1.0,
                                       r_cap=5.0)

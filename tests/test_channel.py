@@ -154,6 +154,19 @@ def test_scenario_json_rejects_general_model():
         scenario_to_dict(sc)
 
 
+def test_sigma_e_vector_rejects_general_model():
+    # C = 0.05 I is not perfect CSI; it must not be read as sigma_e = [0, 0]
+    nt = 4
+    general = UncertaintyModel.general(np.zeros(nt), 0.05 * np.eye(nt))
+    sc = Scenario(users=[_user_with(general), _user_with(general)], n_antennas=nt)
+    with pytest.raises(ValueError, match="general error model"):
+        sc.sigma_e_vector()
+    mixed = Scenario(users=[_user_with(UncertaintyModel.iid(0.1, nt)),
+                            _user_with(general)], n_antennas=nt)
+    with pytest.raises(ValueError, match=r"users \[1\]"):
+        mixed.sigma_e_vector()
+
+
 def test_scenario_from_dict_accepts_missing_seed():
     sc = default_scenario(seed=2)
     doc = scenario_to_dict(sc)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from offsetbf.directions import (alg1_design, directions_constant_offset,
-                                 directions_from_nu, mrt_directions,
-                                 nu_massive_approx, rzf_directions, solve_nu,
+from offsetbf.directions import (alg1_design, const_offset_directions,
+                                 directions_constant_offset, directions_from_nu,
+                                 mrt_directions, nu_massive_approx,
+                                 rzf_directions, solve_nu,
                                  solve_nu_constant_offset, zf_directions)
 from offsetbf.errors import ConvergenceError, DegenerateChannelsError
 from offsetbf.stats import sinr_values
@@ -49,6 +50,40 @@ def literal_eigen_matrix(h_est, psi, nu, gammas, sigma_e, r, k):
         if j != k:
             b += coup * nu[j] * np.real(np.outer(psi[j], h_est[j].conj()))
     return b
+
+
+def dense_solve_nu_constant_offset(h_est, gammas, tol=1e-10, max_iters=500):
+    """The constant-offset fixed point with the N_t x N_t matrix (oracle)."""
+    nt = h_est.shape[1]
+    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
+    nu = nu_massive_approx(h_est, gammas)
+    for _ in range(max_iters):
+        m = np.eye(nt, dtype=complex) + np.einsum("j,jil->il", nu, outers)
+        x = np.linalg.solve(m, h_est.T)
+        vals = np.real(np.einsum("ik,ik->k", h_est.T.conj(), x)) * (1.0 + 1.0 / gammas)
+        if np.any(vals <= 0):
+            raise ConvergenceError("dual fixed point left the positive cone",
+                                   last_iterate=nu)
+        nu_new = 1.0 / vals
+        max_rel = np.max(np.abs(nu_new - nu) / nu_new)
+        nu = nu_new
+        if max_rel < tol:
+            return nu
+    raise ConvergenceError("nu fixed point did not converge", last_iterate=nu)
+
+
+def dense_directions_constant_offset(nu, h_est, gammas):
+    """Per-user N_t x N_t eigh of the constant-offset eigen matrix (oracle)."""
+    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
+    total = np.einsum("j,jil->il", nu, outers)
+    u_rows = np.zeros_like(h_est)
+    for k in range(h_est.shape[0]):
+        b = (nu[k] / gammas[k] + nu[k]) * outers[k] - total
+        _, eigvecs = np.linalg.eigh(b)
+        u = eigvecs[:, -1]
+        c = np.vdot(h_est[k], u)
+        u_rows[k] = u * c.conjugate() / abs(c)    # h_k^H u_k real and positive
+    return u_rows
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +283,32 @@ def test_directions_from_nu_fixed_point_structure():
         lam = eigvals[np.argmax(eigvals.real)]
         assert abs(lam.real - 1.0) < 1e-3
         assert abs(lam.imag) < 0.05
+
+
+@pytest.mark.parametrize("k,nt", [(1, 4), (3, 4), (4, 4), (6, 60), (16, 64)])
+def test_constant_offset_chain_matches_dense_oracle(k, nt):
+    rng = np.random.default_rng(100 * k + nt)
+    h = standard_complex(rng, (k, nt)) * np.sqrt(rng.uniform(0.2, 3.0, size=k))[:, None]
+    gammas = rng.uniform(1.0, 6.0, size=k)
+    nu_ref = dense_solve_nu_constant_offset(h, gammas)
+    nu = solve_nu_constant_offset(h, gammas)
+    assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-10
+    u_ref = dense_directions_constant_offset(nu_ref, h, gammas)
+    u = directions_constant_offset(nu, h, gammas)
+    assert np.max(np.abs(u - u_ref)) < 1e-10
+    assert np.array_equal(const_offset_directions(h, gammas), u)
+
+
+def test_constant_offset_more_users_than_antennas_is_convergence_error():
+    # With K > N_t the channels are linearly dependent and the weights grow
+    # without bound; both the dense and the K-space iteration give up.
+    h = standard_complex(np.random.default_rng(14), (8, 3))
+    gammas = np.full(8, 4.0)
+    with pytest.raises(ConvergenceError):
+        dense_solve_nu_constant_offset(h, gammas)
+    with pytest.raises(ConvergenceError) as excinfo:
+        solve_nu_constant_offset(h, gammas)
+    assert excinfo.value.last_iterate.shape == (8,)
 
 
 def test_directions_constant_offset_orthogonal():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from offsetbf.directions import solve_nu_constant_offset, directions_constant_offset
+from offsetbf.directions import const_offset_directions
 from offsetbf.montecarlo import (estimate_outage, run_trial, sweep,
                                  sweep_to_csv, viability_check,
                                  SWEEP_CSV_COLUMNS)
@@ -19,8 +19,7 @@ from helpers import scenario_from_rows, standard_complex, unit_scale_scenario
 def design_for(scenario, r):
     h = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
-    nu = solve_nu_constant_offset(h, gammas)
-    u = directions_constant_offset(nu, h, gammas)
+    u = const_offset_directions(h, gammas)
     coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector())
     report = alg2_power_load(coupling, scenario.noise_vector(), r)
     return BeamformerSet(directions=u, powers=report.powers)

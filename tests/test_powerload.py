@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from offsetbf.directions import solve_nu_constant_offset, directions_constant_offset
+from offsetbf.directions import const_offset_directions
 from offsetbf.errors import ConvergenceError, InfeasibleLoadingError
 from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 coupling_matrix, fit_normal_cdf_quadratic,
@@ -15,11 +15,6 @@ from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
 from offsetbf.stats import BeamformerSet, sinr_values
 
 from helpers import orthonormal_rows, standard_complex
-
-
-def const_offset_directions(h_est, gammas):
-    nu = solve_nu_constant_offset(h_est, gammas)
-    return directions_constant_offset(nu, h_est, gammas)
 
 
 def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0):
@@ -226,8 +221,8 @@ def test_reschedule_keeps_all_when_offset_already_large():
     rng = np.random.default_rng(12)
     h = standard_complex(rng, (2, 4))
     gammas = np.full(2, 4.0)
-    retained, report = reschedule(h, gammas, np.full(2, 0.1), np.ones(2),
-                                  total_power=200.0, r_min=2.0)
+    retained, report, _, _ = reschedule(h, gammas, np.full(2, 0.1), np.ones(2),
+                                        total_power=200.0, r_min=2.0)
     assert retained == [0, 1]
     assert report.rescheduled == []
     assert report.offsets[0] >= 2.0
@@ -238,8 +233,8 @@ def test_reschedule_drops_duplicate_channel():
     base = standard_complex(rng, (4,))
     h = np.vstack([base, base + 1e-6 * standard_complex(rng, (4,))])
     gammas = np.full(2, 4.0)
-    retained, report = reschedule(h, gammas, np.full(2, 0.1), np.ones(2),
-                                  total_power=200.0, r_min=2.0)
+    retained, report, _, _ = reschedule(h, gammas, np.full(2, 0.1), np.ones(2),
+                                        total_power=200.0, r_min=2.0)
     assert len(retained) == 1
     assert len(report.rescheduled) == 1
     assert sorted(retained + report.rescheduled) == [0, 1]
@@ -255,8 +250,8 @@ def test_reschedule_survives_singular_dual_iteration():
     h = standard_complex(rng, (3, 4))
     h[1] = h[0] + 1e-6 * h[2]
     gammas = np.full(3, 4.0)
-    retained, report = reschedule(h, gammas, np.full(3, 0.1), np.ones(3),
-                                  total_power=200.0, r_min=2.0)
+    retained, report, _, _ = reschedule(h, gammas, np.full(3, 0.1), np.ones(3),
+                                        total_power=200.0, r_min=2.0)
     assert len(retained) >= 1
     assert sorted(retained + report.rescheduled) == [0, 1, 2]
     assert np.min(report.offsets) >= 2.0
@@ -283,8 +278,8 @@ def test_reschedule_drop_order_matches_ranking():
     assert 0 < r_full < 2.0
     expected_first_drop = int(np.argmax(base))
 
-    retained, report = reschedule(h, gammas, sigma_e, noise,
-                                  total_power=base.sum() + 0.3, r_min=2.0)
+    retained, report, _, _ = reschedule(h, gammas, sigma_e, noise,
+                                        total_power=base.sum() + 0.3, r_min=2.0)
     assert report.rescheduled == [expected_first_drop]
     assert expected_first_drop not in retained
     assert report.offsets[0] >= 2.0
@@ -309,11 +304,16 @@ def test_reschedule_recovers_from_infeasible_loading():
     with pytest.raises(InfeasibleLoadingError):
         max_r_power_load(coupling, noise, total_power=100.0)
 
-    retained, report = reschedule(h, gammas, sigma_e, noise, total_power=100.0,
-                                  r_min=2.0)
+    retained, report, u_kept, c_kept = reschedule(h, gammas, sigma_e, noise,
+                                                  total_power=100.0, r_min=2.0)
     assert retained == [0, 2]
     assert report.rescheduled == [1]
     assert report.offsets[0] >= 2.0
+    # the returned directions and coupling are those of the retained set
+    assert np.array_equal(u_kept, const_offset_directions(h[retained], gammas[retained]))
+    fresh = coupling_matrix(h[retained], u_kept, gammas[retained], sigma_e[retained])
+    assert np.array_equal(c_kept.a, fresh.a)
+    assert np.array_equal(c_kept.g_tensor, fresh.g_tensor)
 
 
 def test_power_saving_cap_re_solves_at_cap():
