@@ -8,7 +8,7 @@ supported as well.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class UserChannel:
     noise_power: float          # receiver noise sigma_k^2, Watts
     sinr_target: float          # gamma_k, linear scale
     outage_tolerance: float     # delta_k
-    channel_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         self.h_true = np.asarray(self.h_true, dtype=complex)
@@ -104,7 +103,6 @@ class UserChannel:
             raise ValueError("noise_power must be positive")
         if not 0 < self.outage_tolerance < 1:
             raise ValueError("outage_tolerance must lie in (0, 1)")
-        self.channel_norm_sq = float(np.real(np.vdot(self.h_est, self.h_est)))
 
 
 @dataclass
@@ -229,24 +227,6 @@ def draw_errors(user: UserChannel, n_draws: int, seed) -> np.ndarray:
         return model.iid_std * g
     root = model.sqrt_covariance()
     return model.mean_vector + g @ root.T
-
-
-def draw_error(user: UserChannel, seed) -> np.ndarray:
-    """Draw a single error realization, shape (N_t,)."""
-    return draw_errors(user, 1, seed)[0]
-
-
-def user_selection(scenario: Scenario, power_reference: float = 100.0) -> list:
-    """Channel-strength user selection.
-
-    User k is retained iff power_reference * ||h_est_k||^2 / sigma_k^2 >= gamma_k,
-    with power_reference acting as the implicit total power constraint.
-    """
-    retained = []
-    for k, u in enumerate(scenario.users):
-        if power_reference * u.channel_norm_sq / u.noise_power >= u.sinr_target:
-            retained.append(k)
-    return retained
 
 
 # ---------------------------------------------------------------------------

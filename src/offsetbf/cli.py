@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import directions, montecarlo, powerload
-from .channel import (FadingConfig, GeometryConfig, generate_scenario,
+from .channel import (FadingConfig, GeometryConfig, Scenario, generate_scenario,
                       load_scenario)
 from .errors import (ConvergenceError, DegenerateChannelsError,
                      InfeasibleLoadingError)
@@ -76,7 +76,7 @@ class RunConfig:
             unknown = set(cfg.generate) - set(GENERATE_KEYS)
             if unknown:
                 raise ValueError(f"unknown generate keys: {sorted(unknown)}")
-        if cfg.variance_mode not in (None, "exact", "simplified"):
+        if cfg.variance_mode not in (None, *powerload.VARIANCE_MODES):
             raise ValueError(f"unknown variance_mode {cfg.variance_mode!r}")
         for name in cfg.algorithms:
             if name not in ALGORITHM_IDS:
@@ -115,7 +115,8 @@ def _build_scenario(cfg: RunConfig, seed=None):
     return generate_scenario(geometry, fading, seed)
 
 
-def _fixed_r_directions(name, scenario, cfg: RunConfig):
+def _directions(name, scenario, cfg: RunConfig, r):
+    """The beamforming directions of algorithm `name`, before any loading."""
     h_est = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
     if name == "zf":
@@ -128,37 +129,25 @@ def _fixed_r_directions(name, scenario, cfg: RunConfig):
             loading = scenario.n_users * float(np.mean(scenario.noise_vector())) \
                 / cfg.total_power
         return directions.rzf_directions(h_est, loading)
-    if name == "const_offset":
+    if name == "alg1":
+        return directions.alg1_directions(h_est, gammas, scenario.sigma_e_vector(), r)
+    if name in ("const_offset", "maxr", "avg_outage"):
         return directions.const_offset_directions(h_est, gammas)
-    raise ValueError(f"not a fixed-r algorithm: {name}")
+    raise ValueError(f"unknown algorithm {name!r}")
 
 
 def run_algorithm(name: str, scenario, cfg: RunConfig):
-    """Run one design pipeline; returns (BeamformerSet, DesignReport)."""
+    """Run one design pipeline; returns (BeamformerSet, DesignReport).
+
+    Fixed-r ids load power at the offset r; maxr and avg_outage maximize the
+    common offset under the budget (avg_outage then perturbs it per user);
+    maxr_reschedule and maxr_powersave also drop users and choose their own
+    directions for the retained set.
+    """
     h_est = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
     noise = scenario.noise_vector()
     sigma_e = scenario.sigma_e_vector()
-
-    if name in FIXED_R_ALGORITHMS:
-        r = cfg.resolved_r()
-        if name == "alg1":
-            design = directions.alg1_design(scenario, r,
-                                            variance_mode=cfg.variance_mode)
-            u_rows = design.directions
-        else:
-            u_rows = _fixed_r_directions(name, scenario, cfg)
-        coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
-        report = powerload.alg2_power_load(coupling, noise, r,
-                                           variance_mode=cfg.variance_mode)
-        return BeamformerSet(directions=u_rows, powers=report.powers), report
-
-    if name == "maxr":
-        u_rows = directions.const_offset_directions(h_est, gammas)
-        coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
-        beta, _, report = powerload.max_r_power_load(
-            coupling, noise, cfg.total_power, variance_mode=cfg.variance_mode)
-        return BeamformerSet(directions=u_rows, powers=beta), report
 
     if name in ("maxr_reschedule", "maxr_powersave"):
         retained, report, u_rows, coupling = powerload.reschedule(
@@ -171,26 +160,27 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
             capped.rescheduled = report.rescheduled
             capped.served_indices = list(retained)
             report = capped
-        return (BeamformerSet(directions=u_rows, powers=report.powers), report)
+        return BeamformerSet(directions=u_rows, powers=report.powers), report
 
-    if name == "avg_outage":
-        u_rows = directions.const_offset_directions(h_est, gammas)
-        coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
-        beta, r_star, report = powerload.max_r_power_load(
+    r = cfg.resolved_r() if name in FIXED_R_ALGORITHMS else None
+    u_rows = _directions(name, scenario, cfg, r)
+    coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
+    if r is not None:
+        report = powerload.alg2_power_load(coupling, noise, r,
+                                           variance_mode=cfg.variance_mode)
+    else:
+        _, r_star, report = powerload.max_r_power_load(
             coupling, noise, cfg.total_power, variance_mode=cfg.variance_mode)
-        if not np.isfinite(r_star):
-            return BeamformerSet(directions=u_rows, powers=beta), report
-        sigma_f = np.array([st.sigma for st in report.achieved_stats])
-        delta_r, beta = powerload.average_outage_perturbation(
-            coupling, noise, sigma_f, r_star)
-        report = powerload.report_for_loading(
-            coupling, beta, r_star + delta_r, noise,
-            variance_mode=cfg.variance_mode,
-            iterations=report.iterations_used,
-            note="per-user offsets perturbed to minimize average outage")
-        return BeamformerSet(directions=u_rows, powers=beta), report
-
-    raise ValueError(f"unknown algorithm {name!r}")
+        if name == "avg_outage" and np.isfinite(r_star):
+            sigma_f = np.array([st.sigma for st in report.achieved_stats])
+            delta_r, beta = powerload.average_outage_perturbation(
+                coupling, noise, sigma_f, r_star)
+            report = powerload.report_for_loading(
+                coupling, beta, r_star + delta_r, noise,
+                variance_mode=cfg.variance_mode,
+                iterations=report.iterations_used,
+                note="per-user offsets perturbed to minimize average outage")
+    return BeamformerSet(directions=u_rows, powers=report.powers), report
 
 
 def _csv_path(out_path: str) -> str:
@@ -238,7 +228,6 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     served = list(report.served_indices)
     sub = scenario
     if len(served) != scenario.n_users:
-        from .channel import Scenario
         sub = Scenario(users=[scenario.users[i] for i in served],
                        n_antennas=scenario.n_antennas,
                        rng_seed=scenario.rng_seed)

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import powerload
 from .errors import ConvergenceError, DegenerateChannelsError
-from .stats import BeamformerSet, q_matrix
 
 COND_LIMIT = 1e12
 
@@ -245,37 +243,13 @@ def const_offset_directions(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray
     return directions_constant_offset(nu, h_est, gammas)
 
 
-def alg1_design(scenario, r: float, variance_mode: str = None,
-                refine_iterations: int = 0) -> BeamformerSet:
-    """One-shot iterative closed-form design: ZF proxies, dual fixed point,
-    eigen directions, then the robust power loading at the common offset r.
-
-    refine_iterations > 0 re-estimates the proxy directions
-    d_k = r sqrt(2) sigma_e Q_k h_k from the loaded design and repeats.
-    """
-    h_est = scenario.h_est_matrix()
-    gammas = scenario.sinr_targets()
-    noise = scenario.noise_vector()
-    sigma_vec = scenario.sigma_e_vector()
-    if np.ptp(sigma_vec) > 1e-12:
+def alg1_directions(h_est: np.ndarray, gammas: np.ndarray, sigma_e: np.ndarray,
+                    r: float) -> np.ndarray:
+    """Iterative closed-form directions at the common offset r: ZF proxies,
+    the dual fixed point, then the per-user eigen directions."""
+    sigma_e = np.asarray(sigma_e, dtype=float)
+    if np.ptp(sigma_e) > 1e-12:
         raise ValueError("the closed-form design assumes a common sigma_e")
-    sigma_e = float(sigma_vec[0])
-
-    psi = zf_directions(h_est)
-    for step in range(refine_iterations + 1):
-        dual = solve_nu(h_est, gammas, sigma_e, r, psi)
-        u_rows = directions_from_nu(dual, h_est, gammas, sigma_e, r)
-        coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_vec)
-        report = powerload.alg2_power_load(coupling, noise, r,
-                                           variance_mode=variance_mode)
-        design = BeamformerSet(directions=u_rows, powers=report.powers)
-        if step == refine_iterations:
-            break
-        # d_k is a positive multiple of Q_k h_k, so normalizing Q_k h_k
-        # gives the refined proxy direction
-        proxies = np.array([q_matrix(design, gammas[k], k) @ h_est[k]
-                            for k in range(h_est.shape[0])])
-        if np.any(np.linalg.norm(proxies, axis=1) == 0):
-            break
-        psi = _normalize_rows(proxies)
-    return design
+    common = float(sigma_e[0])
+    dual = solve_nu(h_est, gammas, common, r, zf_directions(h_est))
+    return directions_from_nu(dual, h_est, gammas, common, r)

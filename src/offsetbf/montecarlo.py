@@ -25,16 +25,6 @@ SINR_TOLERANCE = 1e-9
 
 
 @dataclass
-class TrialResult:
-    """Outcome of one error draw: per-user outage flags plus design metadata."""
-
-    outage: np.ndarray      # (K,) bool
-    total_power: float
-    algorithm: str = ""
-    r: float = float("nan")
-
-
-@dataclass
 class SweepPoint:
     """One aggregated row of a power-versus-outage sweep."""
 
@@ -52,21 +42,6 @@ def _trial_seed(base_seed, user_index: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(entropy=base_seed.entropy,
                                       spawn_key=tuple(base_seed.spawn_key) + (user_index,))
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(user_index,))
-
-
-def run_trial(design: BeamformerSet, scenario: Scenario, seed,
-              algorithm: str = "", r: float = float("nan")) -> TrialResult:
-    """Draw one error per user and record who is in outage."""
-    w = design.weights()
-    flags = np.zeros(scenario.n_users, dtype=bool)
-    for k, user in enumerate(scenario.users):
-        e = draw_errors(user, 1, _trial_seed(seed, k))[0]
-        h = user.h_est + e
-        gains = np.abs(h.conj() @ w.T) ** 2
-        sinr = gains[k] / (gains.sum() - gains[k] + user.noise_power)
-        flags[k] = sinr < user.sinr_target * (1.0 - SINR_TOLERANCE)
-    return TrialResult(outage=flags, total_power=float(np.sum(design.powers)),
-                       algorithm=algorithm, r=r)
 
 
 def estimate_outage(design: BeamformerSet, scenario: Scenario, n_trials: int,

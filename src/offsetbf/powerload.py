@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .directions import const_offset_directions
 from .errors import ConvergenceError, DegenerateChannelsError, InfeasibleLoadingError
 from .stats import OffsetStats, predicted_outage
 
@@ -199,17 +200,15 @@ def report_for_loading(coupling: CouplingMatrix, beta, r_vec, noise,
 
 
 def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
-                    tol: float = 1e-6, max_iters: int = 50,
-                    method: str = "newton") -> DesignReport:
+                    tol: float = 1e-6, max_iters: int = 50) -> DesignReport:
     """Solve A beta = sigma^2 + sigma_f(beta) (.) r for the power loading.
 
     The fixed point makes every offset constraint hold with equality,
-    mu_f_k = r_k sigma_f_k. Both a Newton iteration on the residual
-    F(beta) = A beta - sigma^2 - r (.) sigma_f(beta) (default; converges in a
-    handful of steps) and the plain substitution iteration
-    beta <- A^{-1} sigma^2 + A^{-1} (sigma_f (.) r) are available.
-    Iteration starts from the r-independent loading beta_0 = A^{-1} sigma^2,
-    so designs with zero error variance finish in a single iteration.
+    mu_f_k = r_k sigma_f_k. It is found by Newton's method on the residual
+    F(beta) = A beta - sigma^2 - r (.) sigma_f(beta), which converges in a
+    handful of steps. Iteration starts from the r-independent loading
+    beta_0 = A^{-1} sigma^2, so designs with zero error variance finish in a
+    single iteration.
 
     Raises InfeasibleLoadingError when the fixed point has a negative power
     entry, and ConvergenceError when max_iters is hit.
@@ -218,23 +217,17 @@ def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
     noise = np.asarray(noise, dtype=float)
     r_vec = np.broadcast_to(np.asarray(r, dtype=float), noise.shape).copy()
 
-    base = coupling.a_inv @ noise
-    beta = base.copy()
+    beta = coupling.a_inv @ noise
     for iteration in range(1, max_iters + 1):
         sigma_f = coupling.sigma_f(beta, mode)
-        if method == "newton":
-            residual = coupling.a @ beta - noise - r_vec * sigma_f
-            jac = coupling.a - r_vec[:, None] * coupling.sigma_f_gradient(beta, sigma_f, mode)
-            try:
-                step = np.linalg.solve(jac, -residual)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("power loading Jacobian is singular",
-                                       last_iterate=beta) from exc
-            beta_new = beta + step
-        elif method == "picard":
-            beta_new = base + coupling.a_inv @ (sigma_f * r_vec)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        residual = coupling.a @ beta - noise - r_vec * sigma_f
+        jac = coupling.a - r_vec[:, None] * coupling.sigma_f_gradient(beta, sigma_f, mode)
+        try:
+            step = np.linalg.solve(jac, -residual)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("power loading Jacobian is singular",
+                                   last_iterate=beta) from exc
+        beta_new = beta + step
         scale = max(np.max(np.abs(beta_new)), np.finfo(float).tiny)
         change = np.max(np.abs(beta_new - beta)) / scale
         beta = beta_new
@@ -302,14 +295,13 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
 
 
 def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
-               r_min: float = 2.0, variance_mode=None, directions_fn=None):
+               r_min: float = 2.0, variance_mode=None):
     """Drop users until the achievable common offset reaches r_min.
 
     While max_r_power_load yields r < r_min and at least two users remain, the
     user with the largest entry of A^{-1} sigma^2 is dropped and the design is
-    rebuilt on the retained set. directions_fn(h_sub, gammas_sub) supplies
-    directions for a retained subset; the default is the constant-offset
-    design. Dropped users are reported as in outage.
+    rebuilt, with constant-offset directions, on the retained set. Dropped
+    users are reported as in outage.
 
     A retained set with nearly identical estimates can make the direction
     solve diverge, or leave the offset loading infeasible outright; such a set
@@ -325,16 +317,13 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
     k = h_est.shape[0]
     sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,)).copy()
 
-    if directions_fn is None:
-        from .directions import const_offset_directions as directions_fn
-
     retained = list(range(k))
     dropped = []
     while True:
         idx = np.array(retained)
         noise_sub = noise[idx]
         try:
-            u_sub = directions_fn(h_est[idx], gammas[idx])
+            u_sub = const_offset_directions(h_est[idx], gammas[idx])
             coupling = coupling_matrix(h_est[idx], u_sub, gammas[idx], sigma_e[idx])
         except (ConvergenceError, DegenerateChannelsError):
             if len(retained) == 1:

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from offsetbf.channel import (FadingConfig, GeometryConfig, Scenario,
-                              UncertaintyModel, UserChannel, draw_error,
-                              draw_errors, generate_scenario, load_scenario,
-                              save_scenario, scenario_from_dict,
-                              scenario_to_dict, user_selection)
-
-from helpers import scenario_from_rows
+                              UncertaintyModel, UserChannel, draw_errors,
+                              generate_scenario, load_scenario, save_scenario,
+                              scenario_from_dict, scenario_to_dict)
 
 
 def default_scenario(seed=0, **fading_kwargs):
@@ -115,16 +112,7 @@ def test_draw_errors_prefix_stability():
     long = draw_errors(user, 10, seed=11)
     short = draw_errors(user, 4, seed=11)
     assert np.array_equal(long[:4], short)
-    assert np.array_equal(draw_error(user, seed=11), long[0])
-
-
-def test_user_selection_rule():
-    h = np.zeros((3, 4), dtype=complex)
-    h[0, 0] = 1.0           # norm^2 = 1: 100 * 1 / 1 = 100 >= 4
-    h[1, 0] = 1e-2          # norm^2 = 1e-4: 0.01 < 4
-    h[2, 0] = 0.2           # norm^2 = 0.04: boundary 100 * 0.04 / 1 == 4
-    sc = scenario_from_rows(h, noise=1.0, gamma=4.0)
-    assert user_selection(sc, power_reference=100.0) == [0, 2]
+    assert np.array_equal(draw_errors(user, 1, seed=11)[0], long[0])
 
 
 def test_scenario_json_round_trip(tmp_path):

@@ -120,6 +120,17 @@ def test_design_requires_offset_parameter(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_design_resolves_offset_before_solving_directions(tmp_path, capsys):
+    # Without r or delta this alg1 design is a config error (exit 1), even
+    # though its direction solve would fail (exit 2, see below).
+    cfg = write_config(tmp_path, {"generate": {"n_users": 4, "n_antennas": 8,
+                                               "seed": 5},
+                                  "algorithm": "alg1"})
+    code, _, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 1
+    assert "requires r or delta" in err
+
+
 def test_malformed_scenario_file(tmp_path, capsys):
     bad = tmp_path / "scenario.json"
     bad.write_text("{truncated")
@@ -292,6 +303,25 @@ def test_design_seed_override_changes_generated_scenario(tmp_path, capsys):
     assert run_cli(capsys, ["design", "--config", cfg, "--seed", "6"])[0] == 0
     second = json.loads((tmp_path / "seeded.json").read_text())["report"]["users"]
     assert first != second
+
+
+@pytest.mark.parametrize("n_users,n_antennas,seed,cause", [
+    (4, 8, 5, "dual fixed point left the positive cone"),
+    (3, 4, 1, "nu fixed point did not converge in 500 sweeps"),
+    (3, 4, 0, "power loading did not converge in 50 iterations"),
+])
+def test_alg1_design_failures_exit_2(tmp_path, capsys, n_users, n_antennas,
+                                     seed, cause):
+    cfg = write_config(tmp_path, {"generate": {"n_users": n_users,
+                                               "n_antennas": n_antennas,
+                                               "seed": seed},
+                                  "algorithm": "alg1", "delta": 0.05,
+                                  "r_mode": "gaussian",
+                                  "out": str(tmp_path / "x.json")})
+    code, out, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err == f"design failed: {cause}\n"
 
 
 # ---------------------------------------------------------------------------

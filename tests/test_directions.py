@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from offsetbf.directions import (alg1_design, const_offset_directions,
+from offsetbf import cli
+from offsetbf.directions import (alg1_directions, const_offset_directions,
                                  directions_constant_offset, directions_from_nu,
                                  mrt_directions, nu_massive_approx,
                                  rzf_directions, solve_nu,
@@ -11,8 +12,7 @@ from offsetbf.directions import (alg1_design, const_offset_directions,
 from offsetbf.errors import ConvergenceError, DegenerateChannelsError
 from offsetbf.stats import sinr_values
 
-from helpers import (orthonormal_rows, scenario_from_rows, standard_complex,
-                     unit_scale_scenario)
+from helpers import orthonormal_rows, standard_complex, unit_scale_scenario
 
 
 def literal_dual_matrix(h_est, psi, nu, gammas, sigma_e, r, k):
@@ -366,8 +366,13 @@ def test_nu_massive_approx_improves_with_antennas():
 
 
 # ---------------------------------------------------------------------------
-# one-shot design
+# alg1: directions, then the loading at the common offset r
 # ---------------------------------------------------------------------------
+
+def alg1_design(scenario, r):
+    design, _ = cli.run_algorithm("alg1", scenario, cli.RunConfig(r=r))
+    return design
+
 
 def test_alg1_perfect_csi_hits_targets():
     sc = unit_scale_scenario(seed=15, sigma_e=0.0)
@@ -376,18 +381,14 @@ def test_alg1_perfect_csi_hits_targets():
     assert np.max(np.abs(sinr - sc.sinr_targets()) / sc.sinr_targets()) < 1e-6
 
 
-def test_alg1_invariants_and_refinement():
+def test_alg1_invariants():
     sc = unit_scale_scenario(seed=16, sigma_e=0.1)
     design = alg1_design(sc, r=2.0)
     assert np.allclose(np.linalg.norm(design.directions, axis=1), 1.0, atol=1e-9)
     assert np.all(design.powers >= 0)
-    refined = alg1_design(sc, r=2.0, refine_iterations=2)
-    assert np.allclose(np.linalg.norm(refined.directions, axis=1), 1.0, atol=1e-9)
-    assert np.all(refined.powers >= 0)
 
 
 def test_alg1_requires_common_sigma_e():
     h = standard_complex(np.random.default_rng(17), (2, 4))
-    sc = scenario_from_rows(h, sigma_e=[0.1, 0.2])
-    with pytest.raises(ValueError):
-        alg1_design(sc, r=2.0)
+    with pytest.raises(ValueError, match="common sigma_e"):
+        alg1_directions(h, np.full(2, 4.0), np.array([0.1, 0.2]), r=2.0)

@@ -7,9 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 from offsetbf.directions import const_offset_directions
-from offsetbf.montecarlo import (estimate_outage, run_trial, sweep,
-                                 sweep_to_csv, viability_check,
-                                 SWEEP_CSV_COLUMNS)
+from offsetbf.montecarlo import (estimate_outage, sweep, sweep_to_csv,
+                                 viability_check, SWEEP_CSV_COLUMNS)
 from offsetbf.powerload import alg2_power_load, coupling_matrix
 from offsetbf.stats import BeamformerSet
 
@@ -71,6 +70,19 @@ def test_estimate_outage_deterministic_and_seed_sensitive():
     assert np.any(first != other)
 
 
+def test_estimate_outage_margins_drive_outage():
+    scenario = unit_scale_scenario(seed=9)
+    design = design_for(scenario, 2.0)
+    boosted = BeamformerSet(directions=design.directions,
+                            powers=design.powers * 50.0)
+    starved = BeamformerSet(directions=design.directions,
+                            powers=design.powers * 1e-4)
+    outage_boosted, _ = estimate_outage(boosted, scenario, 200, base_seed=11)
+    outage_starved, _ = estimate_outage(starved, scenario, 200, base_seed=11)
+    assert np.all(outage_boosted == 0.0)
+    assert np.all(outage_starved == 1.0)
+
+
 def test_estimate_outage_rejects_zero_trials():
     scenario = unit_scale_scenario(seed=6)
     design = design_for(scenario, 1.0)
@@ -79,32 +91,8 @@ def test_estimate_outage_rejects_zero_trials():
 
 
 # ---------------------------------------------------------------------------
-# run_trial and viability
+# viability
 # ---------------------------------------------------------------------------
-
-def test_run_trial_margins_drive_flags():
-    scenario = unit_scale_scenario(seed=9)
-    design = design_for(scenario, 2.0)
-    boosted = BeamformerSet(directions=design.directions,
-                            powers=design.powers * 50.0)
-    starved = BeamformerSet(directions=design.directions,
-                            powers=design.powers * 1e-4)
-    result_boosted = run_trial(boosted, scenario, seed=11, algorithm="boost", r=2.0)
-    result_starved = run_trial(starved, scenario, seed=11)
-    assert not result_boosted.outage.any()
-    assert result_starved.outage.all()
-    assert result_boosted.algorithm == "boost"
-    assert result_boosted.r == 2.0
-    assert result_boosted.total_power == pytest.approx(50.0 * design.powers.sum())
-
-
-def test_run_trial_deterministic():
-    scenario = unit_scale_scenario(seed=10)
-    design = design_for(scenario, 0.5)
-    first = run_trial(design, scenario, seed=13)
-    again = run_trial(design, scenario, seed=13)
-    assert np.array_equal(first.outage, again.outage)
-
 
 def test_viability_check_thresholds():
     u = np.array([[1.0, 0.0]], dtype=complex)

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import ndtr
 
 from offsetbf.directions import const_offset_directions
-from offsetbf.errors import ConvergenceError, InfeasibleLoadingError
+from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
+                             InfeasibleLoadingError)
 from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 coupling_matrix, fit_normal_cdf_quadratic,
                                 max_r_power_load, power_saving_cap,
@@ -43,6 +44,14 @@ def test_coupling_matrix_hand_instance():
     coupling = coupling_matrix(h, u, np.ones(2), np.full(2, 0.1))
     expected = np.array([[1.01, -0.11], [-0.11, 1.01]])
     assert np.max(np.abs(coupling.a - expected)) < 1e-12
+
+
+def test_coupling_matrix_singular_is_degenerate():
+    # Two users on one channel with one beam and no error: the rows of A
+    # are (1, -1) and (-1, 1).
+    h = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(DegenerateChannelsError, match="singular"):
+        coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2))
 
 
 def test_coupling_matrix_inverse_residual():
@@ -103,13 +112,27 @@ def test_alg2_offset_equalities_and_iteration_budget():
     assert np.all(report.powers > 0)
 
 
+def picard_power_load(coupling, noise, r, tol, max_iters):
+    """Oracle for alg2: the plain substitution iteration
+    beta <- A^{-1} sigma^2 + A^{-1} (sigma_f(beta) (.) r)."""
+    mode = coupling.default_variance_mode()
+    base = coupling.a_inv @ noise
+    beta = base
+    for _ in range(max_iters):
+        beta_new = base + coupling.a_inv @ (coupling.sigma_f(beta, mode) * r)
+        change = np.max(np.abs(beta_new - beta)) / np.max(np.abs(beta_new))
+        beta = beta_new
+        if change < tol:
+            return beta
+    raise AssertionError("Picard oracle did not converge")
+
+
 def test_alg2_newton_and_picard_agree():
     _, _, _, coupling = random_instance(seed=6)
     noise = np.ones(3)
     newton = alg2_power_load(coupling, noise, r=2.0, tol=1e-10)
-    picard = alg2_power_load(coupling, noise, r=2.0, tol=1e-10, max_iters=500,
-                             method="picard")
-    assert np.max(np.abs(newton.powers - picard.powers)) < 1e-6 * np.max(newton.powers)
+    picard = picard_power_load(coupling, noise, r=2.0, tol=1e-10, max_iters=500)
+    assert np.max(np.abs(newton.powers - picard)) < 1e-6 * np.max(newton.powers)
 
 
 def test_alg2_infeasible_raises():
@@ -125,8 +148,7 @@ def test_alg2_infeasible_raises():
 def test_alg2_convergence_error():
     _, _, _, coupling = random_instance(seed=7)
     with pytest.raises(ConvergenceError):
-        alg2_power_load(coupling, np.ones(3), r=2.0, tol=1e-14, max_iters=2,
-                        method="picard")
+        alg2_power_load(coupling, np.ones(3), r=2.0, tol=1e-14, max_iters=2)
 
 
 def test_alg2_mixed_sigma_handles_zero_variance_rows():
@@ -203,6 +225,19 @@ def test_max_r_zero_uncertainty_sentinel():
     assert math.isinf(r)
     assert "unbounded offset" in report.note
     assert np.max(np.abs(beta - coupling.a_inv @ noise)) < 1e-12
+
+
+def test_max_r_unfundable_offset_raises():
+    # Nearly parallel users served by matched beams: det A < 0, so every
+    # entry of A^{-1} is negative. The noise A (1, 1) makes the zero-offset
+    # loading (1, 1) nonnegative, but 1^T A^{-1} sigma_f < 0. (With positive
+    # noise A is an M-matrix, A^{-1} >= 0, and this branch cannot be reached.)
+    h = np.array([[1.0, 0.0], [0.999, np.sqrt(1 - 0.999 ** 2)]], dtype=complex)
+    coupling = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1))
+    assert np.all(coupling.a_inv < 0)
+    noise = coupling.a @ np.ones(2)
+    with pytest.raises(InfeasibleLoadingError, match="unfundable"):
+        max_r_power_load(coupling, noise, total_power=10.0)
 
 
 def test_max_r_monotone_in_budget():

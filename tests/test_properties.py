@@ -1,23 +1,27 @@
-"""Symmetry properties of the constant-offset design chain.
+"""Symmetry properties of the design chain.
 
 The model is invariant under a unitary change of the antenna basis, under a
 relabelling of the users, and under scaling the channels by c together with
-the noise by c^2 and the error size by c. The constant-offset directions
-followed by the max-common-offset loading must respect all three: the powers
-stay put, or are permuted with the users. alg1 is left out, because its
-Re{psi h^H} term is taken element-wise and so depends on the basis.
+the noise by c^2 and the error size by c. Every design must respect all
+three: the powers stay put, or are permuted with the users. They are checked
+for the constant-offset directions followed by the max-common-offset loading,
+and for every algorithm id of cli.run_algorithm but alg1, which is left out
+because its Re{psi h^H} term is taken element-wise and so depends on the
+basis.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from offsetbf import cli
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.powerload import coupling_matrix, max_r_power_load
 
-from helpers import standard_complex
+from helpers import scenario_from_rows, standard_complex
 
 DESIGN_ERRORS = (ConvergenceError, DegenerateChannelsError, InfeasibleLoadingError)
 # The transformed designs differ by rounding only (about 1e-14 observed);
@@ -101,4 +105,71 @@ def test_joint_scaling_leaves_powers_unchanged(instance, log10_c):
     c = 10.0 ** log10_c
     beta_scaled, _ = max_r_powers(c * h, gammas, c ** 2 * noise, c * sigma_e, mode,
                                   total_power=total_power)
+    assert_close(beta_scaled, beta)
+
+
+# ---------------------------------------------------------------------------
+# the same three symmetries for every algorithm id but alg1
+# ---------------------------------------------------------------------------
+
+SYMMETRIC_IDS = tuple(name for name in cli.ALGORITHM_IDS if name != "alg1")
+FIXED_R = 2.0
+
+
+def cli_powers(name, h, gammas, noise, sigma_e, mode, total_power):
+    """Powers of cli.run_algorithm's design, zero for dropped users."""
+    scenario = scenario_from_rows(h, sigma_e=sigma_e, noise=noise, gamma=gammas)
+    cfg = cli.RunConfig(algorithm=name, r=FIXED_R, total_power=total_power,
+                        variance_mode=mode)
+    _, report = cli.run_algorithm(name, scenario, cfg)
+    beta = np.zeros(h.shape[0])
+    beta[report.served_indices] = report.powers
+    return beta
+
+
+def cli_reference(name, h, gammas, noise, sigma_e, mode):
+    """The design of the untransformed instance and its budget, three times
+    the zero-offset QoS power of the constant-offset design."""
+    try:
+        _, total_power = max_r_powers(h, gammas, noise, sigma_e, mode)
+        beta = cli_powers(name, h, gammas, noise, sigma_e, mode, total_power)
+    except DESIGN_ERRORS:
+        assume(False)
+    return beta, total_power
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_IDS)
+@SETTINGS
+@given(instances())
+def test_every_id_antenna_basis_rotation(name, instance):
+    h, gammas, noise, sigma_e, mode, rng = instance
+    beta, total_power = cli_reference(name, h, gammas, noise, sigma_e, mode)
+    nt = h.shape[1]
+    unitary, _ = np.linalg.qr(standard_complex(rng, (nt, nt)))
+    beta_rot = cli_powers(name, h @ unitary.T, gammas, noise, sigma_e, mode,
+                          total_power)
+    assert_close(beta_rot, beta)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_IDS)
+@SETTINGS
+@given(instances(), st.data())
+def test_every_id_user_permutation(name, instance, data):
+    h, gammas, noise, sigma_e, mode, _ = instance
+    beta, total_power = cli_reference(name, h, gammas, noise, sigma_e, mode)
+    perm = np.array(data.draw(st.permutations(range(h.shape[0]))))
+    beta_perm = cli_powers(name, h[perm], gammas[perm], noise[perm], sigma_e[perm],
+                           mode, total_power)
+    assert_close(beta_perm, beta[perm])
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_IDS)
+@SETTINGS
+@given(instances(), st.floats(-3.0, 3.0))
+def test_every_id_joint_scaling(name, instance, log10_c):
+    h, gammas, noise, sigma_e, mode, _ = instance
+    beta, total_power = cli_reference(name, h, gammas, noise, sigma_e, mode)
+    c = 10.0 ** log10_c
+    beta_scaled = cli_powers(name, c * h, gammas, c ** 2 * noise, c * sigma_e, mode,
+                             total_power)
     assert_close(beta_scaled, beta)
