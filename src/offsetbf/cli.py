@@ -154,8 +154,8 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
             h_est, gammas, sigma_e, noise, cfg.total_power, r_min=cfg.r_min,
             variance_mode=cfg.variance_mode)
         if name == "maxr_powersave":
-            capped = powerload.power_saving_cap(coupling, noise[retained],
-                                                cfg.total_power, r_cap=cfg.r_cap,
+            capped = powerload.power_saving_cap(coupling, noise[retained], report,
+                                                r_cap=cfg.r_cap,
                                                 variance_mode=cfg.variance_mode)
             capped.rescheduled = report.rescheduled
             capped.served_indices = list(retained)

@@ -1,9 +1,9 @@
 """Beamforming direction design.
 
 Baseline ZF / MRT / RZF directions, the iterative closed-form robust design
-(dual fixed point plus per-user eigen equation), the constant-offset variant
-solved in the K-dimensional span of the users' channels, and the massive-MISO
-approximation nu_k ~= gamma_k / alpha_k for nearly orthogonal channels.
+(dual fixed point plus per-user eigen equation, in the span of the channels
+and their conjugates), the constant-offset variant in the K-dimensional span
+of the channels, and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
 """
 
 from dataclasses import dataclass
@@ -87,54 +87,65 @@ def nu_massive_approx(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return np.asarray(gammas, dtype=float) / alphas
 
 
-def _dual_matrix(h_est, outers, re_psi, nu, gammas, sigma_e, r, k):
-    """The matrix inverted in the nu fixed point for user k.
-
-    M_k = I + sum_j nu_j h_j h_j^H - (nu_k sigma_e^2 / gamma_k) I
-          + sum_{j!=k} nu_j sigma_e^2 I
-          + (r sqrt(2) sigma_e nu_k / gamma_k) Re{psi_k h_k^H}
-          - sum_{j!=k} r sqrt(2) sigma_e nu_j Re{psi_j h_j^H}
-    """
-    nt = h_est.shape[1]
-    shift = sigma_e ** 2 * (nu.sum() - nu[k]) - nu[k] * sigma_e ** 2 / gammas[k]
-    m = (1.0 + shift) * np.eye(nt, dtype=complex)
-    m += np.einsum("j,jil->il", nu, outers)
-    coup = r * np.sqrt(2.0) * sigma_e
-    m += (coup * nu[k] / gammas[k]) * re_psi[k]
-    m -= coup * np.einsum("j,jil->il", nu, re_psi) - coup * nu[k] * re_psi[k]
-    return m
+def _reduced_terms(h_est: np.ndarray, psi: np.ndarray, coup: float):
+    """Q (N_t x m, m <= min(2K, N_t)), an orthonormal basis of span{h_j, conj h_j}
+    from one reduced QR, the rows a_j = Q^H h_j, and the (K, m, m) stacks
+    Q^H (h_j h_j^H - coup Re{psi_j h_j^H}) Q and Q^H Re{psi_j h_j^H} Q. The
+    element-wise Re{psi_j h_j^H} = (psi_j h_j^H + conj(psi_j) h_j^T) / 2 lies in
+    span Q when psi_j does, which is checked."""
+    basis, _ = np.linalg.qr(np.concatenate([h_est, h_est.conj()]).T)
+    h_c, hbar_c, psi_c, psibar_c = np.split(
+        np.concatenate([h_est, h_est.conj(), psi, psi.conj()]) @ basis.conj(), 4)
+    if np.max(np.abs(psi_c @ basis.T - psi)) > 1e-8:
+        raise ValueError("psi must lie in the span of the channel estimates")
+    re_psi = (np.einsum("ji,jl->jil", psi_c, h_c.conj())
+              + np.einsum("ji,jl->jil", psibar_c, hbar_c.conj())) / 2.0
+    return basis, h_c, np.einsum("ji,jl->jil", h_c, h_c.conj()) - coup * re_psi, re_psi
 
 
 def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
              psi: np.ndarray, tol: float = 1e-10, max_iters: int = 500) -> DualState:
     """Gauss-Seidel solution of the dual fixed point with common offset r.
 
-    nu_k^{-1} = h_k^H M_k^{-1} h_k (1 + 1/gamma_k), with M_k built from the
-    current nu and the proxy directions psi (unit rows, e.g. ZF directions).
-    Initialized at the massive-MISO values nu_k = gamma_k / alpha_k.
+    nu_k^{-1} = h_k^H M_k^{-1} h_k (1 + 1/gamma_k), with coup = r sqrt(2) sigma_e and
+      M_k = (1 + sigma_e^2 sum_{j!=k} nu_j - nu_k sigma_e^2 / gamma_k) I
+            + sum_j nu_j h_j h_j^H + (coup nu_k / gamma_k) Re{psi_k h_k^H}
+            - coup sum_{j!=k} nu_j Re{psi_j h_j^H}
+    for the current nu and proxy directions psi (unit rows in the channels' span,
+    e.g. ZF), starting at nu_k = gamma_k / alpha_k.
+
+    In the basis Q of _reduced_terms, M_k = c_k I + Q S_k Q^H and h_k = Q a_k,
+    so the form is a_k^H (c_k I + S_k)^{-1} a_k. The shared part of S_k is
+    rebuilt each sweep and updated as each nu_k changes. Cost: O(K^2 N_t) once,
+    then one m x m solve, O(m^3), per user step.
     """
     gammas = np.asarray(gammas, dtype=float)
-    k_users = h_est.shape[0]
     psi = _normalize_rows(np.asarray(psi, dtype=complex))
-    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
-    re_psi = np.real(np.einsum("ji,jl->jil", psi, h_est.conj()))
+    coup = r * np.sqrt(2.0) * sigma_e
+    # S_k = sum_j nu_j terms_j + coup nu_k (1 + 1/gamma_k) re_psi_k
+    _, h_c, terms, re_psi = _reduced_terms(h_est, psi, coup)
+    eye = np.eye(h_c.shape[1])
     nu = nu_massive_approx(h_est, gammas)
 
     for _ in range(max_iters):
+        total, nu_sum = np.einsum("j,jil->il", nu, terms), nu.sum()
         max_rel = 0.0
-        for k in range(k_users):
-            m = _dual_matrix(h_est, outers, re_psi, nu, gammas, sigma_e, r, k)
+        for k in range(h_est.shape[0]):
+            c_k = 1.0 + sigma_e ** 2 * (nu_sum - nu[k]) - nu[k] * sigma_e ** 2 / gammas[k]
+            s_k = total + (coup * nu[k] * (1.0 + 1.0 / gammas[k])) * re_psi[k]
             try:
-                x = np.linalg.solve(m, h_est[k])
+                x = np.linalg.solve(c_k * eye + s_k, h_c[k])
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError("dual fixed point made the user matrix singular",
                                        last_iterate=nu) from exc
-            val = np.real(np.vdot(h_est[k], x)) * (1.0 + 1.0 / gammas[k])
+            val = np.vdot(h_c[k], x).real * (1.0 + 1.0 / gammas[k])
             if val <= 0:
                 raise ConvergenceError("dual fixed point left the positive cone",
                                        last_iterate=nu)
             nu_new = 1.0 / val
             max_rel = max(max_rel, abs(nu_new - nu[k]) / nu_new)
+            total += (nu_new - nu[k]) * terms[k]
+            nu_sum += nu_new - nu[k]
             nu[k] = nu_new
         if max_rel < tol:
             return DualState(nu=nu, psi_direction=psi)
@@ -144,38 +155,28 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
 
 def directions_from_nu(dual: DualState, h_est: np.ndarray, gammas: np.ndarray,
                        sigma_e: float, r: float) -> np.ndarray:
-    """Solve the per-user eigen equation for the beamforming directions.
+    """Per-user eigen directions: u_k is the eigenvector of
+      B_k = I - M_k + nu_k (1 + 1/gamma_k) h_k h_k^H      (M_k as in solve_nu)
+    for the eigenvalue of largest real part, phased so that h_k^H u_k >= 0.
 
-    u_k is the eigenvector of
-      B_k = (nu_k / gamma_k) h_k h_k^H - sum_{j!=k} nu_j h_j h_j^H
-            + (nu_k sigma_e^2 / gamma_k) I - sum_{j!=k} nu_j sigma_e^2 I
-            - (r sqrt(2) sigma_e nu_k / gamma_k) Re{psi_k h_k^H}
-            + sum_{j!=k} r sqrt(2) sigma_e nu_j Re{psi_j h_j^H}
-    for the eigenvalue of largest real part, with phase fixed so h_k^H u_k >= 0.
-
-    B_k is non-Hermitian because of the Re{psi h^H} terms, so a full dense
-    eigendecomposition is used rather than a power iteration; at the sizes of
-    interest (N_t <= 64) this is cheap and immune to sign-dominance issues.
+    In the basis Q of _reduced_terms, B_k = shift_k I + Q T_k Q^H has spectrum
+    shift_k + eig(T_k) on span Q and shift_k on its complement. One batched
+    (non-Hermitian) eig of the K m x m matrices T_k gives the top y_k, and
+    u_k = Q y_k: O(K^2 N_t + K m^3). If m < N_t and no eigenvalue of T_k has
+    positive real part, u_k is orthogonal to every channel: DegenerateChannelsError.
     """
     gammas = np.asarray(gammas, dtype=float)
-    nu = dual.nu
-    psi = dual.psi_direction
-    k_users, nt = h_est.shape
-    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
-    re_psi = np.real(np.einsum("ji,jl->jil", psi, h_est.conj()))
-    coup = r * np.sqrt(2.0) * sigma_e
-
-    u_rows = np.zeros_like(h_est)
-    for k in range(k_users):
-        shift = nu[k] * sigma_e ** 2 / gammas[k] - sigma_e ** 2 * (nu.sum() - nu[k])
-        b = shift * np.eye(nt, dtype=complex)
-        b += (nu[k] / gammas[k] + nu[k]) * outers[k] - np.einsum("j,jil->il", nu, outers)
-        b -= (coup * nu[k] / gammas[k]) * re_psi[k]
-        b += coup * np.einsum("j,jil->il", nu, re_psi) - coup * nu[k] * re_psi[k]
-        eigvals, eigvecs = np.linalg.eig(b)
-        u = eigvecs[:, np.argmax(eigvals.real)]
-        u_rows[k] = _phase_align(u, h_est[k])
-    return u_rows
+    basis, _, terms, _ = _reduced_terms(h_est, dual.psi_direction,
+                                        r * np.sqrt(2.0) * sigma_e)
+    small = (dual.nu * (1.0 + 1.0 / gammas))[:, None, None] * terms \
+        - np.einsum("j,jil->il", dual.nu, terms)
+    eigvals, eigvecs = np.linalg.eig(small)
+    users, top = np.arange(h_est.shape[0]), np.argmax(eigvals.real, axis=1)
+    if basis.shape[1] < h_est.shape[1] and np.any(eigvals[users, top].real <= 0):
+        raise DegenerateChannelsError(
+            "the top eigenvector of a user's eigen matrix is orthogonal to every channel")
+    u_rows = eigvecs[users, :, top] @ basis.T      # row k is (Q y_k)^T
+    return np.array([_phase_align(u, h) for u, h in zip(u_rows, h_est)])
 
 
 def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,

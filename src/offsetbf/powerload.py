@@ -349,19 +349,18 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
         dropped.append(retained.pop(worst))
 
 
-def power_saving_cap(coupling: CouplingMatrix, noise, total_power: float,
+def power_saving_cap(coupling: CouplingMatrix, noise, maxr_report: DesignReport,
                      r_cap: float = 5.0, variance_mode=None) -> DesignReport:
-    """Cap the common offset: if the max-r solution exceeds r_cap, re-solve the
-    power minimization at r = r_cap, typically spending far less than Pt."""
+    """Cap the common offset: if the max-r report of this coupling exceeds r_cap,
+    re-solve the power minimization at r = r_cap, typically spending far less."""
     if r_cap <= 0:
         raise ValueError("r_cap must be positive")
-    beta, r, report = max_r_power_load(coupling, noise, total_power,
-                                       variance_mode=variance_mode)
+    r = maxr_report.offsets[0]
     if r > r_cap:
         capped = alg2_power_load(coupling, noise, r_cap, variance_mode=variance_mode)
         capped.note = f"offset capped at {r_cap} (max-r solution reached {r:.4g})"
         return capped
-    return report
+    return maxr_report
 
 
 def fit_normal_cdf_quadratic(r_lo: float = 1.0, r_hi: float = 3.0,

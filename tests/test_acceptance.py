@@ -347,13 +347,12 @@ def test_criterion_09_power_saving_spends_less_with_more_antennas():
         h_full = np.sqrt(gain)[:, None] * g - sig[:, None] * e
         for nt in nt_grid:
             h = h_full[:, :nt]
-            retained = reschedule(h, gammas, sig, noise, total_power=1.0,
-                                  r_min=2.0)[0]
+            retained, maxr_report = reschedule(h, gammas, sig, noise, total_power=1.0,
+                                               r_min=2.0)[:2]
             idx = np.array(retained)
             u = const_offset_directions(h[idx], gammas[idx])
             coupling = coupling_matrix(h[idx], u, gammas[idx], sig[idx])
-            capped = power_saving_cap(coupling, noise[idx], total_power=1.0,
-                                      r_cap=5.0)
+            capped = power_saving_cap(coupling, noise[idx], maxr_report, r_cap=5.0)
             means[nt].append(capped.powers.sum())
 
     curve = [float(np.mean(means[nt])) for nt in nt_grid]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from offsetbf import cli
-from offsetbf.directions import (alg1_directions, const_offset_directions,
+from offsetbf.directions import (DualState, alg1_directions, const_offset_directions,
                                  directions_constant_offset, directions_from_nu,
                                  mrt_directions, nu_massive_approx,
                                  rzf_directions, solve_nu,
@@ -83,6 +83,61 @@ def dense_directions_constant_offset(nu, h_est, gammas):
         u = eigvecs[:, -1]
         c = np.vdot(h_est[k], u)
         u_rows[k] = u * c.conjugate() / abs(c)    # h_k^H u_k real and positive
+    return u_rows
+
+
+def dense_dual_matrix(h_est, outers, re_psi, nu, gammas, sigma_e, r, k):
+    """The N_t x N_t matrix M_k of the nu fixed point (oracle)."""
+    nt = h_est.shape[1]
+    shift = sigma_e ** 2 * (nu.sum() - nu[k]) - nu[k] * sigma_e ** 2 / gammas[k]
+    m = (1.0 + shift) * np.eye(nt, dtype=complex)
+    m += np.einsum("j,jil->il", nu, outers)
+    coup = r * np.sqrt(2.0) * sigma_e
+    m += (coup * nu[k] / gammas[k]) * re_psi[k]
+    m -= coup * np.einsum("j,jil->il", nu, re_psi) - coup * nu[k] * re_psi[k]
+    return m
+
+
+def dense_solve_nu(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
+    """Gauss-Seidel dual fixed point with a dense solve of M_k per user (oracle)."""
+    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
+    re_psi = np.real(np.einsum("ji,jl->jil", psi, h_est.conj()))
+    nu = nu_massive_approx(h_est, gammas)
+    for _ in range(max_iters):
+        max_rel = 0.0
+        for k in range(h_est.shape[0]):
+            m = dense_dual_matrix(h_est, outers, re_psi, nu, gammas, sigma_e, r, k)
+            x = np.linalg.solve(m, h_est[k])
+            val = np.real(np.vdot(h_est[k], x)) * (1.0 + 1.0 / gammas[k])
+            if val <= 0:
+                raise ConvergenceError("dual fixed point left the positive cone",
+                                       last_iterate=nu)
+            nu_new = 1.0 / val
+            max_rel = max(max_rel, abs(nu_new - nu[k]) / nu_new)
+            nu[k] = nu_new
+        if max_rel < tol:
+            return nu
+    raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
+                           last_iterate=nu)
+
+
+def dense_directions_from_nu(nu, psi, h_est, gammas, sigma_e, r):
+    """Top eigenvector of the N_t x N_t eigen matrix B_k per user (oracle)."""
+    nt = h_est.shape[1]
+    outers = np.einsum("ji,jl->jil", h_est, h_est.conj())
+    re_psi = np.real(np.einsum("ji,jl->jil", psi, h_est.conj()))
+    coup = r * np.sqrt(2.0) * sigma_e
+    u_rows = np.zeros_like(h_est)
+    for k in range(h_est.shape[0]):
+        shift = nu[k] * sigma_e ** 2 / gammas[k] - sigma_e ** 2 * (nu.sum() - nu[k])
+        b = shift * np.eye(nt, dtype=complex)
+        b += (nu[k] / gammas[k] + nu[k]) * outers[k] - np.einsum("j,jil->il", nu, outers)
+        b -= (coup * nu[k] / gammas[k]) * re_psi[k]
+        b += coup * np.einsum("j,jil->il", nu, re_psi) - coup * nu[k] * re_psi[k]
+        eigvals, eigvecs = np.linalg.eig(b)
+        u = eigvecs[:, np.argmax(eigvals.real)]
+        c = np.vdot(h_est[k], u)
+        u_rows[k] = u * c.conjugate() / abs(c) / np.linalg.norm(u)
     return u_rows
 
 
@@ -309,6 +364,92 @@ def test_constant_offset_more_users_than_antennas_is_convergence_error():
     with pytest.raises(ConvergenceError) as excinfo:
         solve_nu_constant_offset(h, gammas)
     assert excinfo.value.last_iterate.shape == (8,)
+
+
+@pytest.mark.parametrize("k,nt", [(1, 4), (3, 4), (4, 8), (6, 20), (8, 32), (16, 64)])
+def test_alg1_chain_matches_dense_oracle(k, nt):
+    # (4, 8) has 2K = N_t, so the reduced basis spans the whole space.
+    rng = np.random.default_rng(100 * k + nt)
+    h = standard_complex(rng, (k, nt)) * np.sqrt(rng.uniform(0.5, 3.0, size=k))[:, None]
+    gammas = rng.uniform(1.0, 4.0, size=k)
+    sigma_e, r = 0.05, 2.0
+    psi = zf_directions(h)
+    # the same Gauss-Seidel map: equal iterates after a few sweeps
+    with pytest.raises(ConvergenceError) as ref:
+        dense_solve_nu(h, gammas, sigma_e, r, psi, max_iters=3)
+    with pytest.raises(ConvergenceError) as got:
+        solve_nu(h, gammas, sigma_e, r, psi, max_iters=3)
+    early = ref.value.last_iterate
+    assert np.max(np.abs(got.value.last_iterate - early) / early) < 1e-12
+    nu_ref = dense_solve_nu(h, gammas, sigma_e, r, psi)
+    dual = solve_nu(h, gammas, sigma_e, r, psi)
+    assert np.max(np.abs(dual.nu - nu_ref) / nu_ref) < 1e-10
+    u_ref = dense_directions_from_nu(nu_ref, psi, h, gammas, sigma_e, r)
+    u = directions_from_nu(dual, h, gammas, sigma_e, r)
+    assert np.max(np.abs(u - u_ref)) < 1e-10
+
+
+@pytest.mark.parametrize("seed,message", [
+    (1, "dual fixed point left the positive cone"),
+    (0, "nu fixed point did not converge in 500 sweeps"),
+])
+def test_solve_nu_errors_match_dense_oracle(seed, message):
+    # Two golden alg1 cells (K=3, N_t=4, 3.2 km) whose dual fixed point fails.
+    cfg = cli.RunConfig.from_dict({
+        "generate": {"n_users": 3, "n_antennas": 4, "radius_km": 3.2, "seed": seed},
+        "algorithm": "alg1", "delta": 0.05})
+    scenario = cli._build_scenario(cfg)
+    h, gammas = scenario.h_est_matrix(), scenario.sinr_targets()
+    sigma_e, r = float(scenario.sigma_e_vector()[0]), cfg.resolved_r()
+    psi = zf_directions(h)
+    with pytest.raises(ConvergenceError, match=message):
+        dense_solve_nu(h, gammas, sigma_e, r, psi)
+    with pytest.raises(ConvergenceError) as excinfo:
+        solve_nu(h, gammas, sigma_e, r, psi)
+    assert str(excinfo.value) == message
+
+
+def test_solve_nu_rejects_proxies_outside_the_channel_span():
+    # The reduced basis holds the Re{psi h^H} terms only for psi in span{h, conj h}.
+    rng = np.random.default_rng(20)
+    h = standard_complex(rng, (1, 4))
+    with pytest.raises(ValueError, match="span of the channel estimates"):
+        solve_nu(h, np.array([4.0]), 0.1, 2.0, standard_complex(rng, (1, 4)))
+
+
+def degenerate_single_user():
+    # One weak user whose offset term outweighs its channel,
+    # r sqrt(2) sigma_e > 2 ||h||: B = shift I + (nu/gamma) Q D Q^H with D
+    # negative definite on span{h, conj h}.
+    h = standard_complex(np.random.default_rng(18), (1, 4))
+    h *= 0.1 / np.linalg.norm(h)
+    return h, zf_directions(h), np.array([1.0])
+
+
+def degenerate_weak_user_among_strong():
+    # A weak user 0 with a tiny weight next to a heavily weighted user 1
+    # whose proxy points against its channel (h_1^H psi_1 < 0).
+    h = standard_complex(np.random.default_rng(19), (2, 6))
+    h[0] *= 0.05
+    psi = zf_directions(h)
+    psi[1] *= -1.0
+    return h, psi, np.array([1e-3, 1e3])
+
+
+@pytest.mark.parametrize("build", [degenerate_single_user,
+                                   degenerate_weak_user_among_strong])
+def test_directions_from_nu_direction_orthogonal_to_every_channel(build):
+    h, psi, nu = build()
+    gammas = np.full(len(nu), 4.0)
+    sigma_e, r = 0.1, 2.0
+    # The dense top eigenvector of B_0 lies in the complement of the
+    # channels' span: no phase rotation can make h_0^H u_0 positive.
+    eigvals, eigvecs = np.linalg.eig(literal_eigen_matrix(h, psi, nu, gammas,
+                                                          sigma_e, r, 0))
+    u_dense = eigvecs[:, np.argmax(eigvals.real)]
+    assert np.max(np.abs(h.conj() @ u_dense)) < 1e-6 * np.linalg.norm(h)
+    with pytest.raises(DegenerateChannelsError, match="orthogonal to every channel"):
+        directions_from_nu(DualState(nu=nu, psi_direction=psi), h, gammas, sigma_e, r)
 
 
 def test_directions_constant_offset_orthogonal():

@@ -3,7 +3,9 @@
 tests/golden/reports.json holds, for each (algorithm, cell, seed), either the
 DesignReport.to_dict() of cli.run_algorithm or the class and message of the
 design error it raised. Refactors of the design chain must reproduce it: the
-powers to 1e-10 relative, everything else exactly.
+floats (powers, slack moments, outage, total power) to 1e-10 relative, so
+that reordered arithmetic passes, and everything else (ints, strings, flags,
+None, the dropped users, error classes and messages) exactly.
 
 Re-record (only when a change of behaviour is intended) with
     PYTHONPATH=src python tests/test_golden.py
@@ -59,16 +61,21 @@ def load_golden():
         return json.load(fh)
 
 
-def without(doc, key):
-    return {k: v for k, v in doc.items() if k != key}
-
-
-def assert_report_matches(report, expected):
-    assert without(report, "users") == without(expected, "users")
-    assert len(report["users"]) == len(expected["users"])
-    for user, want in zip(report["users"], expected["users"]):
-        assert without(user, "beta") == without(want, "beta")
-        assert math.isclose(user["beta"], want["beta"], rel_tol=BETA_RTOL, abs_tol=0.0)
+def assert_report_matches(report, expected, path="report"):
+    if isinstance(expected, float):
+        assert isinstance(report, float), (path, report, expected)
+        assert math.isclose(report, expected, rel_tol=BETA_RTOL, abs_tol=0.0), \
+            (path, report, expected)
+    elif isinstance(expected, dict):
+        assert sorted(report) == sorted(expected), path
+        for key, want in expected.items():
+            assert_report_matches(report[key], want, f"{path}.{key}")
+    elif isinstance(expected, list):
+        assert len(report) == len(expected), path
+        for i, (got, want) in enumerate(zip(report, expected)):
+            assert_report_matches(got, want, f"{path}[{i}]")
+    else:
+        assert report == expected, (path, report, expected)
 
 
 CASES = list(all_cases())

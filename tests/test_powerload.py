@@ -356,7 +356,8 @@ def test_power_saving_cap_re_solves_at_cap():
     u = h.copy()
     coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1))
     noise = np.array([0.1])
-    report = power_saving_cap(coupling, noise, total_power=1.0, r_cap=5.0)
+    _, _, plain = max_r_power_load(coupling, noise, total_power=1.0)
+    report = power_saving_cap(coupling, noise, plain, r_cap=5.0)
     st = report.achieved_stats[0]
     assert abs(st.mu - 5.0 * st.sigma) < 1e-6 * st.mu
     assert report.powers.sum() < 1.0
@@ -368,11 +369,11 @@ def test_power_saving_cap_keeps_solution_below_cap():
     u = h.copy()
     coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1))
     noise = np.array([0.1])
-    capped = power_saving_cap(coupling, noise, total_power=1.0, r_cap=10.0)
     _, _, plain = max_r_power_load(coupling, noise, total_power=1.0)
+    capped = power_saving_cap(coupling, noise, plain, r_cap=10.0)
     assert np.max(np.abs(capped.powers - plain.powers)) < 1e-12
     with pytest.raises(ValueError):
-        power_saving_cap(coupling, noise, total_power=1.0, r_cap=0.0)
+        power_saving_cap(coupling, noise, plain, r_cap=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ relabelling of the users, and under scaling the channels by c together with
 the noise by c^2 and the error size by c. Every design must respect all
 three: the powers stay put, or are permuted with the users. They are checked
 for the constant-offset directions followed by the max-common-offset loading,
-and for every algorithm id of cli.run_algorithm but alg1, which is left out
-because its Re{psi h^H} term is taken element-wise and so depends on the
-basis.
+and for every algorithm id of cli.run_algorithm. alg1 is left out of the
+rotation check only: its Re{psi h^H} term is taken element-wise and so
+depends on the antenna basis, while user permutation and joint scaling
+leave it unchanged.
 """
 
 import numpy as np
@@ -109,10 +110,10 @@ def test_joint_scaling_leaves_powers_unchanged(instance, log10_c):
 
 
 # ---------------------------------------------------------------------------
-# the same three symmetries for every algorithm id but alg1
+# the same three symmetries for every algorithm id (rotation: all but alg1)
 # ---------------------------------------------------------------------------
 
-SYMMETRIC_IDS = tuple(name for name in cli.ALGORITHM_IDS if name != "alg1")
+ROTATION_IDS = tuple(name for name in cli.ALGORITHM_IDS if name != "alg1")
 FIXED_R = 2.0
 
 
@@ -138,7 +139,7 @@ def cli_reference(name, h, gammas, noise, sigma_e, mode):
     return beta, total_power
 
 
-@pytest.mark.parametrize("name", SYMMETRIC_IDS)
+@pytest.mark.parametrize("name", ROTATION_IDS)
 @SETTINGS
 @given(instances())
 def test_every_id_antenna_basis_rotation(name, instance):
@@ -151,7 +152,7 @@ def test_every_id_antenna_basis_rotation(name, instance):
     assert_close(beta_rot, beta)
 
 
-@pytest.mark.parametrize("name", SYMMETRIC_IDS)
+@pytest.mark.parametrize("name", cli.ALGORITHM_IDS)
 @SETTINGS
 @given(instances(), st.data())
 def test_every_id_user_permutation(name, instance, data):
@@ -163,7 +164,7 @@ def test_every_id_user_permutation(name, instance, data):
     assert_close(beta_perm, beta[perm])
 
 
-@pytest.mark.parametrize("name", SYMMETRIC_IDS)
+@pytest.mark.parametrize("name", cli.ALGORITHM_IDS)
 @SETTINGS
 @given(instances(), st.floats(-3.0, 3.0))
 def test_every_id_joint_scaling(name, instance, log10_c):
