@@ -6,9 +6,10 @@ constraining mu_f_k >= r sigma_f_k bounds the outage probability without
 solving a conic program. Modules:
 
 channel     scenario generation, uncertainty models, serialization
-stats       slack statistics, offset-outage conversions
+stats       beamformer sets, SINR evaluation, offset-outage conversions
 directions  beamforming direction solvers (dual fixed point, baselines)
-powerload   power loading for fixed directions (QoS, max-r, perturbation)
+powerload   slack moments and power loading for fixed directions (QoS, max-r,
+            perturbation)
 montecarlo  empirical outage validation and power/outage sweeps
 cli         command-line front end
 """

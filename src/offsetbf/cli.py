@@ -30,8 +30,7 @@ MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
 ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
 
 GENERATE_KEYS = ("n_users", "n_antennas", "radius_km", "path_loss_exponent",
-                 "shadowing_std_db", "noise_dbm", "sigma_e", "gamma_db",
-                 "delta", "seed")
+                 "shadowing_std_db", "noise_dbm", "sigma_e", "gamma_db", "seed")
 CONFIG_KEYS = ("scenario_file", "generate", "algorithm", "r", "delta", "r_mode",
                "total_power", "variance_mode", "seed", "out", "r_min", "r_cap",
                "rzf_loading", "r_grid", "delta_grid", "algorithms",
@@ -172,9 +171,8 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
         _, r_star, report = powerload.max_r_power_load(
             coupling, noise, cfg.total_power, variance_mode=cfg.variance_mode)
         if name == "avg_outage" and np.isfinite(r_star):
-            sigma_f = np.array([st.sigma for st in report.achieved_stats])
             delta_r, beta = powerload.average_outage_perturbation(
-                coupling, noise, sigma_f, r_star)
+                coupling, noise, report.sigma_f, r_star)
             report = powerload.report_for_loading(
                 coupling, beta, r_star + delta_r, noise,
                 variance_mode=cfg.variance_mode,
@@ -199,13 +197,12 @@ def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
         doc.update(extra)
     with open(cfg.out, "w") as fh:
         json.dump(doc, fh, indent=2)
-    rows = report.csv_rows()
     with open(_csv_path(cfg.out), "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["index", "beta", "r", "mu_f",
                                                 "sigma_f", "predicted_outage",
                                                 "dropped"])
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(doc["report"]["users"])
     return cfg.out
 
 

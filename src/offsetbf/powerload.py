@@ -16,16 +16,20 @@ from scipy.special import ndtr
 
 from .directions import const_offset_directions
 from .errors import ConvergenceError, DegenerateChannelsError, InfeasibleLoadingError
-from .stats import OffsetStats, predicted_outage
+from .stats import predicted_outage
 
 VARIANCE_MODES = ("exact", "simplified")
 SIMPLIFIED_ABOVE_NT = 16
+CDF_FIT_WINDOW = (1.0, 3.0)   # offsets r over which the outage surrogate is fitted
+CDF_FIT_POINTS = 201
 
 
 @dataclass
 class CouplingMatrix:
     """The K x K matrix A linking powers to the offset equalities, plus caches.
 
+    This is the one implementation of the slack moments. The mean is linear in
+    the powers, mu_f = A beta - sigma^2, with
     [A]_ii = (|h_i^H u_i|^2 + sigma_e_i^2) / gamma_i
     [A]_ij = -(|h_i^H u_j|^2 + sigma_e_i^2), i != j
 
@@ -80,14 +84,16 @@ class CouplingMatrix:
 class DesignReport:
     """Result of a power loading run.
 
-    offsets holds the per-user r_k actually enforced; rescheduled lists the
+    offsets holds the per-user r_k actually enforced and mu_f, sigma_f the slack
+    moments of the CouplingMatrix at these powers; rescheduled lists the
     dropped users by their original indices; served_indices maps report rows
     back to the original user indices.
     """
 
     powers: np.ndarray
     offsets: np.ndarray
-    achieved_stats: list
+    mu_f: np.ndarray
+    sigma_f: np.ndarray
     predicted_outage: np.ndarray
     total_power: float
     rescheduled: list
@@ -107,8 +113,8 @@ class DesignReport:
                 "index": int(orig),
                 "beta": float(self.powers[row]),
                 "r": float(self.offsets[row]),
-                "mu_f": float(self.achieved_stats[row].mu),
-                "sigma_f": float(self.achieved_stats[row].sigma),
+                "mu_f": float(self.mu_f[row]),
+                "sigma_f": float(self.sigma_f[row]),
                 "predicted_outage": float(self.predicted_outage[row]),
                 "dropped": False,
             })
@@ -131,10 +137,6 @@ class DesignReport:
             "note": self.note,
             "users": users,
         }
-
-    def csv_rows(self) -> list:
-        """One row per user: index, beta, r, mu_f, sigma_f, predicted_outage, dropped."""
-        return self.to_dict()["users"]
 
 
 def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas,
@@ -177,26 +179,19 @@ def _resolve_mode(coupling: CouplingMatrix, variance_mode) -> str:
     return variance_mode
 
 
-def _build_report(coupling, beta, r_vec, noise, mode, iterations, note="") -> DesignReport:
-    sigma_f = coupling.sigma_f(beta, mode)
-    mu = coupling.mu_f(beta, noise)
-    stats = [OffsetStats(mu=float(m), sigma=float(s)) for m, s in zip(mu, sigma_f)]
-    outage = np.array([predicted_outage(st) for st in stats])
-    return DesignReport(powers=beta, offsets=r_vec, achieved_stats=stats,
-                        predicted_outage=outage, total_power=float(beta.sum()),
-                        rescheduled=[], iterations_used=iterations,
-                        variance_mode=mode, note=note)
-
-
 def report_for_loading(coupling: CouplingMatrix, beta, r_vec, noise,
                        variance_mode=None, iterations: int = 1,
                        note: str = "") -> DesignReport:
-    """Evaluate an externally supplied loading: stats, outage, report."""
+    """Report a loading: its slack moments, predicted outage and total power."""
     mode = _resolve_mode(coupling, variance_mode)
     beta = np.asarray(beta, dtype=float)
-    noise = np.asarray(noise, dtype=float)
     r_vec = np.broadcast_to(np.asarray(r_vec, dtype=float), beta.shape).copy()
-    return _build_report(coupling, beta, r_vec, noise, mode, iterations, note=note)
+    mu_f = coupling.mu_f(beta, np.asarray(noise, dtype=float))
+    sigma_f = coupling.sigma_f(beta, mode)
+    return DesignReport(powers=beta, offsets=r_vec, mu_f=mu_f, sigma_f=sigma_f,
+                        predicted_outage=predicted_outage(mu_f, sigma_f),
+                        total_power=float(beta.sum()), rescheduled=[],
+                        iterations_used=iterations, variance_mode=mode, note=note)
 
 
 def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
@@ -236,7 +231,7 @@ def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
                 raise InfeasibleLoadingError(
                     f"power loading fixed point has negative entries: {beta}",
                     powers=beta)
-            return _build_report(coupling, beta, r_vec, noise, mode, iteration)
+            return report_for_loading(coupling, beta, r_vec, noise, mode, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
@@ -260,7 +255,6 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
     """
     mode = _resolve_mode(coupling, variance_mode)
     noise = np.asarray(noise, dtype=float)
-    k = coupling.n_users
 
     base = coupling.a_inv @ noise
     if np.any(base < 0):
@@ -272,8 +266,8 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
     beta = base.copy()
     sigma_f = coupling.sigma_f(beta, mode)
     if not np.any(sigma_f > 0):
-        report = _build_report(coupling, beta, np.full(k, math.inf), noise, mode, 1,
-                               note="unbounded offset: zero slack variance")
+        report = report_for_loading(coupling, beta, math.inf, noise, mode,
+                                    note="unbounded offset: zero slack variance")
         return beta, math.inf, report
 
     r = 0.0
@@ -288,8 +282,8 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
         converged = abs(r_new - r) <= tol * max(abs(r_new), 1e-30)
         r = r_new
         if converged:
-            return beta, float(r), _build_report(coupling, beta, np.full(k, r),
-                                                 noise, mode, iteration)
+            return beta, float(r), report_for_loading(coupling, beta, r, noise,
+                                                      mode, iteration)
     raise ConvergenceError(f"max-r alternation did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
@@ -363,15 +357,10 @@ def power_saving_cap(coupling: CouplingMatrix, noise, maxr_report: DesignReport,
     return maxr_report
 
 
-def fit_normal_cdf_quadratic(r_lo: float = 1.0, r_hi: float = 3.0,
-                             n_grid: int = 201, cdf=None):
-    """Least-squares fit a0 r^2 + a1 r + a2 of the standard normal CDF on [r_lo, r_hi]."""
-    if r_lo >= r_hi:
-        raise ValueError("r_lo must be below r_hi")
-    if cdf is None:
-        cdf = ndtr
-    grid = np.linspace(r_lo, r_hi, n_grid)
-    a0, a1, a2 = np.polyfit(grid, cdf(grid), 2)
+def fit_normal_cdf_quadratic():
+    """Least-squares fit a0 r^2 + a1 r + a2 of the standard normal CDF over CDF_FIT_WINDOW."""
+    grid = np.linspace(*CDF_FIT_WINDOW, CDF_FIT_POINTS)
+    a0, a1, a2 = np.polyfit(grid, ndtr(grid), 2)
     return float(a0), float(a1), float(a2)
 
 

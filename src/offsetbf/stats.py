@@ -1,19 +1,18 @@
-"""Offset statistics of the SINR slack variable.
+"""Beamformer sets, SINR evaluation and offset-outage conversions.
 
 For user k with SINR target gamma_k, define
     Q_k = beta_k u_k u_k^H / gamma_k - sum_{j != k} beta_j u_j u_j^H,
     f_k(e) = h_e^H Q_k h_e + 2 Re(e^H Q_k h_e) + e^H Q_k e - sigma_k^2.
 Then f_k(e) >= 0 iff SINR_k >= gamma_k for the true channel h = h_e + e.
 The offset design enforces mu_f >= r * sigma_f, where (mu_f, sigma_f) are the
-mean and standard deviation of f_k under the Gaussian error model.
+mean and standard deviation of f_k under the Gaussian error model. Both
+moments, exact and simplified, are computed by powerload.CouplingMatrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, ndtri
-
-from .channel import UserChannel
 
 
 @dataclass
@@ -44,33 +43,6 @@ class BeamformerSet:
         return np.sqrt(self.powers)[:, None] * self.directions
 
 
-@dataclass
-class OffsetStats:
-    """Mean and standard deviation of the slack variable for one user."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-
-def q_matrix(beamformers: BeamformerSet, gamma_k: float, k: int) -> np.ndarray:
-    """Hermitian matrix Q_k = beta_k u_k u_k^H / gamma_k - sum_{j!=k} beta_j u_j u_j^H."""
-    u = beamformers.directions
-    beta = beamformers.powers
-    scale = -beta.astype(float).copy()
-    scale[k] = beta[k] / gamma_k
-    return np.einsum("j,ji,jl->il", scale, u, u.conj())
-
-
-def slack_value(q: np.ndarray, h_est: np.ndarray, e: np.ndarray, noise_power: float) -> float:
-    """Evaluate f(e) = x^H Q x - sigma^2 with x = h_est + e."""
-    x = h_est + e
-    return float(np.real(np.vdot(x, q @ x))) - noise_power
-
-
 def sinr_values(beamformers: BeamformerSet, h_rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """SINR of each user for channels h_rows (K, N_t) and the given design."""
     w = beamformers.weights()
@@ -78,98 +50,6 @@ def sinr_values(beamformers: BeamformerSet, h_rows: np.ndarray, noise: np.ndarra
     signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
     return signal / (interference + np.asarray(noise, dtype=float))
-
-
-def offset_stats_general(beamformers: BeamformerSet, user: UserChannel, k: int) -> OffsetStats:
-    """Slack mean and standard deviation for a general CN(m, C) error model.
-
-    mu_f = t^H Q t - sigma^2 + w_k^H C w_k / gamma_k - sum_{j!=k} w_j^H C w_j
-    with t = h_est + m, and
-    sigma_f^2 = 2 t^H Q C Q t + tr((C Q)^2),
-    which reduces to the iid expressions when C = sigma_e^2 I and m = 0.
-    """
-    model = user.uncertainty
-    c = model.covariance
-    t = user.h_est + model.mean_vector
-    gamma = user.sinr_target
-    q = q_matrix(beamformers, gamma, k)
-    w = beamformers.weights()
-
-    quad_w = np.real(np.einsum("ji,il,jl->j", w.conj(), c, w))  # w_j^H C w_j
-    mu = float(np.real(np.vdot(t, q @ t))) - user.noise_power
-    mu += quad_w[k] / gamma - (quad_w.sum() - quad_w[k])
-
-    qt = q @ t
-    cq = c @ q
-    var = 2.0 * float(np.real(np.vdot(qt, c @ qt)))
-    var += float(np.real(np.trace(cq @ cq)))
-    return OffsetStats(mu=mu, sigma=float(np.sqrt(max(var, 0.0))))
-
-
-def offset_stats_iid(beamformers: BeamformerSet, user: UserChannel, k: int) -> OffsetStats:
-    """Slack statistics for the iid error model e ~ CN(0, sigma_e^2 I).
-
-    mu_f = h^H Q h - sigma^2 + sigma_e^2 (beta_k / gamma_k - sum_{j!=k} beta_j)
-    sigma_f^2 = 2 sigma_e^2 h^H Q^2 h + sigma_e^4 tr(Q^2)
-    """
-    sigma_e = user.uncertainty.iid_std
-    h = user.h_est
-    gamma = user.sinr_target
-    beta = beamformers.powers
-    q = q_matrix(beamformers, gamma, k)
-
-    mu = float(np.real(np.vdot(h, q @ h))) - user.noise_power
-    mu += sigma_e ** 2 * (beta[k] / gamma - (beta.sum() - beta[k]))
-
-    qh = q @ h
-    var = 2.0 * sigma_e ** 2 * float(np.real(np.vdot(qh, qh)))
-    var += sigma_e ** 4 * float(np.sum(np.abs(q) ** 2))   # tr(Q^2) = ||Q||_F^2
-    return OffsetStats(mu=mu, sigma=float(np.sqrt(max(var, 0.0))))
-
-
-def offset_stats_fixed_directions(h_est: np.ndarray, directions: np.ndarray,
-                                  gamma_k: float, sigma_e: float, noise_power: float,
-                                  powers: np.ndarray, k: int) -> OffsetStats:
-    """Slack statistics without forming Q, for fixed directions.
-
-    mu_f is linear in the powers,
-      mu_f = beta_k (|h^H u_k|^2 + sigma_e^2) / gamma_k
-             - sum_{j!=k} beta_j (|h^H u_j|^2 + sigma_e^2) - sigma^2,
-    and sigma_f^2 is the iid variance expanded over the direction set,
-    evaluated in O(K^2) inner products.
-    """
-    beta = np.asarray(powers, dtype=float)
-    cross = directions.conj() @ h_est           # u_j^H h
-    habs2 = np.abs(cross) ** 2
-    scale = -beta.copy()
-    scale[k] = beta[k] / gamma_k
-
-    mu = scale @ (habs2 + sigma_e ** 2) - noise_power
-
-    # Q h = sum_j scale_j (u_j^H h) u_j, so h^H Q^2 h = ||Q h||^2
-    qh = (scale * cross) @ directions
-    gram = directions.conj() @ directions.T     # u_j^H u_l
-    var = 2.0 * sigma_e ** 2 * float(np.real(np.vdot(qh, qh)))
-    var += sigma_e ** 4 * float(np.real(scale @ (np.abs(gram) ** 2) @ scale))
-    return OffsetStats(mu=float(mu), sigma=float(np.sqrt(max(var, 0.0))))
-
-
-def offset_var_simplified(h_est: np.ndarray, directions: np.ndarray,
-                          gamma_k: float, sigma_e: float, powers: np.ndarray,
-                          k: int, habs2=None) -> float:
-    """Cross-term-free approximation of sigma_f^2, O(K) given cached |h^H u_j|^2.
-
-    sigma_f^2 ~= 2 sigma_e^2 (|h^H u_k|^2 beta_k^2/gamma_k^2
-                 + sum_{j!=k} |h^H u_j|^2 beta_j^2)
-                 + sigma_e^4 (beta_k^2/gamma_k^2 + sum_{j!=k} beta_j^2)
-    """
-    beta = np.asarray(powers, dtype=float)
-    if habs2 is None:
-        habs2 = np.abs(directions.conj() @ h_est) ** 2
-    beta2 = beta ** 2
-    weights = beta2.copy()
-    weights[k] = beta2[k] / gamma_k ** 2
-    return float(2.0 * sigma_e ** 2 * (habs2 @ weights) + sigma_e ** 4 * weights.sum())
 
 
 def r_from_delta(delta: float, mode: str = "cantelli") -> float:
@@ -187,11 +67,14 @@ def r_from_delta(delta: float, mode: str = "cantelli") -> float:
     raise ValueError(f"unknown mode {mode!r}, expected 'cantelli' or 'gaussian'")
 
 
-def predicted_outage(stats: OffsetStats) -> float:
+def predicted_outage(mu, sigma) -> np.ndarray:
     """Gaussian-approximation outage Q(mu/sigma) = 0.5 erfc(mu / (sigma sqrt(2))).
 
-    A degenerate sigma = 0 gives 0 when the mean constraint holds, else 1.
+    Elementwise over arrays; a degenerate sigma = 0 gives 0 when the mean
+    constraint holds, else 1.
     """
-    if stats.sigma == 0.0:
-        return 0.0 if stats.mu >= 0 else 1.0
-    return float(0.5 * erfc(stats.mu / (stats.sigma * np.sqrt(2.0))))
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    degenerate = sigma == 0.0
+    tail = 0.5 * erfc(mu / (np.where(degenerate, 1.0, sigma) * np.sqrt(2.0)))
+    return np.where(degenerate, np.where(mu >= 0, 0.0, 1.0), tail)

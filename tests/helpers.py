@@ -59,3 +59,22 @@ def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0, delta=0.05):
         outage_tolerance=delta,
     ) for i in range(k)]
     return Scenario(users=users, n_antennas=nt)
+
+
+def dense_slack_moments(h_k, u, beta, gamma_k, sigma_e, noise_k, k):
+    """Reference (mu_f, sigma_f) of user k with Q_k formed explicitly.
+
+    Q_k = beta_k u_k u_k^H / gamma_k - sum_{j!=k} beta_j u_j u_j^H and, for
+    e ~ CN(0, sigma_e^2 I),
+      mu_f = h^H Q h - sigma^2 + sigma_e^2 (beta_k / gamma_k - sum_{j!=k} beta_j),
+      sigma_f^2 = 2 sigma_e^2 ||Q h||^2 + sigma_e^4 ||Q||_F^2.
+    """
+    beta = np.asarray(beta, dtype=float)
+    scale = -beta.copy()
+    scale[k] = beta[k] / gamma_k
+    q = np.einsum("j,ji,jl->il", scale, u, u.conj())
+    qh = q @ h_k
+    mu = float(np.real(np.vdot(h_k, qh))) - noise_k + sigma_e ** 2 * scale.sum()
+    var = 2.0 * sigma_e ** 2 * float(np.real(np.vdot(qh, qh)))
+    var += sigma_e ** 4 * float(np.sum(np.abs(q) ** 2))
+    return mu, float(np.sqrt(var))

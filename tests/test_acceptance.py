@@ -24,8 +24,7 @@ from offsetbf.montecarlo import estimate_outage
 from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 coupling_matrix, fit_normal_cdf_quadratic,
                                 max_r_power_load, power_saving_cap, reschedule)
-from offsetbf.stats import (BeamformerSet, offset_stats_fixed_directions,
-                            offset_var_simplified, sinr_values)
+from offsetbf.stats import BeamformerSet, sinr_values
 
 from helpers import (orthonormal_rows, scenario_from_rows, standard_complex,
                      unit_scale_scenario)
@@ -84,10 +83,9 @@ def test_criterion_02_slack_moments_match_simulation():
     for i, (h, u, coupling, report, noise) in enumerate(
             feasible_unit_instances(20)):
         beta = report.powers
-        k_users = len(beta)
-        for k in range(k_users):
-            st = offset_stats_fixed_directions(h[k], u, GAMMA, SIGMA_E,
-                                               noise[k], beta, k)
+        mu_f = coupling.mu_f(beta, noise)
+        sigma_f = coupling.sigma_f(beta, "exact")
+        for k in range(len(beta)):
             rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=7, spawn_key=(i, k)))
             e = standard_complex(rng, (1_000_000, h.shape[1])) * SIGMA_E
@@ -96,8 +94,9 @@ def test_criterion_02_slack_moments_match_simulation():
             scale[k] = beta[k] / GAMMA
             gains = np.abs(x @ u.conj().T) ** 2
             f = gains @ scale - noise[k]
-            worst_mu = max(worst_mu, abs(f.mean() - st.mu) / abs(st.mu))
-            worst_var = max(worst_var, abs(f.var() - st.sigma ** 2) / st.sigma ** 2)
+            worst_mu = max(worst_mu, abs(f.mean() - mu_f[k]) / abs(mu_f[k]))
+            worst_var = max(worst_var,
+                            abs(f.var() - sigma_f[k] ** 2) / sigma_f[k] ** 2)
     assert worst_mu <= 0.01
     assert worst_var <= 0.01
     assert time.perf_counter() - start < 60.0
@@ -179,8 +178,8 @@ def test_criterion_06_max_offset_exhausts_budget_and_equalizes():
             continue
         checked += 1
         assert abs(beta.sum() - total_power) <= 1e-9
-        for st, r_k in zip(report.achieved_stats, report.offsets):
-            assert abs(st.mu - r_k * st.sigma) <= 1e-6 * abs(r_k * st.sigma)
+        for mu, sigma, r_k in zip(report.mu_f, report.sigma_f, report.offsets):
+            assert abs(mu - r_k * sigma) <= 1e-6 * abs(r_k * sigma)
             assert abs(r_k - r) <= 1e-9 * max(1.0, abs(r))
     assert checked == 25
 
@@ -199,9 +198,8 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     u_sym = const_offset_directions(h_sym, gammas)
     c_sym = coupling_matrix(h_sym, u_sym, gammas, sig)
     beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, noise, 10.0, tol=1e-12)
-    sigma_sym = np.array([st.sigma for st in rep_sym.achieved_stats])
-    delta_sym, _ = average_outage_perturbation(c_sym, noise, sigma_sym, r_sym,
-                                               quad)
+    delta_sym, _ = average_outage_perturbation(c_sym, noise, rep_sym.sigma_f,
+                                               r_sym, quad)
     assert np.max(np.abs(delta_sym)) <= 1e-12
 
     checked = 0
@@ -228,9 +226,8 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         except DESIGN_ERRORS:
             continue
         checked += 1
-        sigma_f = np.array([st.sigma for st in report.achieved_stats])
-        delta, beta_new = average_outage_perturbation(coupling, noise, sigma_f,
-                                                      r_star, quad)
+        delta, beta_new = average_outage_perturbation(coupling, noise,
+                                                      report.sigma_f, r_star, quad)
         assert abs(beta_new.sum() - beta.sum()) <= 1e-9 * beta.sum()
         change = float(np.sum(ndtr(-(r_star + delta)))) - len(delta) * ndtr(-r_star)
         assert change <= 1e-12
@@ -251,33 +248,31 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
     gammas = np.full(2, GAMMA)
     noise = np.ones(2)
 
-    def gap(h, u, beta, k):
-        st = offset_stats_fixed_directions(h[k], u, GAMMA, SIGMA_E, noise[k],
-                                           beta, k)
-        return st.mu - r * st.sigma
+    def gap(coupling, beta, k):
+        return coupling.mu_f(beta, noise)[k] - r * coupling.sigma_f(beta, "exact")[k]
 
-    def inner_power(h, u, beta2):
+    def inner_power(coupling, beta2):
         lo, hi = 0.0, 1.0
         for _ in range(80):
-            if gap(h, u, np.array([hi, beta2]), 0) > 0:
+            if gap(coupling, np.array([hi, beta2]), 0) > 0:
                 break
             hi *= 2.0
         else:
             return None
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if gap(h, u, np.array([mid, beta2]), 0) > 0:
+            if gap(coupling, np.array([mid, beta2]), 0) > 0:
                 hi = mid
             else:
                 lo = mid
         return 0.5 * (lo + hi)
 
-    def oracle_total(h, u):
+    def oracle_total(coupling):
         def outer_gap(beta2):
-            beta1 = inner_power(h, u, beta2)
+            beta1 = inner_power(coupling, beta2)
             if beta1 is None:
                 return None
-            return gap(h, u, np.array([beta1, beta2]), 1), beta1
+            return gap(coupling, np.array([beta1, beta2]), 1), beta1
         lo, hi = 0.0, 1.0
         for _ in range(80):
             probe = outer_gap(hi)
@@ -296,7 +291,7 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
             else:
                 lo = mid
         beta2 = 0.5 * (lo + hi)
-        return inner_power(h, u, beta2) + beta2
+        return inner_power(coupling, beta2) + beta2
 
     checked, seed = 0, 0
     while checked < 50 and seed < 500:
@@ -309,7 +304,7 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
             report = alg2_power_load(coupling, noise, r, tol=1e-12)
         except DESIGN_ERRORS:
             continue
-        total = oracle_total(h, u)
+        total = oracle_total(coupling)
         if total is None:
             continue
         checked += 1
@@ -383,11 +378,7 @@ def test_criterion_10_simplified_variance_tracks_exact_for_nulling_beams():
                                          variance_mode="exact")
                 for beta in (report.powers,
                              rng.uniform(0.5, 2.0, size=k_users)):
-                    for k in range(k_users):
-                        exact = offset_stats_fixed_directions(
-                            h[k], u, GAMMA, SIGMA_E, noise[k], beta,
-                            k).sigma ** 2
-                        simp = offset_var_simplified(h[k], u, GAMMA, SIGMA_E,
-                                                     beta, k)
-                        worst = max(worst, abs(simp - exact) / exact)
+                    exact = coupling.sigma_f(beta, "exact") ** 2
+                    simp = coupling.sigma_f(beta, "simplified") ** 2
+                    worst = max(worst, float(np.max(np.abs(simp - exact) / exact)))
     assert worst <= 0.05

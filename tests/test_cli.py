@@ -74,6 +74,19 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert out == ""
 
 
+def test_config_rejects_unknown_generate_keys(tmp_path, capsys):
+    # r comes from the top-level r or delta only; a generate-level delta
+    # would be stored in the scenario and never read by the design.
+    cfg = write_config(tmp_path, {"generate": {**GENERATE_BLOCK, "delta": 0.05},
+                                  "algorithm": "zf", "r": 2.0,
+                                  "out": str(tmp_path / "r.json")})
+    code, out, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 1
+    assert "unknown generate keys: ['delta']" in err
+    assert out == ""
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_config_requires_exactly_one_scenario_source(tmp_path, capsys):
     scenario = unit_scenario_file(tmp_path)
     both = write_config(tmp_path, {"scenario_file": scenario, "generate": {}},

@@ -15,7 +15,7 @@ from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 report_for_loading, reschedule)
 from offsetbf.stats import BeamformerSet, sinr_values
 
-from helpers import orthonormal_rows, standard_complex
+from helpers import dense_slack_moments, orthonormal_rows, standard_complex
 
 
 def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0):
@@ -59,15 +59,17 @@ def test_coupling_matrix_inverse_residual():
     assert np.max(np.abs(coupling.a @ coupling.a_inv - np.eye(3))) < 1e-9
 
 
-def test_coupling_variance_matches_stats_module():
-    from offsetbf.stats import offset_stats_fixed_directions
-
+def test_coupling_moments_match_dense_reference():
     h, u, gammas, coupling = random_instance(seed=2)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(3))) > 1e-3
     beta = np.array([1.0, 2.0, 0.5])
+    noise = np.array([1.0, 0.5, 2.0])
+    mu_f = coupling.mu_f(beta, noise)
     sigma_f = coupling.sigma_f(beta, "exact")
     for k in range(3):
-        st = offset_stats_fixed_directions(h[k], u, gammas[k], 0.1, 1.0, beta, k)
-        assert sigma_f[k] == pytest.approx(st.sigma, rel=1e-12)
+        mu, sigma = dense_slack_moments(h[k], u, beta, gammas[k], 0.1, noise[k], k)
+        assert mu_f[k] == pytest.approx(mu, rel=1e-12)
+        assert sigma_f[k] == pytest.approx(sigma, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +109,8 @@ def test_alg2_offset_equalities_and_iteration_budget():
     noise = np.ones(3)
     report = alg2_power_load(coupling, noise, r=2.0, tol=1e-6)
     assert report.iterations_used <= 5
-    for st in report.achieved_stats:
-        assert abs(st.mu - 2.0 * st.sigma) < 1e-6 * st.mu
+    for mu, sigma in zip(report.mu_f, report.sigma_f):
+        assert abs(mu - 2.0 * sigma) < 1e-6 * mu
     assert np.all(report.powers > 0)
 
 
@@ -158,9 +160,9 @@ def test_alg2_mixed_sigma_handles_zero_variance_rows():
     u = const_offset_directions(h, gammas)
     coupling = coupling_matrix(h, u, gammas, np.array([0.0, 0.1]))
     report = alg2_power_load(coupling, np.ones(2), r=2.0)
-    assert report.achieved_stats[0].sigma == 0.0
-    assert report.achieved_stats[1].sigma > 0.0
-    assert abs(report.achieved_stats[0].mu) < 1e-8
+    assert report.sigma_f[0] == 0.0
+    assert report.sigma_f[1] > 0.0
+    assert abs(report.mu_f[0]) < 1e-8
 
 
 def test_alg2_variance_mode_matches_on_orthogonal_directions():
@@ -200,7 +202,7 @@ def test_max_r_single_user_hand_value():
     coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1))
     beta, r, report = max_r_power_load(coupling, np.array([0.1]), total_power=1.0)
     assert beta[0] == pytest.approx(1.0, abs=1e-9)
-    assert report.achieved_stats[0].sigma == pytest.approx(np.sqrt(0.0201), rel=1e-9)
+    assert report.sigma_f[0] == pytest.approx(np.sqrt(0.0201), rel=1e-9)
     assert r == pytest.approx((1.0 - 0.1 / 1.01) / (np.sqrt(0.0201) / 1.01), rel=1e-6)
     assert r == pytest.approx(6.4186, abs=2e-4)
 
@@ -210,8 +212,8 @@ def test_max_r_budget_exhausted_exactly():
         _, _, _, coupling = random_instance(seed=seed + 30)
         beta, r, report = max_r_power_load(coupling, np.ones(3), total_power=20.0)
         assert abs(beta.sum() - 20.0) < 1e-9
-        for st in report.achieved_stats:
-            assert abs(st.mu - r * st.sigma) < 1e-6 * max(abs(st.mu), 1e-12)
+        for mu, sigma in zip(report.mu_f, report.sigma_f):
+            assert abs(mu - r * sigma) < 1e-6 * max(abs(mu), 1e-12)
 
 
 def test_max_r_zero_uncertainty_sentinel():
@@ -238,6 +240,23 @@ def test_max_r_unfundable_offset_raises():
     noise = coupling.a @ np.ones(2)
     with pytest.raises(InfeasibleLoadingError, match="unfundable"):
         max_r_power_load(coupling, noise, total_power=10.0)
+
+
+def test_max_r_convergence_error_carries_last_iterate():
+    # One alternation step cannot meet a 1e-15 tolerance from the r = 0 start;
+    # the last iterate still spends the budget exactly and is the power update
+    # of that step.
+    _, _, _, coupling = random_instance(seed=11)
+    noise = np.ones(3)
+    with pytest.raises(ConvergenceError, match="max-r alternation did not converge"
+                       " in 1 iterations") as excinfo:
+        max_r_power_load(coupling, noise, total_power=20.0, tol=1e-15, max_iters=1)
+    beta = excinfo.value.last_iterate
+    base = coupling.a_inv @ noise
+    sigma_f = coupling.sigma_f(base, coupling.default_variance_mode())
+    r = (20.0 - base.sum()) / (coupling.a_inv.sum(axis=0) @ sigma_f)
+    assert beta.sum() == pytest.approx(20.0, rel=1e-12)
+    assert np.max(np.abs(beta - (base + r * coupling.a_inv @ sigma_f))) < 1e-12 * beta.sum()
 
 
 def test_max_r_monotone_in_budget():
@@ -358,8 +377,7 @@ def test_power_saving_cap_re_solves_at_cap():
     noise = np.array([0.1])
     _, _, plain = max_r_power_load(coupling, noise, total_power=1.0)
     report = power_saving_cap(coupling, noise, plain, r_cap=5.0)
-    st = report.achieved_stats[0]
-    assert abs(st.mu - 5.0 * st.sigma) < 1e-6 * st.mu
+    assert abs(report.mu_f[0] - 5.0 * report.sigma_f[0]) < 1e-6 * report.mu_f[0]
     assert report.powers.sum() < 1.0
     assert "capped" in report.note
 
@@ -388,15 +406,6 @@ def test_fit_normal_cdf_quadratic_quality():
     assert np.max(np.abs(fit - ndtr(grid))) < 0.01
 
 
-def test_fit_normal_cdf_quadratic_exact_on_polynomials():
-    a0, a1, a2 = fit_normal_cdf_quadratic(
-        cdf=lambda r: 0.3 * r ** 2 - 0.1 * r + 0.05)
-    assert a0 == pytest.approx(0.3, abs=1e-12)
-    assert a1 == pytest.approx(-0.1, abs=1e-12)
-    assert a2 == pytest.approx(0.05, abs=1e-12)
-    with pytest.raises(ValueError):
-        fit_normal_cdf_quadratic(r_lo=2.0, r_hi=1.0)
-
 
 def test_perturbation_zero_on_symmetric_instance():
     h = orthonormal_rows(3, 4, seed=14)
@@ -406,8 +415,8 @@ def test_perturbation_zero_on_symmetric_instance():
     noise = np.full(3, 0.3)
     beta, r_star, report = max_r_power_load(coupling, noise, total_power=30.0,
                                             tol=1e-12)
-    sigma_f = np.array([st.sigma for st in report.achieved_stats])
-    delta_r, beta_new = average_outage_perturbation(coupling, noise, sigma_f, r_star)
+    delta_r, beta_new = average_outage_perturbation(coupling, noise, report.sigma_f,
+                                                    r_star)
     assert np.max(np.abs(delta_r)) < 1e-12
     assert np.max(np.abs(beta_new - beta)) < 1e-9 * np.max(beta)
 
@@ -435,9 +444,8 @@ def test_perturbation_conserves_power_and_objective():
                                                     tol=1e-12)
             budget *= 2.0 / r_star
         assert r_star > 0
-        sigma_f = np.array([st.sigma for st in report.achieved_stats])
-        delta_r, beta_new = average_outage_perturbation(coupling, noise, sigma_f,
-                                                        r_star)
+        delta_r, beta_new = average_outage_perturbation(coupling, noise,
+                                                        report.sigma_f, r_star)
         assert abs(beta_new.sum() - beta.sum()) < 1e-9 * beta.sum()
         before = np.sum(surrogate_outage(np.full(3, r_star)))
         after = np.sum(surrogate_outage(r_star + delta_r))
@@ -463,9 +471,8 @@ def test_report_for_loading_matches_alg2():
     noise = np.ones(3)
     report = alg2_power_load(coupling, noise, r=2.0)
     rebuilt = report_for_loading(coupling, report.powers, 2.0, noise)
-    for a, b in zip(report.achieved_stats, rebuilt.achieved_stats):
-        assert a.mu == pytest.approx(b.mu, rel=1e-12)
-        assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
+    assert rebuilt.mu_f == pytest.approx(report.mu_f, rel=1e-12)
+    assert rebuilt.sigma_f == pytest.approx(report.sigma_f, rel=1e-12)
     assert rebuilt.total_power == pytest.approx(report.total_power, rel=1e-12)
 
 
@@ -485,7 +492,7 @@ def test_design_report_serialization_with_drops():
     served = doc["users"][0]
     assert served["dropped"] is False
     assert served["beta"] > 0
-    rows = report.csv_rows()
+    rows = doc["users"]
     assert len(rows) == 3
     assert set(rows[0]) == {"index", "beta", "r", "mu_f", "sigma_f",
                             "predicted_outage", "dropped"}

@@ -1,14 +1,14 @@
-"""Tests for slack statistics, offset conversions and outage prediction."""
+"""Tests for the slack moments of CouplingMatrix, offset conversions and
+outage prediction."""
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from offsetbf.channel import UncertaintyModel, UserChannel, draw_errors
-from offsetbf.stats import (BeamformerSet, OffsetStats, offset_stats_fixed_directions,
-                            offset_stats_general, offset_stats_iid,
-                            offset_var_simplified, predicted_outage, q_matrix,
-                            r_from_delta, sinr_values, slack_value)
+from offsetbf.directions import zf_directions
+from offsetbf.powerload import coupling_matrix
+from offsetbf.stats import BeamformerSet, predicted_outage, r_from_delta, sinr_values
 
 from helpers import orthonormal_rows, standard_complex
 
@@ -22,69 +22,22 @@ def random_beamformers(k, nt, seed, powers=None):
     return BeamformerSet(directions=u, powers=np.asarray(powers, dtype=float))
 
 
-def make_user(h_est, sigma_e=0.1, noise=1.0, gamma=4.0, model=None):
-    h_est = np.asarray(h_est, dtype=complex)
-    if model is None:
-        model = UncertaintyModel.iid(sigma_e, h_est.shape[0])
-    return UserChannel(h_true=h_est.copy(), h_est=h_est, uncertainty=model,
-                       noise_power=noise, sinr_target=gamma, outage_tolerance=0.05)
-
-
-def sample_slack(q, h_est, errors, noise):
-    x = h_est + errors
-    return np.real(np.einsum("ni,il,nl->n", x.conj(), q, x)) - noise
+def sample_slack(h_k, u, beta, gamma_k, noise_k, k, errors):
+    """Draws of f_k(e) = beta_k |x^H u_k|^2 / gamma_k - sum_{j!=k} beta_j |x^H u_j|^2
+    - sigma_k^2 at the true channels x = h_k + e."""
+    scale = -np.asarray(beta, dtype=float)
+    scale[k] = beta[k] / gamma_k
+    gains = np.abs((h_k[None, :] + errors).conj() @ u.T) ** 2
+    return gains @ scale - noise_k
 
 
 # ---------------------------------------------------------------------------
-# q_matrix and slack_value
+# slack sign
 # ---------------------------------------------------------------------------
-
-def test_q_matrix_single_user():
-    bf = BeamformerSet(directions=np.array([[1.0, 0.0]], dtype=complex),
-                       powers=np.array([1.0]))
-    q = q_matrix(bf, gamma_k=1.0, k=0)
-    assert np.allclose(q, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_q_matrix_two_users():
-    bf = BeamformerSet(directions=np.eye(2, dtype=complex),
-                       powers=np.array([1.0, 1.0]))
-    q = q_matrix(bf, gamma_k=2.0, k=0)
-    assert np.allclose(q, np.diag([0.5, -1.0]))
-
-
-def test_q_matrix_matches_rank_one_accumulation():
-    bf = random_beamformers(3, 4, seed=0)
-    gamma = 3.0
-    for k in range(3):
-        expected = np.zeros((4, 4), dtype=complex)
-        for j in range(3):
-            outer = np.outer(bf.directions[j], bf.directions[j].conj())
-            if j == k:
-                expected += bf.powers[j] / gamma * outer
-            else:
-                expected -= bf.powers[j] * outer
-        q = q_matrix(bf, gamma, k)
-        assert np.max(np.abs(q - expected)) < 1e-12
-        assert np.max(np.abs(q - q.conj().T)) < 1e-12
-
-
-def test_slack_value_zero_error():
-    bf = random_beamformers(3, 4, seed=1)
-    h = standard_complex(np.random.default_rng(2), (4,))
-    q = q_matrix(bf, 2.0, 0)
-    expected = float(np.real(np.vdot(h, q @ h))) - 0.7
-    assert slack_value(q, h, np.zeros(4), 0.7) == pytest.approx(expected, rel=1e-12)
-
-
-def test_slack_value_hand_instance():
-    q = np.diag([1.0, -1.0]).astype(complex)
-    h = np.array([1.0, 0.0], dtype=complex)
-    e = np.array([0.0, 1.0], dtype=complex)
-    assert slack_value(q, h, e, 0.0) == pytest.approx(0.0, abs=1e-15)
-
 
 def test_slack_sign_matches_sinr_margin():
+    # With sigma_e = 0 the slack mean at the realized channels is f_k itself,
+    # which must be nonnegative exactly when the SINR meets its target.
     rng = np.random.default_rng(3)
     bf = random_beamformers(3, 4, seed=4)
     h_est = standard_complex(rng, (3, 4))
@@ -94,152 +47,99 @@ def test_slack_sign_matches_sinr_margin():
         e = 0.3 * standard_complex(rng, (3, 4))
         h = h_est + e
         sinr = sinr_values(bf, h, noise)
-        for k in range(3):
-            q = q_matrix(bf, gammas[k], k)
-            f = slack_value(q, h_est[k], e[k], noise[k])
-            assert (f >= 0) == (sinr[k] >= gammas[k])
+        mu = coupling_matrix(h, bf.directions, gammas, 0.0).mu_f(bf.powers, noise)
+        assert np.array_equal(mu >= 0, sinr >= gammas)
 
 
 # ---------------------------------------------------------------------------
-# moment formulas
+# slack moments
 # ---------------------------------------------------------------------------
 
-def test_offset_stats_general_degenerate():
-    nt = 4
-    bf = random_beamformers(2, nt, seed=5)
-    h = standard_complex(np.random.default_rng(6), (nt,))
-    user = make_user(h, model=UncertaintyModel.general(np.zeros(nt), np.zeros((nt, nt))),
-                     noise=0.4, gamma=2.0)
-    st = offset_stats_general(bf, user, 0)
-    q = q_matrix(bf, 2.0, 0)
-    assert st.mu == pytest.approx(float(np.real(np.vdot(h, q @ h))) - 0.4, rel=1e-12)
-    assert st.sigma == 0.0
+def test_slack_moments_hand_values():
+    u = np.eye(2, dtype=complex)
+    h = np.eye(2, dtype=complex)
+    beta = np.array([1.0, 1.0])
+    noise = np.full(2, 0.1)
+    exact = coupling_matrix(h, u, np.ones(2), 0.0)
+    assert exact.mu_f(beta, noise)[0] == pytest.approx(0.9, rel=1e-12)
+    assert exact.sigma_f(beta, "exact")[0] == 0.0
+
+    noisy = coupling_matrix(h, u, np.ones(2), 0.1)
+    assert noisy.sigma_f(beta, "exact")[0] ** 2 == pytest.approx(0.0202, rel=1e-12)
 
 
-def test_offset_stats_general_matches_iid_specialization():
-    nt = 4
-    bf = random_beamformers(3, nt, seed=7)
-    h = standard_complex(np.random.default_rng(8), (nt,))
-    iid_user = make_user(h, sigma_e=0.1, noise=0.9, gamma=3.0)
-    gen_user = make_user(h, model=UncertaintyModel.general(np.zeros(nt), 0.01 * np.eye(nt)),
-                         noise=0.9, gamma=3.0)
-    for k in range(3):
-        a = offset_stats_iid(bf, iid_user, k)
-        b = offset_stats_general(bf, gen_user, k)
-        assert a.mu == pytest.approx(b.mu, abs=1e-12)
-        assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
-
-
-def test_offset_stats_iid_hand_values():
-    bf = BeamformerSet(directions=np.eye(2, dtype=complex),
-                       powers=np.array([1.0, 1.0]))
-    h = np.array([1.0, 0.0], dtype=complex)
-    exact = make_user(h, sigma_e=0.0, noise=0.1, gamma=1.0)
-    st = offset_stats_iid(bf, exact, 0)
-    assert st.mu == pytest.approx(0.9, rel=1e-12)
-    assert st.sigma == 0.0
-
-    noisy = make_user(h, sigma_e=0.1, noise=0.1, gamma=1.0)
-    st = offset_stats_iid(bf, noisy, 0)
-    assert st.sigma ** 2 == pytest.approx(0.0202, rel=1e-12)
-
-
-def test_offset_stats_iid_monte_carlo_oracle():
+def test_slack_moments_monte_carlo_oracle():
     nt = 4
     bf = random_beamformers(3, nt, seed=9)
-    h = standard_complex(np.random.default_rng(10), (nt,)) * 2.0
-    user = make_user(h, sigma_e=0.1, noise=0.5, gamma=2.0)
-    st = offset_stats_iid(bf, user, 0)
-    q = q_matrix(bf, 2.0, 0)
-    samples = sample_slack(q, h, draw_errors(user, 10 ** 6, seed=11), 0.5)
-    scale = max(abs(st.mu), st.sigma)
-    assert abs(samples.mean() - st.mu) < 0.01 * scale
-    assert abs(samples.var() - st.sigma ** 2) < 0.01 * st.sigma ** 2
+    rng = np.random.default_rng(10)
+    h = standard_complex(rng, (nt,)) * 2.0
+    h_rows = np.vstack([h, standard_complex(rng, (2, nt))])
+    gammas = np.full(3, 2.0)
+    noise = np.full(3, 0.5)
+    coupling = coupling_matrix(h_rows, bf.directions, gammas, 0.1)
+    mu = coupling.mu_f(bf.powers, noise)[0]
+    sigma = coupling.sigma_f(bf.powers, "exact")[0]
+    user = UserChannel(h_true=h.copy(), h_est=h, uncertainty=UncertaintyModel.iid(0.1, nt),
+                       noise_power=0.5, sinr_target=2.0, outage_tolerance=0.05)
+    samples = sample_slack(h, bf.directions, bf.powers, 2.0, 0.5, 0,
+                           draw_errors(user, 10 ** 6, seed=11))
+    scale = max(abs(mu), sigma)
+    assert abs(samples.mean() - mu) < 0.01 * scale
+    assert abs(samples.var() - sigma ** 2) < 0.01 * sigma ** 2
 
 
-def test_offset_stats_general_monte_carlo_oracle():
-    nt = 3
-    rng = np.random.default_rng(12)
-    bf = random_beamformers(2, nt, seed=13)
-    a = standard_complex(rng, (nt, nt))
-    cov = 0.02 * (a @ a.conj().T)
-    m = 0.1 * standard_complex(rng, (nt,))
-    h = standard_complex(rng, (nt,))
-    user = make_user(h, model=UncertaintyModel.general(m, cov), noise=0.3, gamma=2.5)
-    st = offset_stats_general(bf, user, 1)
-    q = q_matrix(bf, 2.5, 1)
-    samples = sample_slack(q, h, draw_errors(user, 10 ** 6, seed=14), 0.3)
-    scale = max(abs(st.mu), st.sigma)
-    assert abs(samples.mean() - st.mu) < 0.01 * scale
-    assert abs(samples.var() - st.sigma ** 2) < 0.01 * st.sigma ** 2
-
-
-def test_offset_stats_fixed_directions_consistency():
-    nt = 4
-    bf = random_beamformers(3, nt, seed=15)
-    h = standard_complex(np.random.default_rng(16), (nt,))
-    user = make_user(h, sigma_e=0.2, noise=0.8, gamma=3.0)
-    for k in range(3):
-        a = offset_stats_iid(bf, user, k)
-        b = offset_stats_fixed_directions(h, bf.directions, 3.0, 0.2, 0.8,
-                                          bf.powers, k)
-        assert a.mu == pytest.approx(b.mu, abs=1e-12)
-        assert a.sigma == pytest.approx(b.sigma, abs=1e-12)
-
-
-def test_offset_stats_fixed_directions_zero_powers():
+def test_slack_moments_zero_powers():
     nt = 4
     u = orthonormal_rows(2, nt, seed=17)
-    h = standard_complex(np.random.default_rng(18), (nt,))
-    st = offset_stats_fixed_directions(h, u, 2.0, 0.1, 0.6, np.zeros(2), 0)
-    assert st.mu == pytest.approx(-0.6, rel=1e-12)
-    assert st.sigma == 0.0
+    h = standard_complex(np.random.default_rng(18), (2, nt))
+    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1)
+    assert coupling.mu_f(np.zeros(2), np.full(2, 0.6))[0] == pytest.approx(-0.6, rel=1e-12)
+    assert coupling.sigma_f(np.zeros(2), "exact")[0] == 0.0
 
 
-def test_offset_stats_fixed_directions_single_user_hand_value():
-    h = np.array([1.0, 0.0], dtype=complex)
-    u = h[None, :]
-    st = offset_stats_fixed_directions(h, u, 1.0, 0.1, 0.1, np.array([1.0]), 0)
-    assert st.sigma ** 2 == pytest.approx(0.0201, rel=1e-12)
+def test_slack_moments_single_user_hand_value():
+    h = np.array([[1.0, 0.0]], dtype=complex)
+    coupling = coupling_matrix(h, h.copy(), np.ones(1), 0.1)
+    assert coupling.sigma_f(np.array([1.0]), "exact")[0] ** 2 == pytest.approx(
+        0.0201, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # simplified variance
 # ---------------------------------------------------------------------------
 
-def test_offset_var_simplified_exact_on_orthogonal_directions():
+def test_simplified_variance_exact_on_orthogonal_directions():
     nt = 8
     u = orthonormal_rows(3, nt, seed=19)
-    h = standard_complex(np.random.default_rng(20), (nt,))
+    h = standard_complex(np.random.default_rng(20), (3, nt))
     beta = np.array([1.0, 2.0, 0.5])
-    for k in range(3):
-        full = offset_stats_fixed_directions(h, u, 2.0, 0.1, 0.5, beta, k)
-        approx = offset_var_simplified(h, u, 2.0, 0.1, beta, k)
-        assert approx == pytest.approx(full.sigma ** 2, rel=1e-12)
+    coupling = coupling_matrix(h, u, np.full(3, 2.0), 0.1)
+    full = coupling.sigma_f(beta, "exact") ** 2
+    approx = coupling.sigma_f(beta, "simplified") ** 2
+    assert np.max(np.abs(approx - full) / full) < 1e-12
 
 
-def test_offset_var_simplified_near_orthogonal_accuracy():
+def test_simplified_variance_near_orthogonal_accuracy():
     # The simplification drops the cross terms |u_j^H h| |u_l^H h| |u_l^H u_j|
     # for j != l. Those are structurally small for the direction sets the
     # designs actually produce (interference-suppressing, near-orthogonal),
     # which is where the approximation is used.
-    from offsetbf.directions import zf_directions
-
     nt, k = 32, 4
     rng = np.random.default_rng(21)
     h_rows = standard_complex(rng, (k, nt))
     u = zf_directions(h_rows)
     beta = rng.uniform(0.5, 1.5, size=k)
-    for i in range(k):
-        full = offset_stats_fixed_directions(h_rows[i], u, 2.0, 0.1, 0.5, beta, i)
-        approx = offset_var_simplified(h_rows[i], u, 2.0, 0.1, beta, i)
-        assert abs(approx - full.sigma ** 2) < 0.05 * full.sigma ** 2
+    coupling = coupling_matrix(h_rows, u, np.full(k, 2.0), 0.1)
+    full = coupling.sigma_f(beta, "exact") ** 2
+    approx = coupling.sigma_f(beta, "simplified") ** 2
+    assert np.all(np.abs(approx - full) < 0.05 * full)
 
 
-def test_offset_var_simplified_zero_powers():
+def test_simplified_variance_zero_powers():
     u = orthonormal_rows(2, 4, seed=22)
-    h = standard_complex(np.random.default_rng(23), (4,))
-    assert offset_var_simplified(h, u, 2.0, 0.1, np.zeros(2), 0) == 0.0
+    h = standard_complex(np.random.default_rng(23), (2, 4))
+    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1)
+    assert np.array_equal(coupling.sigma_f(np.zeros(2), "simplified"), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +161,9 @@ def test_r_from_delta_validation():
 
 
 def test_predicted_outage_values():
-    assert predicted_outage(OffsetStats(mu=0.0, sigma=1.0)) == pytest.approx(0.5)
-    assert predicted_outage(OffsetStats(mu=2.0, sigma=1.0)) == pytest.approx(
-        0.5 * erfc(2.0 / np.sqrt(2.0)), rel=1e-12)
-    assert predicted_outage(OffsetStats(mu=1.0, sigma=0.0)) == 0.0
-    assert predicted_outage(OffsetStats(mu=-1.0, sigma=0.0)) == 1.0
+    got = predicted_outage([0.0, 2.0, 1.0, -1.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0])
+    assert got[:2] == pytest.approx([0.5, 0.5 * erfc(2.0 / np.sqrt(2.0))], rel=1e-12)
+    assert np.array_equal(got[2:], [0.0, 1.0, 0.0])
 
 
 def test_beamformer_set_validation():
