@@ -1,12 +1,13 @@
 """Offset-based robust downlink beamforming for multi-user MISO systems.
 
 The design target is a per-user offset between the mean and the standard
-deviation of a quadratic SINR slack under Gaussian channel uncertainty:
-constraining mu_f_k >= r sigma_f_k bounds the outage probability without
-solving a conic program. Modules:
+deviation of a quadratic SINR slack under i.i.d. Gaussian channel errors
+e ~ CN(0, sigma_e^2 I), one sigma_e per user: constraining
+mu_f_k >= r sigma_f_k bounds the outage probability without solving a conic
+program. Modules:
 
-channel     scenario generation, uncertainty models, serialization
-stats       beamformer sets, SINR evaluation, offset-outage conversions
+channel     scenario generation, the CN(0, sigma_e^2 I) error model, serialization
+stats       beamformer sets, offset-outage conversions
 directions  beamforming direction solvers (dual fixed point, baselines)
 powerload   slack moments and power loading for fixed directions (QoS, max-r,
             perturbation)

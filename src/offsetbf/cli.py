@@ -226,8 +226,7 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     sub = scenario
     if len(served) != scenario.n_users:
         sub = Scenario(users=[scenario.users[i] for i in served],
-                       n_antennas=scenario.n_antennas,
-                       rng_seed=scenario.rng_seed)
+                       n_antennas=scenario.n_antennas)
     estimates, stderrs = montecarlo.estimate_outage(design, sub, cfg.n_trials,
                                                     cfg.seed)
     outage = {int(i): float(p) for i, p in zip(served, estimates)}

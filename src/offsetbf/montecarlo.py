@@ -48,7 +48,7 @@ def estimate_outage(design: BeamformerSet, scenario: Scenario, n_trials: int,
                     base_seed):
     """Per-user outage estimates and binomial standard errors.
 
-    For each user, n_trials errors are drawn from its uncertainty model, the
+    For each user, n_trials errors are drawn from CN(0, sigma_e^2 I), the
     realized SINR with h = h_est + e is compared against the target, and the
     indicator average is returned. Per-user substreams are derived from
     base_seed, so estimates are reproducible and trial counts extend prefixes.

@@ -365,14 +365,14 @@ def fit_normal_cdf_quadratic():
 
 
 def average_outage_perturbation(coupling: CouplingMatrix, noise, sigma_f: np.ndarray,
-                                r_star: float, quad=None):
+                                r_star: float):
     """Per-user offset perturbations minimizing the average Gaussian outage.
 
     Starting from the max-r solution (all users at the common offset r_star),
-    maximize sum_k quad(r_star + delta_r_k) subject to power conservation
-    1^T A^{-1} (sigma_f (.) delta_r) = 0, where quad is the quadratic fit of
-    the normal CDF. With b = (1^T A^{-1}) (.) sigma_f the stationarity
-    conditions give
+    maximize sum_k q(r_star + delta_r_k) subject to power conservation
+    1^T A^{-1} (sigma_f (.) delta_r) = 0, where q = a0 r^2 + a1 r + a2 is
+    fit_normal_cdf_quadratic() (a0 < 0). With b = (1^T A^{-1}) (.) sigma_f
+    the stationarity conditions give
         zeta = -(2 a0 r* + a1) (b^T 1) / (b^T b),
         delta_r = (-(2 a0 r* + a1) 1 - zeta b) / (2 a0),
     and the powers are refreshed once with sigma_f held fixed.
@@ -381,11 +381,7 @@ def average_outage_perturbation(coupling: CouplingMatrix, noise, sigma_f: np.nda
     """
     noise = np.asarray(noise, dtype=float)
     sigma_f = np.asarray(sigma_f, dtype=float)
-    if quad is None:
-        quad = fit_normal_cdf_quadratic()
-    a0, a1, _ = quad
-    if a0 == 0:
-        raise ValueError("quadratic coefficient a0 must be nonzero")
+    a0, a1, _ = fit_normal_cdf_quadratic()
 
     b = coupling.a_inv.sum(axis=0) * sigma_f
     if not np.any(np.abs(b) > 0):

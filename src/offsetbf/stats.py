@@ -1,4 +1,4 @@
-"""Beamformer sets, SINR evaluation and offset-outage conversions.
+"""Beamformer sets and offset-outage conversions.
 
 For user k with SINR target gamma_k, define
     Q_k = beta_k u_k u_k^H / gamma_k - sum_{j != k} beta_j u_j u_j^H,
@@ -41,15 +41,6 @@ class BeamformerSet:
     def weights(self) -> np.ndarray:
         """Beamformers w_k = sqrt(beta_k) u_k stacked as rows."""
         return np.sqrt(self.powers)[:, None] * self.directions
-
-
-def sinr_values(beamformers: BeamformerSet, h_rows: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """SINR of each user for channels h_rows (K, N_t) and the given design."""
-    w = beamformers.weights()
-    gains = np.abs(h_rows.conj() @ w.T) ** 2   # [i, j] = |h_i^H w_j|^2
-    signal = np.diag(gains)
-    interference = gains.sum(axis=1) - signal
-    return signal / (interference + np.asarray(noise, dtype=float))
 
 
 def r_from_delta(delta: float, mode: str = "cantelli") -> float:

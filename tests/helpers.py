@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from offsetbf.channel import Scenario, UncertaintyModel, UserChannel
+from offsetbf.channel import Scenario, UserChannel
 
 
 def standard_complex(rng, shape):
@@ -10,8 +10,7 @@ def standard_complex(rng, shape):
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def unit_scale_scenario(k=3, nt=4, seed=0, sigma_e=0.1, noise=1.0, gamma=4.0,
-                        delta=0.05):
+def unit_scale_scenario(k=3, nt=4, seed=0, sigma_e=0.1, noise=1.0, gamma=4.0):
     """Scenario with h_est rows drawn CN(0, I): channel norms ~ nt >> sigma_e^2.
 
     This is the small-relative-uncertainty regime in which offset designs at
@@ -19,17 +18,9 @@ def unit_scale_scenario(k=3, nt=4, seed=0, sigma_e=0.1, noise=1.0, gamma=4.0,
     """
     rng = np.random.default_rng(seed)
     h_est = standard_complex(rng, (k, nt))
-    users = []
-    for i in range(k):
-        users.append(UserChannel(
-            h_true=h_est[i].copy(),
-            h_est=h_est[i],
-            uncertainty=UncertaintyModel.iid(sigma_e, nt),
-            noise_power=noise,
-            sinr_target=gamma,
-            outage_tolerance=delta,
-        ))
-    return Scenario(users=users, n_antennas=nt, rng_seed=seed)
+    users = [UserChannel(h_est=h_est[i], sigma_e=sigma_e, noise_power=noise,
+                         sinr_target=gamma) for i in range(k)]
+    return Scenario(users=users, n_antennas=nt)
 
 
 def orthonormal_rows(k, nt, seed=0, norms=None):
@@ -43,22 +34,25 @@ def orthonormal_rows(k, nt, seed=0, norms=None):
     return rows
 
 
-def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0, delta=0.05):
-    """Wrap explicit channel rows into a Scenario (h_true = h_est)."""
+def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0):
+    """Wrap explicit channel rows into a Scenario."""
     h_est = np.asarray(h_est, dtype=complex)
     k, nt = h_est.shape
     sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,))
     noise = np.broadcast_to(np.asarray(noise, dtype=float), (k,))
     gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (k,))
-    users = [UserChannel(
-        h_true=h_est[i].copy(),
-        h_est=h_est[i],
-        uncertainty=UncertaintyModel.iid(float(sigma_e[i]), nt),
-        noise_power=float(noise[i]),
-        sinr_target=float(gamma[i]),
-        outage_tolerance=delta,
-    ) for i in range(k)]
+    users = [UserChannel(h_est=h_est[i], sigma_e=sigma_e[i], noise_power=float(noise[i]),
+                         sinr_target=float(gamma[i])) for i in range(k)]
     return Scenario(users=users, n_antennas=nt)
+
+
+def sinr_values(beamformers, h_rows, noise):
+    """SINR of each user for channels h_rows (K, N_t) and the given design."""
+    w = beamformers.weights()
+    gains = np.abs(h_rows.conj() @ w.T) ** 2   # [i, j] = |h_i^H w_j|^2
+    signal = np.diag(gains)
+    interference = gains.sum(axis=1) - signal
+    return signal / (interference + np.asarray(noise, dtype=float))
 
 
 def dense_slack_moments(h_k, u, beta, gamma_k, sigma_e, noise_k, k):

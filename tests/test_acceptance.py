@@ -22,12 +22,12 @@ from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.montecarlo import estimate_outage
 from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
-                                coupling_matrix, fit_normal_cdf_quadratic,
-                                max_r_power_load, power_saving_cap, reschedule)
-from offsetbf.stats import BeamformerSet, sinr_values
+                                coupling_matrix, max_r_power_load, power_saving_cap,
+                                reschedule)
+from offsetbf.stats import BeamformerSet
 
-from helpers import (orthonormal_rows, scenario_from_rows, standard_complex,
-                     unit_scale_scenario)
+from helpers import (orthonormal_rows, scenario_from_rows, sinr_values,
+                     standard_complex, unit_scale_scenario)
 
 DESIGN_ERRORS = (ConvergenceError, InfeasibleLoadingError, DegenerateChannelsError)
 GAMMA = 4.0
@@ -187,8 +187,6 @@ def test_criterion_06_max_offset_exhausts_budget_and_equalizes():
 def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     """Per-user offset perturbations keep the budget and improve the average
     normal-tail outage; symmetric instances are left untouched."""
-    quad = fit_normal_cdf_quadratic()
-
     # Symmetric instance: equal-norm orthogonal channels, so every direction
     # of transfer between users is equally wasteful and the optimizer stays put.
     h_sym = orthonormal_rows(3, 4, seed=5)
@@ -198,8 +196,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     u_sym = const_offset_directions(h_sym, gammas)
     c_sym = coupling_matrix(h_sym, u_sym, gammas, sig)
     beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, noise, 10.0, tol=1e-12)
-    delta_sym, _ = average_outage_perturbation(c_sym, noise, rep_sym.sigma_f,
-                                               r_sym, quad)
+    delta_sym, _ = average_outage_perturbation(c_sym, noise, rep_sym.sigma_f, r_sym)
     assert np.max(np.abs(delta_sym)) <= 1e-12
 
     checked = 0
@@ -227,7 +224,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
             continue
         checked += 1
         delta, beta_new = average_outage_perturbation(coupling, noise,
-                                                      report.sigma_f, r_star, quad)
+                                                      report.sigma_f, r_star)
         assert abs(beta_new.sum() - beta.sum()) <= 1e-9 * beta.sum()
         change = float(np.sum(ndtr(-(r_star + delta)))) - len(delta) * ndtr(-r_star)
         assert change <= 1e-12

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from offsetbf.channel import (FadingConfig, GeometryConfig, Scenario,
-                              UncertaintyModel, UserChannel, draw_errors,
+from offsetbf.channel import (FadingConfig, GeometryConfig, UserChannel, draw_errors,
                               generate_scenario, load_scenario, save_scenario,
                               scenario_from_dict, scenario_to_dict)
+from offsetbf.cli import RunConfig, run_algorithm
 
 
 def default_scenario(seed=0, **fading_kwargs):
@@ -29,16 +29,19 @@ def test_generate_scenario_deterministic():
     a = default_scenario(seed=123)
     b = default_scenario(seed=123)
     for ua, ub in zip(a.users, b.users):
-        assert np.array_equal(ua.h_true, ub.h_true)
         assert np.array_equal(ua.h_est, ub.h_est)
     c = default_scenario(seed=124)
     assert not np.array_equal(a.users[0].h_est, c.users[0].h_est)
 
 
 def test_generate_scenario_zero_error_estimates_exact():
-    sc = default_scenario(seed=5, sigma_e=0.0)
-    for u in sc.users:
-        assert np.array_equal(u.h_true, u.h_est)
+    # sigma_e = 0 gives the true channel; a nonzero sigma_e subtracts sigma_e
+    # times one fixed standard draw from it
+    exact = default_scenario(seed=5, sigma_e=0.0).h_est_matrix()
+    e1 = exact - default_scenario(seed=5, sigma_e=0.1).h_est_matrix()
+    e2 = exact - default_scenario(seed=5, sigma_e=0.2).h_est_matrix()
+    assert np.all(e1 != 0)
+    assert np.allclose(e2, 2.0 * e1, rtol=1e-9, atol=0.0)
 
 
 def test_generate_scenario_invalid_config():
@@ -50,40 +53,37 @@ def test_generate_scenario_invalid_config():
         generate_scenario(GeometryConfig(radius_km=-1.0), FadingConfig(), 0)
 
 
+def _user(sigma_e=0.1, nt=4, **kwargs):
+    fields = dict(h_est=np.zeros(nt), sigma_e=sigma_e, noise_power=1.0, sinr_target=1.0)
+    fields.update(kwargs)
+    return UserChannel(**fields)
+
+
 def test_uncertainty_model_validation():
-    with pytest.raises(ValueError):
-        UncertaintyModel(mean_vector=np.zeros(2),
-                         covariance=np.array([[1.0, 1.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        UncertaintyModel(mean_vector=np.zeros(2), covariance=-np.eye(2))
-    with pytest.raises(ValueError):
-        UncertaintyModel(mean_vector=np.zeros(2), covariance=2 * np.eye(2),
-                         iid_flag=True, iid_std=1.0)
-    with pytest.raises(ValueError):
-        UncertaintyModel(mean_vector=np.ones(2), covariance=np.eye(2),
-                         iid_flag=True, iid_std=1.0)
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma_e must be finite and nonnegative"):
+            _user(sigma_e=bad)
+    assert _user(sigma_e=0).sigma_e == 0.0
 
 
-def _user_with(model, nt=4):
-    return UserChannel(h_true=np.zeros(nt), h_est=np.zeros(nt),
-                       uncertainty=model, noise_power=1.0, sinr_target=1.0,
-                       outage_tolerance=0.05)
+def test_user_channel_rejects_non_finite_fields():
+    for field in ("noise_power", "sinr_target"):
+        for bad in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                _user(**{field: bad})
+    h_est = np.ones(4, dtype=complex)
+    h_est[2] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="h_est must be finite"):
+        _user(h_est=h_est)
 
 
 def test_draw_errors_degenerate_cases():
-    nt = 4
-    zero = _user_with(UncertaintyModel.general(np.zeros(nt), np.zeros((nt, nt))))
-    assert np.array_equal(draw_errors(zero, 3, seed=0), np.zeros((3, nt)))
-
-    v = np.array([1.0 + 2.0j, -0.5j, 0.25, 1.0])
-    shifted = _user_with(UncertaintyModel.general(v, np.zeros((nt, nt))))
-    out = draw_errors(shifted, 2, seed=0)
-    assert np.array_equal(out, np.tile(v, (2, 1)))
+    assert np.array_equal(draw_errors(_user(sigma_e=0.0), 3, seed=0), np.zeros((3, 4)))
 
 
 def test_draw_errors_iid_sample_covariance():
     nt = 4
-    user = _user_with(UncertaintyModel.iid(0.1, nt))
+    user = _user(0.1, nt)
     e = draw_errors(user, 10 ** 6, seed=42)
     assert np.abs(e.mean()) < 1e-3
     sample_cov = e.T @ e.conj() / e.shape[0]
@@ -92,23 +92,8 @@ def test_draw_errors_iid_sample_covariance():
     assert rel < 0.02
 
 
-def test_draw_errors_general_covariance_moments():
-    nt = 3
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((nt, nt)) + 1j * rng.standard_normal((nt, nt))
-    cov = a @ a.conj().T / nt
-    m = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
-    user = _user_with(UncertaintyModel.general(m, cov), nt=nt)
-    e = draw_errors(user, 10 ** 6, seed=3)
-    assert np.linalg.norm(e.mean(axis=0) - m) < 0.01 * np.linalg.norm(m)
-    centered = e - m
-    sample_cov = centered.T @ centered.conj() / e.shape[0]
-    rel = np.linalg.norm(sample_cov - cov) / np.linalg.norm(cov)
-    assert rel < 0.02
-
-
 def test_draw_errors_prefix_stability():
-    user = _user_with(UncertaintyModel.iid(0.1, 4))
+    user = _user(0.1, 4)
     long = draw_errors(user, 10, seed=11)
     short = draw_errors(user, 4, seed=11)
     assert np.array_equal(long[:4], short)
@@ -120,44 +105,49 @@ def test_scenario_json_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
     save_scenario(sc, path)
     doc = json.loads(path.read_text())
-    assert set(doc) == {"n_antennas", "rng_seed", "users"}
-    assert set(doc["users"][0]) == {"h_true", "h_est", "sigma_e", "noise_power",
-                                    "gamma", "delta"}
+    assert set(doc) == {"n_antennas", "users"}
+    assert set(doc["users"][0]) == {"h_est", "sigma_e", "noise_power", "gamma"}
     assert doc["users"][0]["h_est"][0] == [sc.users[0].h_est[0].real,
                                            sc.users[0].h_est[0].imag]
     back = load_scenario(path)
     assert back.n_antennas == sc.n_antennas
     for ua, ub in zip(sc.users, back.users):
-        assert np.array_equal(ua.h_true, ub.h_true)
         assert np.array_equal(ua.h_est, ub.h_est)
+        assert ua.sigma_e == ub.sigma_e
         assert ua.noise_power == ub.noise_power
         assert ua.sinr_target == ub.sinr_target
 
 
-def test_scenario_json_rejects_general_model():
-    nt = 4
-    user = _user_with(UncertaintyModel.general(np.zeros(nt), 0.1 * np.eye(nt)))
-    sc = Scenario(users=[user], n_antennas=nt)
-    with pytest.raises(ValueError):
-        scenario_to_dict(sc)
+# A 2-user, 2-antenna cell (generate_scenario at seed 4, radius 0.5 km) as
+# files stored it before the error model became one sigma_e per user.
+LEGACY_SCENARIO = {
+    "n_antennas": 2, "rng_seed": 4,
+    "users": [
+        {"h_true": [[-19.1605546629819, -0.060739363907302044],
+                    [-7.277891299691827, 1.7350232239985286]],
+         "h_est": [[-19.182944846819524, -0.0968404645671577],
+                   [-7.172312006387728, 1.575731219971649]],
+         "sigma_e": 0.1, "noise_power": 1e-12, "gamma": 3.9810717055349722,
+         "delta": 0.05},
+        {"h_true": [[-12.753763563589825, 1.9173764309947858],
+                    [1.8666928168943961, 12.495531969036021]],
+         "h_est": [[-12.618306967151604, 1.8394672746171856],
+                   [1.8900205576721227, 12.557803081501527]],
+         "sigma_e": 0.1, "noise_power": 1e-12, "gamma": 3.9810717055349722,
+         "delta": 0.05},
+    ],
+}
 
 
-def test_sigma_e_vector_rejects_general_model():
-    # C = 0.05 I is not perfect CSI; it must not be read as sigma_e = [0, 0]
-    nt = 4
-    general = UncertaintyModel.general(np.zeros(nt), 0.05 * np.eye(nt))
-    sc = Scenario(users=[_user_with(general), _user_with(general)], n_antennas=nt)
-    with pytest.raises(ValueError, match="general error model"):
-        sc.sigma_e_vector()
-    mixed = Scenario(users=[_user_with(UncertaintyModel.iid(0.1, nt)),
-                            _user_with(general)], n_antennas=nt)
-    with pytest.raises(ValueError, match=r"users \[1\]"):
-        mixed.sigma_e_vector()
-
-
-def test_scenario_from_dict_accepts_missing_seed():
-    sc = default_scenario(seed=2)
-    doc = scenario_to_dict(sc)
-    doc.pop("rng_seed")
-    back = scenario_from_dict(doc)
-    assert back.rng_seed == 0
+def test_scenario_from_dict_ignores_legacy_fields():
+    legacy = scenario_from_dict(LEGACY_SCENARIO)
+    current = generate_scenario(GeometryConfig(n_users=2, n_antennas=2, radius_km=0.5),
+                                FadingConfig(), 4)
+    assert scenario_to_dict(legacy) == scenario_to_dict(current)
+    for ua, ub in zip(legacy.users, current.users):
+        assert np.array_equal(ua.h_est, ub.h_est)
+        assert ua.sigma_e == ub.sigma_e
+    cfg = RunConfig(generate={}, algorithm="zf", r=2.0)
+    _, report_legacy = run_algorithm("zf", legacy, cfg)
+    _, report_current = run_algorithm("zf", scenario_from_dict(scenario_to_dict(current)), cfg)
+    assert np.array_equal(report_legacy.powers, report_current.powers)

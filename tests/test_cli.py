@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from offsetbf import cli
-from offsetbf.channel import save_scenario
+from offsetbf.channel import save_scenario, scenario_to_dict
 
 from helpers import scenario_from_rows, standard_complex, unit_scale_scenario
 
@@ -85,6 +85,38 @@ def test_config_rejects_unknown_generate_keys(tmp_path, capsys):
     assert "unknown generate keys: ['delta']" in err
     assert out == ""
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key,field", [
+    ("gamma_db", "sinr_target"),
+    ("noise_dbm", "noise_power"),
+    ("sigma_e", "sigma_e"),
+    ("radius_km", "h_est"),
+    ("path_loss_exponent", "h_est"),
+    ("shadowing_std_db", "h_est"),
+])
+def test_config_rejects_non_finite_generate_values(tmp_path, capsys, key, field):
+    cfg = write_config(tmp_path, {"generate": {**GENERATE_BLOCK, key: float("nan")},
+                                  "algorithm": "zf", "r": 2.0,
+                                  "out": str(tmp_path / "r.json")})
+    code, out, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 1
+    assert err.startswith("config error: ")
+    assert f"{field} must be finite" in err
+    assert out == ""
+
+
+def test_config_rejects_non_finite_scenario_sigma_e(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    doc = scenario_to_dict(unit_scale_scenario(seed=0))
+    doc["users"][1]["sigma_e"] = float("nan")
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"scenario_file": str(path), "algorithm": "zf",
+                                  "r": 2.0, "out": str(tmp_path / "r.json")})
+    code, out, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 1
+    assert "config error: sigma_e must be finite" in err
+    assert out == ""
 
 
 def test_config_requires_exactly_one_scenario_source(tmp_path, capsys):

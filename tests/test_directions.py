@@ -10,9 +10,8 @@ from offsetbf.directions import (DualState, alg1_directions, const_offset_direct
                                  rzf_directions, solve_nu,
                                  solve_nu_constant_offset, zf_directions)
 from offsetbf.errors import ConvergenceError, DegenerateChannelsError
-from offsetbf.stats import sinr_values
 
-from helpers import orthonormal_rows, standard_complex, unit_scale_scenario
+from helpers import orthonormal_rows, sinr_values, standard_complex, unit_scale_scenario
 
 
 def literal_dual_matrix(h_est, psi, nu, gammas, sigma_e, r, k):

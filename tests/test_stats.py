@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from offsetbf.channel import UncertaintyModel, UserChannel, draw_errors
+from offsetbf.channel import UserChannel, draw_errors
 from offsetbf.directions import zf_directions
 from offsetbf.powerload import coupling_matrix
-from offsetbf.stats import BeamformerSet, predicted_outage, r_from_delta, sinr_values
+from offsetbf.stats import BeamformerSet, predicted_outage, r_from_delta
 
-from helpers import orthonormal_rows, standard_complex
+from helpers import orthonormal_rows, sinr_values, standard_complex
 
 
 def random_beamformers(k, nt, seed, powers=None):
@@ -79,8 +79,7 @@ def test_slack_moments_monte_carlo_oracle():
     coupling = coupling_matrix(h_rows, bf.directions, gammas, 0.1)
     mu = coupling.mu_f(bf.powers, noise)[0]
     sigma = coupling.sigma_f(bf.powers, "exact")[0]
-    user = UserChannel(h_true=h.copy(), h_est=h, uncertainty=UncertaintyModel.iid(0.1, nt),
-                       noise_power=0.5, sinr_target=2.0, outage_tolerance=0.05)
+    user = UserChannel(h_est=h, sigma_e=0.1, noise_power=0.5, sinr_target=2.0)
     samples = sample_slack(h, bf.directions, bf.powers, 2.0, 0.5, 0,
                            draw_errors(user, 10 ** 6, seed=11))
     scale = max(abs(mu), sigma)

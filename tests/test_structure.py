@@ -1,0 +1,54 @@
+"""Structural guards over the package sources: imports stay at module level
+and the modules of offsetbf import each other without cycles."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "offsetbf"
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted(PACKAGE_DIR.glob("*.py"))}
+
+
+def _imported_modules(tree):
+    """Names of the offsetbf modules that a module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.split(".")[0] == "offsetbf":
+                parts = node.module.split(".")[1:]
+            elif node.level == 1:
+                parts = node.module.split(".") if node.module else []
+            else:
+                continue
+            if parts:
+                found.add(parts[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "offsetbf" and len(parts) > 1:
+                    found.add(parts[1])
+    return found & set(MODULES)
+
+
+def test_no_function_level_imports():
+    misplaced = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    misplaced.append(f"{name}.py:{node.lineno} in {func.name}()")
+    assert misplaced == []
+
+
+def test_intra_package_imports_are_acyclic():
+    graph = {name: _imported_modules(tree) - {name} for name, tree in MODULES.items()}
+    assert graph["cli"] >= {"channel", "directions", "powerload"}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
