@@ -13,8 +13,10 @@ stdout carries nothing but the output path; diagnostics go to stderr.
 import argparse
 import csv
 import json
+import math
+import numbers
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +37,14 @@ CONFIG_KEYS = ("scenario_file", "generate", "algorithm", "r", "delta", "r_mode",
                "total_power", "variance_mode", "seed", "out", "r_min", "r_cap",
                "rzf_loading", "r_grid", "delta_grid", "algorithms",
                "n_realizations", "n_trials")
+
+
+def _require_number(name, value, kind=numbers.Real):
+    """Reject a bool, a value that is not a `kind`, or a non-finite float."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not (
+            isinstance(value, numbers.Integral) or math.isfinite(value)):
+        what = "an integer" if kind is numbers.Integral else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -75,6 +85,18 @@ class RunConfig:
             unknown = set(cfg.generate) - set(GENERATE_KEYS)
             if unknown:
                 raise ValueError(f"unknown generate keys: {sorted(unknown)}")
+            for key, value in cfg.generate.items():
+                if key in ("n_users", "n_antennas", "seed"):
+                    _require_number(f"generate.{key}", value, numbers.Integral)
+        for key in ("seed", "n_realizations", "n_trials"):
+            _require_number(key, getattr(cfg, key), numbers.Integral)
+        optional = [key for key in ("r", "rzf_loading") if getattr(cfg, key) is not None]
+        for key in ("total_power", "r_min", "r_cap", *optional):
+            _require_number(key, getattr(cfg, key))
+        for value in cfg.r_grid or ():
+            _require_number("r_grid", value)
+        if cfg.total_power <= 0:
+            raise ValueError(f"total_power must be positive, got {cfg.total_power!r}")
         if cfg.variance_mode not in (None, *powerload.VARIANCE_MODES):
             raise ValueError(f"unknown variance_mode {cfg.variance_mode!r}")
         for name in cfg.algorithms:
@@ -153,9 +175,7 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
             h_est, gammas, sigma_e, noise, cfg.total_power, r_min=cfg.r_min,
             variance_mode=cfg.variance_mode)
         if name == "maxr_powersave":
-            capped = powerload.power_saving_cap(coupling, noise[retained], report,
-                                                r_cap=cfg.r_cap,
-                                                variance_mode=cfg.variance_mode)
+            capped = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
             capped.rescheduled = report.rescheduled
             capped.served_indices = list(retained)
             report = capped
@@ -163,19 +183,17 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
 
     r = cfg.resolved_r() if name in FIXED_R_ALGORITHMS else None
     u_rows = _directions(name, scenario, cfg, r)
-    coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e)
+    coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e, noise,
+                                         cfg.variance_mode)
     if r is not None:
-        report = powerload.alg2_power_load(coupling, noise, r,
-                                           variance_mode=cfg.variance_mode)
+        report = powerload.alg2_power_load(coupling, r)
     else:
-        _, r_star, report = powerload.max_r_power_load(
-            coupling, noise, cfg.total_power, variance_mode=cfg.variance_mode)
+        _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
         if name == "avg_outage" and np.isfinite(r_star):
             delta_r, beta = powerload.average_outage_perturbation(
-                coupling, noise, report.sigma_f, r_star)
+                coupling, report.sigma_f, r_star)
             report = powerload.report_for_loading(
-                coupling, beta, r_star + delta_r, noise,
-                variance_mode=cfg.variance_mode,
+                coupling, beta, r_star + delta_r,
                 iterations=report.iterations_used,
                 note="per-user offsets perturbed to minimize average outage")
     return BeamformerSet(directions=u_rows, powers=report.powers), report
@@ -259,7 +277,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     def make_fn(name):
         def design_fn(scenario, r):
-            local = RunConfig(**{**asdict(cfg), "r": r, "delta": None})
+            local = replace(cfg, r=r, delta=None)
             design, _ = run_algorithm(name, scenario, local)
             return design
         return design_fn

@@ -5,7 +5,8 @@ A beta = sigma^2 + sigma_f (.) r for a K x K coupling matrix A, with sigma_f
 depending on beta through a quadratic form. This module provides the
 fixed-point power loading, the max-common-offset loading under a power
 budget, user rescheduling, the power-saving cap, and the average-outage
-perturbation of the offset coefficients.
+perturbation of the offset coefficients. The CouplingMatrix carries the noise
+powers and the resolved variance mode, so the loaders take only the coupling.
 """
 
 import math
@@ -26,58 +27,43 @@ CDF_FIT_POINTS = 201
 
 @dataclass
 class CouplingMatrix:
-    """The K x K matrix A linking powers to the offset equalities, plus caches.
+    """The K x K matrix A linking powers to the offset equalities, the noise
+    powers sigma^2 and the variance tensor G, for one variance mode.
 
     This is the one implementation of the slack moments. The mean is linear in
     the powers, mu_f = A beta - sigma^2, with
     [A]_ii = (|h_i^H u_i|^2 + sigma_e_i^2) / gamma_i
     [A]_ij = -(|h_i^H u_j|^2 + sigma_e_i^2), i != j
 
-    The exact slack variance is the quadratic form sigma_f_k^2 = beta^T G_k beta
+    The slack variance is the quadratic form sigma_f_k^2 = beta^T G_k beta
     with
       [G_k]_jl = s_j s_l (2 sigma_e_k^2 Re((h_k^H u_j)(u_j^H u_l)(u_l^H h_k))
                  + sigma_e_k^4 |u_j^H u_l|^2),  s_j = 1/gamma_k if j == k else -1,
-    so each update costs O(K^2) per user once G is cached. The simplified
-    variance keeps only the j == l terms of G.
+    so each update costs O(K^2) per user once G is cached. coupling_matrix
+    resolves the variance mode once: the exact G is the full tensor, the
+    simplified G keeps only the j == l terms, as if the directions were
+    mutually orthogonal.
     """
 
     a: np.ndarray
     a_inv: np.ndarray
-    habs2: np.ndarray          # [i, j] = |h_i^H u_j|^2
-    gammas: np.ndarray
-    sigma_e: np.ndarray
-    n_antennas: int
+    noise: np.ndarray                              # sigma^2, Watts
+    variance_mode: str                             # "exact" or "simplified"
     g_tensor: np.ndarray = field(repr=False)       # (K, K, K)
-    simp_coeff: np.ndarray = field(repr=False)     # (K, K), diag(G_k)
 
-    @property
-    def n_users(self) -> int:
-        return self.a.shape[0]
-
-    def default_variance_mode(self) -> str:
-        return "exact" if self.n_antennas <= SIMPLIFIED_ABOVE_NT else "simplified"
-
-    def sigma_f(self, beta: np.ndarray, mode: str) -> np.ndarray:
-        if mode == "exact":
-            var = np.einsum("kjl,j,l->k", self.g_tensor, beta, beta)
-        else:
-            var = self.simp_coeff @ beta ** 2
+    def sigma_f(self, beta: np.ndarray) -> np.ndarray:
+        var = np.einsum("kjl,j,l->k", self.g_tensor, beta, beta)
         return np.sqrt(np.clip(var, 0.0, None))
 
-    def sigma_f_gradient(self, beta: np.ndarray, sigma_f: np.ndarray,
-                         mode: str) -> np.ndarray:
+    def sigma_f_gradient(self, beta: np.ndarray, sigma_f: np.ndarray) -> np.ndarray:
         """Rows d sigma_f_k / d beta; zero rows where sigma_f_k = 0."""
-        if mode == "exact":
-            grad = np.einsum("kjl,l->kj", self.g_tensor, beta)
-        else:
-            grad = self.simp_coeff * beta[None, :]
         safe = np.where(sigma_f > 0, sigma_f, 1.0)
-        grad = grad / safe[:, None]
+        grad = np.einsum("kjl,l->kj", self.g_tensor, beta) / safe[:, None]
         grad[sigma_f == 0] = 0.0
         return grad
 
-    def mu_f(self, beta: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return self.a @ beta - noise
+    def mu_f(self, beta: np.ndarray) -> np.ndarray:
+        return self.a @ beta - self.noise
 
 
 @dataclass
@@ -139,11 +125,23 @@ class DesignReport:
         }
 
 
-def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas,
-                    sigma_e) -> CouplingMatrix:
-    """Build A, its inverse and the variance caches for fixed directions."""
+def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
+                    noise, variance_mode=None) -> CouplingMatrix:
+    """Build A, its inverse and the variance tensor for fixed directions.
+
+    variance_mode None is exact up to SIMPLIFIED_ABOVE_NT antennas and
+    simplified above. The simplified G is the exact one built from the
+    diagonal of the Gram matrix u_j^H u_l.
+    """
+    k, n_antennas = h_est.shape
+    if variance_mode is None:
+        variance_mode = "exact" if n_antennas <= SIMPLIFIED_ABOVE_NT else "simplified"
+    if variance_mode not in VARIANCE_MODES:
+        raise ValueError(f"unknown variance_mode {variance_mode!r}")
+    noise = np.array(noise, dtype=float)
+    if noise.shape != (k,):
+        raise ValueError(f"noise must have {k} entries, got shape {noise.shape}")
     gammas = np.asarray(gammas, dtype=float)
-    k = h_est.shape[0]
     sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,)).copy()
 
     cross = h_est.conj() @ directions.T        # [i, j] = h_i^H u_j
@@ -156,6 +154,8 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas,
         raise DegenerateChannelsError(f"coupling matrix is singular: {exc}") from exc
 
     gram = directions.conj() @ directions.T    # [j, l] = u_j^H u_l
+    if variance_mode == "simplified":
+        gram = np.diag(gram.diagonal())
     gram_abs2 = np.abs(gram) ** 2
     g_tensor = np.zeros((k, k, k))
     for i in range(k):
@@ -164,38 +164,27 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas,
         triple = np.real(cross[i][:, None] * gram * cross[i].conj()[None, :])
         g_tensor[i] = np.outer(s, s) * (2.0 * sigma_e[i] ** 2 * triple
                                         + sigma_e[i] ** 4 * gram_abs2)
-    simp_coeff = np.einsum("kjj->kj", g_tensor).copy()
 
-    return CouplingMatrix(a=a, a_inv=a_inv, habs2=habs2, gammas=gammas,
-                          sigma_e=sigma_e, n_antennas=h_est.shape[1],
-                          g_tensor=g_tensor, simp_coeff=simp_coeff)
+    return CouplingMatrix(a=a, a_inv=a_inv, noise=noise,
+                          variance_mode=variance_mode, g_tensor=g_tensor)
 
 
-def _resolve_mode(coupling: CouplingMatrix, variance_mode) -> str:
-    if variance_mode is None:
-        return coupling.default_variance_mode()
-    if variance_mode not in VARIANCE_MODES:
-        raise ValueError(f"unknown variance_mode {variance_mode!r}")
-    return variance_mode
-
-
-def report_for_loading(coupling: CouplingMatrix, beta, r_vec, noise,
-                       variance_mode=None, iterations: int = 1,
+def report_for_loading(coupling: CouplingMatrix, beta, r_vec, iterations: int = 1,
                        note: str = "") -> DesignReport:
     """Report a loading: its slack moments, predicted outage and total power."""
-    mode = _resolve_mode(coupling, variance_mode)
     beta = np.asarray(beta, dtype=float)
     r_vec = np.broadcast_to(np.asarray(r_vec, dtype=float), beta.shape).copy()
-    mu_f = coupling.mu_f(beta, np.asarray(noise, dtype=float))
-    sigma_f = coupling.sigma_f(beta, mode)
+    mu_f = coupling.mu_f(beta)
+    sigma_f = coupling.sigma_f(beta)
     return DesignReport(powers=beta, offsets=r_vec, mu_f=mu_f, sigma_f=sigma_f,
                         predicted_outage=predicted_outage(mu_f, sigma_f),
                         total_power=float(beta.sum()), rescheduled=[],
-                        iterations_used=iterations, variance_mode=mode, note=note)
+                        iterations_used=iterations,
+                        variance_mode=coupling.variance_mode, note=note)
 
 
-def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
-                    tol: float = 1e-6, max_iters: int = 50) -> DesignReport:
+def alg2_power_load(coupling: CouplingMatrix, r, tol: float = 1e-6,
+                    max_iters: int = 50) -> DesignReport:
     """Solve A beta = sigma^2 + sigma_f(beta) (.) r for the power loading.
 
     The fixed point makes every offset constraint hold with equality,
@@ -208,15 +197,13 @@ def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
     Raises InfeasibleLoadingError when the fixed point has a negative power
     entry, and ConvergenceError when max_iters is hit.
     """
-    mode = _resolve_mode(coupling, variance_mode)
-    noise = np.asarray(noise, dtype=float)
-    r_vec = np.broadcast_to(np.asarray(r, dtype=float), noise.shape).copy()
+    r_vec = np.broadcast_to(np.asarray(r, dtype=float), coupling.noise.shape).copy()
 
-    beta = coupling.a_inv @ noise
+    beta = coupling.a_inv @ coupling.noise
     for iteration in range(1, max_iters + 1):
-        sigma_f = coupling.sigma_f(beta, mode)
-        residual = coupling.a @ beta - noise - r_vec * sigma_f
-        jac = coupling.a - r_vec[:, None] * coupling.sigma_f_gradient(beta, sigma_f, mode)
+        sigma_f = coupling.sigma_f(beta)
+        residual = coupling.mu_f(beta) - r_vec * sigma_f
+        jac = coupling.a - r_vec[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
         try:
             step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError as exc:
@@ -231,14 +218,13 @@ def alg2_power_load(coupling: CouplingMatrix, noise, r, variance_mode=None,
                 raise InfeasibleLoadingError(
                     f"power loading fixed point has negative entries: {beta}",
                     powers=beta)
-            return report_for_loading(coupling, beta, r_vec, noise, mode, iteration)
+            return report_for_loading(coupling, beta, r_vec, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
 
-def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
-                     variance_mode=None, tol: float = 1e-9,
-                     max_iters: int = 200):
+def max_r_power_load(coupling: CouplingMatrix, total_power: float,
+                     tol: float = 1e-9, max_iters: int = 200):
     """Maximize the common offset r under the power budget sum(beta) <= Pt.
 
     Alternates the closed form r = (Pt - 1^T A^{-1} sigma^2) / (1^T A^{-1} sigma_f)
@@ -253,10 +239,7 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
 
     Returns (beta, r, DesignReport).
     """
-    mode = _resolve_mode(coupling, variance_mode)
-    noise = np.asarray(noise, dtype=float)
-
-    base = coupling.a_inv @ noise
+    base = coupling.a_inv @ coupling.noise
     if np.any(base < 0):
         raise InfeasibleLoadingError(
             f"zero-offset QoS loading has negative entries: {base}", powers=base)
@@ -264,9 +247,9 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
     budget = total_power - base.sum()
 
     beta = base.copy()
-    sigma_f = coupling.sigma_f(beta, mode)
+    sigma_f = coupling.sigma_f(beta)
     if not np.any(sigma_f > 0):
-        report = report_for_loading(coupling, beta, math.inf, noise, mode,
+        report = report_for_loading(coupling, beta, math.inf,
                                     note="unbounded offset: zero slack variance")
         return beta, math.inf, report
 
@@ -278,12 +261,11 @@ def max_r_power_load(coupling: CouplingMatrix, noise, total_power: float,
                 "offset is unfundable: 1^T A^{-1} sigma_f <= 0", powers=beta)
         r_new = budget / denom
         beta = base + r_new * (coupling.a_inv @ sigma_f)
-        sigma_f = coupling.sigma_f(beta, mode)
+        sigma_f = coupling.sigma_f(beta)
         converged = abs(r_new - r) <= tol * max(abs(r_new), 1e-30)
         r = r_new
         if converged:
-            return beta, float(r), report_for_loading(coupling, beta, r, noise,
-                                                      mode, iteration)
+            return beta, float(r), report_for_loading(coupling, beta, r, iteration)
     raise ConvergenceError(f"max-r alternation did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
@@ -318,7 +300,8 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
         noise_sub = noise[idx]
         try:
             u_sub = const_offset_directions(h_est[idx], gammas[idx])
-            coupling = coupling_matrix(h_est[idx], u_sub, gammas[idx], sigma_e[idx])
+            coupling = coupling_matrix(h_est[idx], u_sub, gammas[idx], sigma_e[idx],
+                                       noise_sub, variance_mode)
         except (ConvergenceError, DegenerateChannelsError):
             if len(retained) == 1:
                 raise
@@ -327,8 +310,7 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
             dropped.append(retained.pop(int(np.argmax(ranking))))
             continue
         try:
-            beta, r, report = max_r_power_load(coupling, noise_sub, total_power,
-                                               variance_mode=variance_mode)
+            beta, r, report = max_r_power_load(coupling, total_power)
         except (ConvergenceError, InfeasibleLoadingError):
             if len(retained) == 1:
                 raise
@@ -343,15 +325,15 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
         dropped.append(retained.pop(worst))
 
 
-def power_saving_cap(coupling: CouplingMatrix, noise, maxr_report: DesignReport,
-                     r_cap: float = 5.0, variance_mode=None) -> DesignReport:
+def power_saving_cap(coupling: CouplingMatrix, maxr_report: DesignReport,
+                     r_cap: float = 5.0) -> DesignReport:
     """Cap the common offset: if the max-r report of this coupling exceeds r_cap,
     re-solve the power minimization at r = r_cap, typically spending far less."""
     if r_cap <= 0:
         raise ValueError("r_cap must be positive")
     r = maxr_report.offsets[0]
     if r > r_cap:
-        capped = alg2_power_load(coupling, noise, r_cap, variance_mode=variance_mode)
+        capped = alg2_power_load(coupling, r_cap)
         capped.note = f"offset capped at {r_cap} (max-r solution reached {r:.4g})"
         return capped
     return maxr_report
@@ -364,7 +346,7 @@ def fit_normal_cdf_quadratic():
     return float(a0), float(a1), float(a2)
 
 
-def average_outage_perturbation(coupling: CouplingMatrix, noise, sigma_f: np.ndarray,
+def average_outage_perturbation(coupling: CouplingMatrix, sigma_f: np.ndarray,
                                 r_star: float):
     """Per-user offset perturbations minimizing the average Gaussian outage.
 
@@ -379,7 +361,6 @@ def average_outage_perturbation(coupling: CouplingMatrix, noise, sigma_f: np.nda
 
     Returns (delta_r, beta).
     """
-    noise = np.asarray(noise, dtype=float)
     sigma_f = np.asarray(sigma_f, dtype=float)
     a0, a1, _ = fit_normal_cdf_quadratic()
 
@@ -391,5 +372,5 @@ def average_outage_perturbation(coupling: CouplingMatrix, noise, sigma_f: np.nda
         zeta = -slope * b.sum() / (b @ b)
         delta_r = (-slope - zeta * b) / (2.0 * a0)
     r_vec = r_star + delta_r
-    beta = coupling.a_inv @ noise + coupling.a_inv @ (sigma_f * r_vec)
+    beta = coupling.a_inv @ coupling.noise + coupling.a_inv @ (sigma_f * r_vec)
     return delta_r, beta

@@ -51,8 +51,8 @@ def feasible_unit_instances(n_instances, k=3, nt=4, sigma_e=SIGMA_E, r=2.0,
         h = standard_complex(rng, (k, nt))
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, sig)
-            report = alg2_power_load(coupling, noise, r, tol=tol)
+            coupling = coupling_matrix(h, u, gammas, sig, noise)
+            report = alg2_power_load(coupling, r, tol=tol)
         except DESIGN_ERRORS:
             continue
         produced += 1
@@ -67,8 +67,9 @@ def test_criterion_01_perfect_csi_equalizes_sinr_in_one_iteration():
     h = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector())
-    report = alg2_power_load(coupling, scenario.noise_vector(), 2.0)
+    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
+                               scenario.noise_vector())
+    report = alg2_power_load(coupling, 2.0)
     design = BeamformerSet(directions=u, powers=report.powers)
     sinr = sinr_values(design, h, scenario.noise_vector())
     assert report.iterations_used == 1
@@ -83,8 +84,8 @@ def test_criterion_02_slack_moments_match_simulation():
     for i, (h, u, coupling, report, noise) in enumerate(
             feasible_unit_instances(20)):
         beta = report.powers
-        mu_f = coupling.mu_f(beta, noise)
-        sigma_f = coupling.sigma_f(beta, "exact")
+        mu_f = coupling.mu_f(beta)
+        sigma_f = coupling.sigma_f(beta)
         for k in range(len(beta)):
             rng = np.random.default_rng(np.random.SeedSequence(
                 entropy=7, spawn_key=(i, k)))
@@ -147,9 +148,9 @@ def test_criterion_05_loading_converges_within_five_iterations():
         gammas = scenario.sinr_targets()
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector())
-            report = alg2_power_load(coupling, scenario.noise_vector(), 2.0,
-                                     tol=1e-6)
+            coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
+                                       scenario.noise_vector())
+            report = alg2_power_load(coupling, 2.0, tol=1e-6)
         except DESIGN_ERRORS:
             continue
         iterations.append(report.iterations_used)
@@ -171,9 +172,8 @@ def test_criterion_06_max_offset_exhausts_budget_and_equalizes():
         noise = np.ones(3)
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, sig)
-            beta, r, report = max_r_power_load(coupling, noise, total_power,
-                                               tol=1e-12)
+            coupling = coupling_matrix(h, u, gammas, sig, noise)
+            beta, r, report = max_r_power_load(coupling, total_power, tol=1e-12)
         except DESIGN_ERRORS:
             continue
         checked += 1
@@ -194,9 +194,9 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     sig = np.full(3, SIGMA_E)
     noise = np.ones(3)
     u_sym = const_offset_directions(h_sym, gammas)
-    c_sym = coupling_matrix(h_sym, u_sym, gammas, sig)
-    beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, noise, 10.0, tol=1e-12)
-    delta_sym, _ = average_outage_perturbation(c_sym, noise, rep_sym.sigma_f, r_sym)
+    c_sym = coupling_matrix(h_sym, u_sym, gammas, sig, noise)
+    beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, 10.0, tol=1e-12)
+    delta_sym, _ = average_outage_perturbation(c_sym, rep_sym.sigma_f, r_sym)
     assert np.max(np.abs(delta_sym)) <= 1e-12
 
     checked = 0
@@ -208,13 +208,12 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         h = standard_complex(rng, (3, 4))
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, sig)
+            coupling = coupling_matrix(h, u, gammas, sig, noise)
             # Calibrate the budget so the common offset lands mid-range,
             # where the quadratic tail model is at its best.
             budget = 10.0
             for _ in range(40):
-                beta, r_star, report = max_r_power_load(coupling, noise,
-                                                        budget, tol=1e-12)
+                beta, r_star, report = max_r_power_load(coupling, budget, tol=1e-12)
                 if abs(r_star - 2.0) < 1e-9:
                     break
                 budget *= 1.0 + (2.0 - r_star) / max(r_star, 0.5)
@@ -223,8 +222,8 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         except DESIGN_ERRORS:
             continue
         checked += 1
-        delta, beta_new = average_outage_perturbation(coupling, noise,
-                                                      report.sigma_f, r_star)
+        delta, beta_new = average_outage_perturbation(coupling, report.sigma_f,
+                                                      r_star)
         assert abs(beta_new.sum() - beta.sum()) <= 1e-9 * beta.sum()
         change = float(np.sum(ndtr(-(r_star + delta)))) - len(delta) * ndtr(-r_star)
         assert change <= 1e-12
@@ -246,7 +245,7 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
     noise = np.ones(2)
 
     def gap(coupling, beta, k):
-        return coupling.mu_f(beta, noise)[k] - r * coupling.sigma_f(beta, "exact")[k]
+        return coupling.mu_f(beta)[k] - r * coupling.sigma_f(beta)[k]
 
     def inner_power(coupling, beta2):
         lo, hi = 0.0, 1.0
@@ -297,8 +296,8 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
         h = standard_complex(rng, (2, 2))
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, np.full(2, SIGMA_E))
-            report = alg2_power_load(coupling, noise, r, tol=1e-12)
+            coupling = coupling_matrix(h, u, gammas, np.full(2, SIGMA_E), noise)
+            report = alg2_power_load(coupling, r, tol=1e-12)
         except DESIGN_ERRORS:
             continue
         total = oracle_total(coupling)
@@ -343,8 +342,8 @@ def test_criterion_09_power_saving_spends_less_with_more_antennas():
                                                r_min=2.0)[:2]
             idx = np.array(retained)
             u = const_offset_directions(h[idx], gammas[idx])
-            coupling = coupling_matrix(h[idx], u, gammas[idx], sig[idx])
-            capped = power_saving_cap(coupling, noise[idx], maxr_report, r_cap=5.0)
+            coupling = coupling_matrix(h[idx], u, gammas[idx], sig[idx], noise[idx])
+            capped = power_saving_cap(coupling, maxr_report, r_cap=5.0)
             means[nt].append(capped.powers.sum())
 
     curve = [float(np.mean(means[nt])) for nt in nt_grid]
@@ -370,12 +369,12 @@ def test_criterion_10_simplified_variance_tracks_exact_for_nulling_beams():
                 sig = np.full(k_users, SIGMA_E)
                 noise = np.ones(k_users)
                 u = zf_directions(h)
-                coupling = coupling_matrix(h, u, gammas, sig)
-                report = alg2_power_load(coupling, noise, 2.0, tol=1e-10,
-                                         variance_mode="exact")
+                coupling = coupling_matrix(h, u, gammas, sig, noise, "exact")
+                simplified = coupling_matrix(h, u, gammas, sig, noise, "simplified")
+                report = alg2_power_load(coupling, 2.0, tol=1e-10)
                 for beta in (report.powers,
                              rng.uniform(0.5, 2.0, size=k_users)):
-                    exact = coupling.sigma_f(beta, "exact") ** 2
-                    simp = coupling.sigma_f(beta, "simplified") ** 2
+                    exact = coupling.sigma_f(beta) ** 2
+                    simp = simplified.sigma_f(beta) ** 2
                     worst = max(worst, float(np.max(np.abs(simp - exact) / exact)))
     assert worst <= 0.05

@@ -106,6 +106,45 @@ def test_config_rejects_non_finite_generate_values(tmp_path, capsys, key, field)
     assert out == ""
 
 
+NAN = float("nan")
+
+
+def generate_with(**values):
+    return {"generate": {**GENERATE_BLOCK, **values}}
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"r": NAN}, "r must be a finite number"),
+    ({"total_power": NAN}, "total_power must be a finite number"),
+    ({"total_power": 0.0}, "total_power must be positive"),
+    ({"total_power": -1.0}, "total_power must be positive"),
+    ({"r_min": NAN}, "r_min must be a finite number"),
+    ({"r_cap": NAN}, "r_cap must be a finite number"),
+    ({"rzf_loading": float("inf")}, "rzf_loading must be a finite number"),
+    ({"r_grid": [1.0, NAN]}, "r_grid must be a finite number"),
+    ({"r": True}, "r must be a finite number"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"n_trials": True}, "n_trials must be an integer"),
+    ({"n_realizations": 2.5}, "n_realizations must be an integer"),
+    (generate_with(n_users=2.5), "generate.n_users must be an integer"),
+    (generate_with(n_users=True), "generate.n_users must be an integer"),
+    (generate_with(n_antennas="4"), "generate.n_antennas must be an integer"),
+    (generate_with(seed=1.5), "generate.seed must be an integer"),
+])
+def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patch,
+                                                          message):
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, {"generate": GENERATE_BLOCK, "r": 2.0,
+                                  "algorithm": "maxr_powersave", "out": str(out),
+                                  **patch})
+    code, stdout, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 1
+    assert err.startswith(f"config error: {message}")
+    assert ", got " in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_config_rejects_non_finite_scenario_sigma_e(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     doc = scenario_to_dict(unit_scale_scenario(seed=0))

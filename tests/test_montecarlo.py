@@ -19,8 +19,9 @@ def design_for(scenario, r):
     h = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector())
-    report = alg2_power_load(coupling, scenario.noise_vector(), r)
+    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
+                               scenario.noise_vector())
+    report = alg2_power_load(coupling, r)
     return BeamformerSet(directions=u, powers=report.powers)
 
 

@@ -18,12 +18,12 @@ from offsetbf.stats import BeamformerSet
 from helpers import dense_slack_moments, orthonormal_rows, sinr_values, standard_complex
 
 
-def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0):
+def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0, noise=1.0):
     rng = np.random.default_rng(seed)
     h = standard_complex(rng, (k, nt))
     gammas = np.full(k, gamma)
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, np.full(k, sigma_e))
+    coupling = coupling_matrix(h, u, gammas, np.full(k, sigma_e), np.full(k, noise))
     return h, u, gammas, coupling
 
 
@@ -34,14 +34,14 @@ def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0):
 def test_coupling_matrix_orthogonal_identity():
     h = orthonormal_rows(3, 4, seed=0)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(3), np.zeros(3))
+    coupling = coupling_matrix(h, u, np.ones(3), np.zeros(3), np.ones(3))
     assert np.max(np.abs(coupling.a - np.eye(3))) < 1e-12
 
 
 def test_coupling_matrix_hand_instance():
     h = np.array([[1.0, 0.0], [np.sqrt(0.1), np.sqrt(0.9)]], dtype=complex)
     u = np.array([[1.0, 0.0], [np.sqrt(0.1), np.sqrt(0.9)]], dtype=complex)
-    coupling = coupling_matrix(h, u, np.ones(2), np.full(2, 0.1))
+    coupling = coupling_matrix(h, u, np.ones(2), np.full(2, 0.1), np.ones(2))
     expected = np.array([[1.01, -0.11], [-0.11, 1.01]])
     assert np.max(np.abs(coupling.a - expected)) < 1e-12
 
@@ -51,7 +51,27 @@ def test_coupling_matrix_singular_is_degenerate():
     # are (1, -1) and (-1, 1).
     h = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(DegenerateChannelsError, match="singular"):
-        coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2))
+        coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2), np.ones(2))
+
+
+def test_coupling_matrix_rejects_unknown_variance_mode():
+    h = orthonormal_rows(2, 4, seed=0)
+    with pytest.raises(ValueError, match="unknown variance_mode 'fast'"):
+        coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2), np.ones(2), "fast")
+
+
+def test_coupling_matrix_rejects_noise_of_wrong_length():
+    h = orthonormal_rows(2, 4, seed=0)
+    for noise in (np.ones(3), np.ones(1), 1.0):
+        with pytest.raises(ValueError, match="noise must have 2 entries"):
+            coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2), noise)
+
+
+def test_coupling_matrix_resolves_variance_mode_by_array_size():
+    for nt, mode in ((16, "exact"), (17, "simplified")):
+        h = orthonormal_rows(2, nt, seed=0)
+        coupling = coupling_matrix(h, h.copy(), np.ones(2), np.full(2, 0.1), np.ones(2))
+        assert coupling.variance_mode == mode
 
 
 def test_coupling_matrix_inverse_residual():
@@ -60,12 +80,13 @@ def test_coupling_matrix_inverse_residual():
 
 
 def test_coupling_moments_match_dense_reference():
-    h, u, gammas, coupling = random_instance(seed=2)
+    noise = np.array([1.0, 0.5, 2.0])
+    h, u, gammas, coupling = random_instance(seed=2, noise=noise)
+    assert coupling.variance_mode == "exact"
     assert np.max(np.abs(u @ u.conj().T - np.eye(3))) > 1e-3
     beta = np.array([1.0, 2.0, 0.5])
-    noise = np.array([1.0, 0.5, 2.0])
-    mu_f = coupling.mu_f(beta, noise)
-    sigma_f = coupling.sigma_f(beta, "exact")
+    mu_f = coupling.mu_f(beta)
+    sigma_f = coupling.sigma_f(beta)
     for k in range(3):
         mu, sigma = dense_slack_moments(h[k], u, beta, gammas[k], 0.1, noise[k], k)
         assert mu_f[k] == pytest.approx(mu, rel=1e-12)
@@ -81,9 +102,9 @@ def test_alg2_perfect_csi_single_iteration():
     h = standard_complex(rng, (3, 4))
     gammas = np.full(3, 4.0)
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, np.zeros(3))
     noise = np.ones(3)
-    report = alg2_power_load(coupling, noise, r=7.0)
+    coupling = coupling_matrix(h, u, gammas, np.zeros(3), noise)
+    report = alg2_power_load(coupling, r=7.0)
     assert report.iterations_used == 1
     assert np.max(np.abs(report.powers - coupling.a_inv @ noise)) < 1e-9
     design = BeamformerSet(directions=u, powers=report.powers)
@@ -92,9 +113,9 @@ def test_alg2_perfect_csi_single_iteration():
 
 
 def test_alg2_zero_offset_is_plain_qos():
-    _, _, _, coupling = random_instance(seed=4)
     noise = np.full(3, 0.5)
-    report = alg2_power_load(coupling, noise, r=0.0)
+    _, _, _, coupling = random_instance(seed=4, noise=noise)
+    report = alg2_power_load(coupling, r=0.0)
     assert np.max(np.abs(report.powers - coupling.a_inv @ noise)) < 1e-12
 
 
@@ -105,23 +126,21 @@ def test_alg2_offset_equalities_and_iteration_budget():
     h = standard_complex(rng, (3, 4))
     gammas = np.full(3, 4.0)
     u = zf_directions(h)
-    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1))
-    noise = np.ones(3)
-    report = alg2_power_load(coupling, noise, r=2.0, tol=1e-6)
+    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1), np.ones(3))
+    report = alg2_power_load(coupling, r=2.0, tol=1e-6)
     assert report.iterations_used <= 5
     for mu, sigma in zip(report.mu_f, report.sigma_f):
         assert abs(mu - 2.0 * sigma) < 1e-6 * mu
     assert np.all(report.powers > 0)
 
 
-def picard_power_load(coupling, noise, r, tol, max_iters):
+def picard_power_load(coupling, r, tol, max_iters):
     """Oracle for alg2: the plain substitution iteration
     beta <- A^{-1} sigma^2 + A^{-1} (sigma_f(beta) (.) r)."""
-    mode = coupling.default_variance_mode()
-    base = coupling.a_inv @ noise
+    base = coupling.a_inv @ coupling.noise
     beta = base
     for _ in range(max_iters):
-        beta_new = base + coupling.a_inv @ (coupling.sigma_f(beta, mode) * r)
+        beta_new = base + coupling.a_inv @ (coupling.sigma_f(beta) * r)
         change = np.max(np.abs(beta_new - beta)) / np.max(np.abs(beta_new))
         beta = beta_new
         if change < tol:
@@ -131,9 +150,8 @@ def picard_power_load(coupling, noise, r, tol, max_iters):
 
 def test_alg2_newton_and_picard_agree():
     _, _, _, coupling = random_instance(seed=6)
-    noise = np.ones(3)
-    newton = alg2_power_load(coupling, noise, r=2.0, tol=1e-10)
-    picard = picard_power_load(coupling, noise, r=2.0, tol=1e-10, max_iters=500)
+    newton = alg2_power_load(coupling, r=2.0, tol=1e-10)
+    picard = picard_power_load(coupling, r=2.0, tol=1e-10, max_iters=500)
     assert np.max(np.abs(newton.powers - picard)) < 1e-6 * np.max(newton.powers)
 
 
@@ -142,15 +160,15 @@ def test_alg2_infeasible_raises():
     # powers, which must be reported as infeasible rather than returned.
     h = np.array([[1.0, 0.0], [0.999, np.sqrt(1 - 0.999 ** 2)]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.full(2, 4.0), np.zeros(2))
+    coupling = coupling_matrix(h, u, np.full(2, 4.0), np.zeros(2), np.ones(2))
     with pytest.raises(InfeasibleLoadingError):
-        alg2_power_load(coupling, np.ones(2), r=0.0)
+        alg2_power_load(coupling, r=0.0)
 
 
 def test_alg2_convergence_error():
     _, _, _, coupling = random_instance(seed=7)
     with pytest.raises(ConvergenceError):
-        alg2_power_load(coupling, np.ones(3), r=2.0, tol=1e-14, max_iters=2)
+        alg2_power_load(coupling, r=2.0, tol=1e-14, max_iters=2)
 
 
 def test_alg2_mixed_sigma_handles_zero_variance_rows():
@@ -158,8 +176,8 @@ def test_alg2_mixed_sigma_handles_zero_variance_rows():
     h = standard_complex(rng, (2, 4))
     gammas = np.full(2, 4.0)
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, np.array([0.0, 0.1]))
-    report = alg2_power_load(coupling, np.ones(2), r=2.0)
+    coupling = coupling_matrix(h, u, gammas, np.array([0.0, 0.1]), np.ones(2))
+    report = alg2_power_load(coupling, r=2.0)
     assert report.sigma_f[0] == 0.0
     assert report.sigma_f[1] > 0.0
     assert abs(report.mu_f[0]) < 1e-8
@@ -169,10 +187,10 @@ def test_alg2_variance_mode_matches_on_orthogonal_directions():
     h = orthonormal_rows(3, 8, seed=9, norms=[2.0, 1.0, 1.5])
     u = h / np.linalg.norm(h, axis=1)[:, None]
     gammas = np.full(3, 4.0)
-    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1))
-    exact = alg2_power_load(coupling, np.ones(3), r=2.0, variance_mode="exact")
-    simplified = alg2_power_load(coupling, np.ones(3), r=2.0,
-                                 variance_mode="simplified")
+    exact = alg2_power_load(coupling_matrix(h, u, gammas, np.full(3, 0.1),
+                                            np.ones(3), "exact"), r=2.0)
+    simplified = alg2_power_load(coupling_matrix(h, u, gammas, np.full(3, 0.1),
+                                                 np.ones(3), "simplified"), r=2.0)
     assert np.max(np.abs(exact.powers - simplified.powers)) < 1e-9
 
 
@@ -182,11 +200,10 @@ def test_picard_iteration_is_contraction_on_feasible_instances():
     # sit below one wherever the loading is feasible.
     for seed in range(5):
         _, _, _, coupling = random_instance(seed=seed + 20)
-        noise = np.ones(3)
-        report = alg2_power_load(coupling, noise, r=2.0)
+        assert coupling.variance_mode == "exact"
+        report = alg2_power_load(coupling, r=2.0)
         grad = coupling.sigma_f_gradient(report.powers,
-                                         coupling.sigma_f(report.powers, "exact"),
-                                         "exact")
+                                         coupling.sigma_f(report.powers))
         iteration_jac = 2.0 * coupling.a_inv @ grad
         rho = np.max(np.abs(np.linalg.eigvals(iteration_jac)))
         assert rho < 1.0
@@ -199,8 +216,8 @@ def test_picard_iteration_is_contraction_on_feasible_instances():
 def test_max_r_single_user_hand_value():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1))
-    beta, r, report = max_r_power_load(coupling, np.array([0.1]), total_power=1.0)
+    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1), np.array([0.1]))
+    beta, r, report = max_r_power_load(coupling, total_power=1.0)
     assert beta[0] == pytest.approx(1.0, abs=1e-9)
     assert report.sigma_f[0] == pytest.approx(np.sqrt(0.0201), rel=1e-9)
     assert r == pytest.approx((1.0 - 0.1 / 1.01) / (np.sqrt(0.0201) / 1.01), rel=1e-6)
@@ -210,7 +227,7 @@ def test_max_r_single_user_hand_value():
 def test_max_r_budget_exhausted_exactly():
     for seed in range(4):
         _, _, _, coupling = random_instance(seed=seed + 30)
-        beta, r, report = max_r_power_load(coupling, np.ones(3), total_power=20.0)
+        beta, r, report = max_r_power_load(coupling, total_power=20.0)
         assert abs(beta.sum() - 20.0) < 1e-9
         for mu, sigma in zip(report.mu_f, report.sigma_f):
             assert abs(mu - r * sigma) < 1e-6 * max(abs(mu), 1e-12)
@@ -221,9 +238,9 @@ def test_max_r_zero_uncertainty_sentinel():
     h = standard_complex(rng, (3, 4))
     gammas = np.full(3, 4.0)
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, np.zeros(3))
     noise = np.ones(3)
-    beta, r, report = max_r_power_load(coupling, noise, total_power=50.0)
+    coupling = coupling_matrix(h, u, gammas, np.zeros(3), noise)
+    beta, r, report = max_r_power_load(coupling, total_power=50.0)
     assert math.isinf(r)
     assert "unbounded offset" in report.note
     assert np.max(np.abs(beta - coupling.a_inv @ noise)) < 1e-12
@@ -235,11 +252,12 @@ def test_max_r_unfundable_offset_raises():
     # loading (1, 1) nonnegative, but 1^T A^{-1} sigma_f < 0. (With positive
     # noise A is an M-matrix, A^{-1} >= 0, and this branch cannot be reached.)
     h = np.array([[1.0, 0.0], [0.999, np.sqrt(1 - 0.999 ** 2)]], dtype=complex)
-    coupling = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1))
+    a = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), np.ones(2)).a
+    noise = a @ np.ones(2)
+    coupling = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), noise)
     assert np.all(coupling.a_inv < 0)
-    noise = coupling.a @ np.ones(2)
     with pytest.raises(InfeasibleLoadingError, match="unfundable"):
-        max_r_power_load(coupling, noise, total_power=10.0)
+        max_r_power_load(coupling, total_power=10.0)
 
 
 def test_max_r_convergence_error_carries_last_iterate():
@@ -247,13 +265,12 @@ def test_max_r_convergence_error_carries_last_iterate():
     # the last iterate still spends the budget exactly and is the power update
     # of that step.
     _, _, _, coupling = random_instance(seed=11)
-    noise = np.ones(3)
     with pytest.raises(ConvergenceError, match="max-r alternation did not converge"
                        " in 1 iterations") as excinfo:
-        max_r_power_load(coupling, noise, total_power=20.0, tol=1e-15, max_iters=1)
+        max_r_power_load(coupling, total_power=20.0, tol=1e-15, max_iters=1)
     beta = excinfo.value.last_iterate
-    base = coupling.a_inv @ noise
-    sigma_f = coupling.sigma_f(base, coupling.default_variance_mode())
+    base = coupling.a_inv @ coupling.noise
+    sigma_f = coupling.sigma_f(base)
     r = (20.0 - base.sum()) / (coupling.a_inv.sum(axis=0) @ sigma_f)
     assert beta.sum() == pytest.approx(20.0, rel=1e-12)
     assert np.max(np.abs(beta - (base + r * coupling.a_inv @ sigma_f))) < 1e-12 * beta.sum()
@@ -261,9 +278,8 @@ def test_max_r_convergence_error_carries_last_iterate():
 
 def test_max_r_monotone_in_budget():
     _, _, _, coupling = random_instance(seed=11)
-    noise = np.ones(3)
-    _, r_small, _ = max_r_power_load(coupling, noise, total_power=10.0)
-    _, r_large, _ = max_r_power_load(coupling, noise, total_power=20.0)
+    _, r_small, _ = max_r_power_load(coupling, total_power=10.0)
+    _, r_large, _ = max_r_power_load(coupling, total_power=20.0)
     assert r_large > r_small
 
 
@@ -325,10 +341,10 @@ def test_reschedule_drop_order_matches_ranking():
     noise = np.ones(3)
 
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, sigma_e)
+    coupling = coupling_matrix(h, u, gammas, sigma_e, noise)
     base = coupling.a_inv @ noise
     assert np.all(base >= 0)
-    _, r_full, _ = max_r_power_load(coupling, noise, total_power=base.sum() + 0.3)
+    _, r_full, _ = max_r_power_load(coupling, total_power=base.sum() + 0.3)
     assert 0 < r_full < 2.0
     expected_first_drop = int(np.argmax(base))
 
@@ -354,9 +370,9 @@ def test_reschedule_recovers_from_infeasible_loading():
     noise = np.ones(3)
 
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, sigma_e)
+    coupling = coupling_matrix(h, u, gammas, sigma_e, noise)
     with pytest.raises(InfeasibleLoadingError):
-        max_r_power_load(coupling, noise, total_power=100.0)
+        max_r_power_load(coupling, total_power=100.0)
 
     retained, report, u_kept, c_kept = reschedule(h, gammas, sigma_e, noise,
                                                   total_power=100.0, r_min=2.0)
@@ -365,18 +381,19 @@ def test_reschedule_recovers_from_infeasible_loading():
     assert report.offsets[0] >= 2.0
     # the returned directions and coupling are those of the retained set
     assert np.array_equal(u_kept, const_offset_directions(h[retained], gammas[retained]))
-    fresh = coupling_matrix(h[retained], u_kept, gammas[retained], sigma_e[retained])
+    fresh = coupling_matrix(h[retained], u_kept, gammas[retained], sigma_e[retained],
+                            noise[retained])
     assert np.array_equal(c_kept.a, fresh.a)
+    assert np.array_equal(c_kept.noise, fresh.noise)
     assert np.array_equal(c_kept.g_tensor, fresh.g_tensor)
 
 
 def test_power_saving_cap_re_solves_at_cap():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1))
-    noise = np.array([0.1])
-    _, _, plain = max_r_power_load(coupling, noise, total_power=1.0)
-    report = power_saving_cap(coupling, noise, plain, r_cap=5.0)
+    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1), np.array([0.1]))
+    _, _, plain = max_r_power_load(coupling, total_power=1.0)
+    report = power_saving_cap(coupling, plain, r_cap=5.0)
     assert abs(report.mu_f[0] - 5.0 * report.sigma_f[0]) < 1e-6 * report.mu_f[0]
     assert report.powers.sum() < 1.0
     assert "capped" in report.note
@@ -385,13 +402,12 @@ def test_power_saving_cap_re_solves_at_cap():
 def test_power_saving_cap_keeps_solution_below_cap():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1))
-    noise = np.array([0.1])
-    _, _, plain = max_r_power_load(coupling, noise, total_power=1.0)
-    capped = power_saving_cap(coupling, noise, plain, r_cap=10.0)
+    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1), np.array([0.1]))
+    _, _, plain = max_r_power_load(coupling, total_power=1.0)
+    capped = power_saving_cap(coupling, plain, r_cap=10.0)
     assert np.max(np.abs(capped.powers - plain.powers)) < 1e-12
     with pytest.raises(ValueError):
-        power_saving_cap(coupling, noise, plain, r_cap=0.0)
+        power_saving_cap(coupling, plain, r_cap=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,12 +427,9 @@ def test_perturbation_zero_on_symmetric_instance():
     h = orthonormal_rows(3, 4, seed=14)
     u = h.copy()
     gammas = np.full(3, 4.0)
-    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1))
-    noise = np.full(3, 0.3)
-    beta, r_star, report = max_r_power_load(coupling, noise, total_power=30.0,
-                                            tol=1e-12)
-    delta_r, beta_new = average_outage_perturbation(coupling, noise, report.sigma_f,
-                                                    r_star)
+    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1), np.full(3, 0.3))
+    beta, r_star, report = max_r_power_load(coupling, total_power=30.0, tol=1e-12)
+    delta_r, beta_new = average_outage_perturbation(coupling, report.sigma_f, r_star)
     assert np.max(np.abs(delta_r)) < 1e-12
     assert np.max(np.abs(beta_new - beta)) < 1e-9 * np.max(beta)
 
@@ -434,18 +447,17 @@ def test_perturbation_conserves_power_and_objective():
     true_gain = 0.0
     for seed in range(10):
         _, _, _, coupling = random_instance(seed=seed + 40)
-        noise = np.ones(3)
         # calibrate the budget so the common offset lands near r = 2
-        base = coupling.a_inv @ noise
+        base = coupling.a_inv @ coupling.noise
         budget = 30.0 - base.sum()
         for _ in range(3):
-            beta, r_star, report = max_r_power_load(coupling, noise,
+            beta, r_star, report = max_r_power_load(coupling,
                                                     total_power=base.sum() + budget,
                                                     tol=1e-12)
             budget *= 2.0 / r_star
         assert r_star > 0
-        delta_r, beta_new = average_outage_perturbation(coupling, noise,
-                                                        report.sigma_f, r_star)
+        delta_r, beta_new = average_outage_perturbation(coupling, report.sigma_f,
+                                                        r_star)
         assert abs(beta_new.sum() - beta.sum()) < 1e-9 * beta.sum()
         before = np.sum(surrogate_outage(np.full(3, r_star)))
         after = np.sum(surrogate_outage(r_star + delta_r))
@@ -461,9 +473,8 @@ def test_perturbation_conserves_power_and_objective():
 
 def test_report_for_loading_matches_alg2():
     _, _, _, coupling = random_instance(seed=16)
-    noise = np.ones(3)
-    report = alg2_power_load(coupling, noise, r=2.0)
-    rebuilt = report_for_loading(coupling, report.powers, 2.0, noise)
+    report = alg2_power_load(coupling, r=2.0)
+    rebuilt = report_for_loading(coupling, report.powers, 2.0)
     assert rebuilt.mu_f == pytest.approx(report.mu_f, rel=1e-12)
     assert rebuilt.sigma_f == pytest.approx(report.sigma_f, rel=1e-12)
     assert rebuilt.total_power == pytest.approx(report.total_power, rel=1e-12)
@@ -471,8 +482,7 @@ def test_report_for_loading_matches_alg2():
 
 def test_design_report_serialization_with_drops():
     _, _, _, coupling = random_instance(seed=17, k=2, nt=4)
-    noise = np.ones(2)
-    report = alg2_power_load(coupling, noise, r=2.0)
+    report = alg2_power_load(coupling, r=2.0)
     report.served_indices = [0, 2]
     report.rescheduled = [1]
     doc = report.to_dict()

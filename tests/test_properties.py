@@ -56,10 +56,10 @@ def max_r_powers(h, gammas, noise, sigma_e, mode, budget_factor=3.0,
     QoS power of this instance.
     """
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, sigma_e)
+    coupling = coupling_matrix(h, u, gammas, sigma_e, noise, mode)
     if total_power is None:
         total_power = budget_factor * np.sum(coupling.a_inv @ noise)
-    beta, _, _ = max_r_power_load(coupling, noise, total_power, variance_mode=mode)
+    beta, _, _ = max_r_power_load(coupling, total_power)
     return beta, total_power
 
 

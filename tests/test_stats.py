@@ -47,7 +47,7 @@ def test_slack_sign_matches_sinr_margin():
         e = 0.3 * standard_complex(rng, (3, 4))
         h = h_est + e
         sinr = sinr_values(bf, h, noise)
-        mu = coupling_matrix(h, bf.directions, gammas, 0.0).mu_f(bf.powers, noise)
+        mu = coupling_matrix(h, bf.directions, gammas, 0.0, noise).mu_f(bf.powers)
         assert np.array_equal(mu >= 0, sinr >= gammas)
 
 
@@ -60,12 +60,12 @@ def test_slack_moments_hand_values():
     h = np.eye(2, dtype=complex)
     beta = np.array([1.0, 1.0])
     noise = np.full(2, 0.1)
-    exact = coupling_matrix(h, u, np.ones(2), 0.0)
-    assert exact.mu_f(beta, noise)[0] == pytest.approx(0.9, rel=1e-12)
-    assert exact.sigma_f(beta, "exact")[0] == 0.0
+    exact = coupling_matrix(h, u, np.ones(2), 0.0, noise, "exact")
+    assert exact.mu_f(beta)[0] == pytest.approx(0.9, rel=1e-12)
+    assert exact.sigma_f(beta)[0] == 0.0
 
-    noisy = coupling_matrix(h, u, np.ones(2), 0.1)
-    assert noisy.sigma_f(beta, "exact")[0] ** 2 == pytest.approx(0.0202, rel=1e-12)
+    noisy = coupling_matrix(h, u, np.ones(2), 0.1, noise, "exact")
+    assert noisy.sigma_f(beta)[0] ** 2 == pytest.approx(0.0202, rel=1e-12)
 
 
 def test_slack_moments_monte_carlo_oracle():
@@ -76,9 +76,9 @@ def test_slack_moments_monte_carlo_oracle():
     h_rows = np.vstack([h, standard_complex(rng, (2, nt))])
     gammas = np.full(3, 2.0)
     noise = np.full(3, 0.5)
-    coupling = coupling_matrix(h_rows, bf.directions, gammas, 0.1)
-    mu = coupling.mu_f(bf.powers, noise)[0]
-    sigma = coupling.sigma_f(bf.powers, "exact")[0]
+    coupling = coupling_matrix(h_rows, bf.directions, gammas, 0.1, noise, "exact")
+    mu = coupling.mu_f(bf.powers)[0]
+    sigma = coupling.sigma_f(bf.powers)[0]
     user = UserChannel(h_est=h, sigma_e=0.1, noise_power=0.5, sinr_target=2.0)
     samples = sample_slack(h, bf.directions, bf.powers, 2.0, 0.5, 0,
                            draw_errors(user, 10 ** 6, seed=11))
@@ -91,16 +91,15 @@ def test_slack_moments_zero_powers():
     nt = 4
     u = orthonormal_rows(2, nt, seed=17)
     h = standard_complex(np.random.default_rng(18), (2, nt))
-    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1)
-    assert coupling.mu_f(np.zeros(2), np.full(2, 0.6))[0] == pytest.approx(-0.6, rel=1e-12)
-    assert coupling.sigma_f(np.zeros(2), "exact")[0] == 0.0
+    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1, np.full(2, 0.6), "exact")
+    assert coupling.mu_f(np.zeros(2))[0] == pytest.approx(-0.6, rel=1e-12)
+    assert coupling.sigma_f(np.zeros(2))[0] == 0.0
 
 
 def test_slack_moments_single_user_hand_value():
     h = np.array([[1.0, 0.0]], dtype=complex)
-    coupling = coupling_matrix(h, h.copy(), np.ones(1), 0.1)
-    assert coupling.sigma_f(np.array([1.0]), "exact")[0] ** 2 == pytest.approx(
-        0.0201, rel=1e-12)
+    coupling = coupling_matrix(h, h.copy(), np.ones(1), 0.1, np.ones(1), "exact")
+    assert coupling.sigma_f(np.array([1.0]))[0] ** 2 == pytest.approx(0.0201, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +111,10 @@ def test_simplified_variance_exact_on_orthogonal_directions():
     u = orthonormal_rows(3, nt, seed=19)
     h = standard_complex(np.random.default_rng(20), (3, nt))
     beta = np.array([1.0, 2.0, 0.5])
-    coupling = coupling_matrix(h, u, np.full(3, 2.0), 0.1)
-    full = coupling.sigma_f(beta, "exact") ** 2
-    approx = coupling.sigma_f(beta, "simplified") ** 2
+    full = coupling_matrix(h, u, np.full(3, 2.0), 0.1, np.ones(3),
+                           "exact").sigma_f(beta) ** 2
+    approx = coupling_matrix(h, u, np.full(3, 2.0), 0.1, np.ones(3),
+                             "simplified").sigma_f(beta) ** 2
     assert np.max(np.abs(approx - full) / full) < 1e-12
 
 
@@ -128,17 +128,18 @@ def test_simplified_variance_near_orthogonal_accuracy():
     h_rows = standard_complex(rng, (k, nt))
     u = zf_directions(h_rows)
     beta = rng.uniform(0.5, 1.5, size=k)
-    coupling = coupling_matrix(h_rows, u, np.full(k, 2.0), 0.1)
-    full = coupling.sigma_f(beta, "exact") ** 2
-    approx = coupling.sigma_f(beta, "simplified") ** 2
+    full = coupling_matrix(h_rows, u, np.full(k, 2.0), 0.1, np.ones(k),
+                           "exact").sigma_f(beta) ** 2
+    approx = coupling_matrix(h_rows, u, np.full(k, 2.0), 0.1, np.ones(k),
+                             "simplified").sigma_f(beta) ** 2
     assert np.all(np.abs(approx - full) < 0.05 * full)
 
 
 def test_simplified_variance_zero_powers():
     u = orthonormal_rows(2, 4, seed=22)
     h = standard_complex(np.random.default_rng(23), (2, 4))
-    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1)
-    assert np.array_equal(coupling.sigma_f(np.zeros(2), "simplified"), np.zeros(2))
+    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1, np.ones(2), "simplified")
+    assert np.array_equal(coupling.sigma_f(np.zeros(2)), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

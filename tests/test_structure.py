@@ -1,9 +1,13 @@
-"""Structural guards over the package sources: imports stay at module level
-and the modules of offsetbf import each other without cycles."""
+"""Structural guards over the package sources: imports stay at module level,
+the modules of offsetbf import each other without cycles, and the power
+loaders take the noise and variance mode from the coupling only."""
 
 import ast
+import inspect
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+from offsetbf import powerload
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "offsetbf"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -52,3 +56,11 @@ def test_intra_package_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def test_only_coupling_builders_take_noise_or_variance_mode():
+    public = inspect.getmembers(powerload, lambda obj: inspect.isfunction(obj)
+                                and obj.__module__ == powerload.__name__)
+    takers = {name for name, fn in public if not name.startswith("_")
+              and {"noise", "variance_mode"} & set(inspect.signature(fn).parameters)}
+    assert takers == {"coupling_matrix", "reschedule"}
