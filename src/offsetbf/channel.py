@@ -18,8 +18,9 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     first n rows of a length-2n draw equal a length-n draw (stable prefixes
     for Monte-Carlo trial counts).
     """
-    z = rng.standard_normal(size=tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z = rng.standard_normal(size=tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    z /= np.sqrt(2.0)
+    return z
 
 
 @dataclass
@@ -143,7 +144,9 @@ def draw_errors(user: UserChannel, n_draws: int, seed) -> np.ndarray:
     Generator). Prefixes are stable: increasing n_draws keeps earlier rows.
     """
     rng = np.random.default_rng(seed)
-    return user.sigma_e * _standard_complex(rng, (n_draws, user.h_est.shape[0]))
+    errors = _standard_complex(rng, (n_draws, user.h_est.shape[0]))
+    errors *= user.sigma_e
+    return errors
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def _build_scenario(cfg: RunConfig, seed=None):
     return generate_scenario(geometry, fading, seed)
 
 
-def _directions(name, scenario, cfg: RunConfig, r):
+def _directions(name, scenario, cfg: RunConfig, r=None):
     """The beamforming directions of algorithm `name`, before any loading."""
     h_est = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
@@ -157,6 +157,34 @@ def _directions(name, scenario, cfg: RunConfig, r):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
+def _coupling(scenario, u_rows, cfg: RunConfig):
+    return powerload.coupling_matrix(scenario.h_est_matrix(), u_rows,
+                                     scenario.sinr_targets(),
+                                     scenario.sigma_e_vector(),
+                                     scenario.noise_vector(), cfg.variance_mode)
+
+
+def fixed_r_designer(name: str, scenario, cfg: RunConfig):
+    """Closure r -> (BeamformerSet, DesignReport) for a fixed-r algorithm id.
+
+    The directions and coupling of every id but alg1 do not depend on r, so
+    they are built once here and each call only loads power at its offset;
+    alg1's directions depend on r and are rebuilt at each call.
+    """
+    def load_at(u_rows, coupling, r):
+        report = powerload.alg2_power_load(coupling, r)
+        return BeamformerSet(directions=u_rows, powers=report.powers), report
+
+    if name == "alg1":
+        def design_at(r):
+            u_rows = _directions(name, scenario, cfg, r)
+            return load_at(u_rows, _coupling(scenario, u_rows, cfg), r)
+        return design_at
+    u_rows = _directions(name, scenario, cfg)
+    coupling = _coupling(scenario, u_rows, cfg)
+    return lambda r: load_at(u_rows, coupling, r)
+
+
 def run_algorithm(name: str, scenario, cfg: RunConfig):
     """Run one design pipeline; returns (BeamformerSet, DesignReport).
 
@@ -165,15 +193,15 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
     maxr_reschedule and maxr_powersave also drop users and choose their own
     directions for the retained set.
     """
-    h_est = scenario.h_est_matrix()
-    gammas = scenario.sinr_targets()
-    noise = scenario.noise_vector()
-    sigma_e = scenario.sigma_e_vector()
+    if name in FIXED_R_ALGORITHMS:
+        r = cfg.resolved_r()
+        return fixed_r_designer(name, scenario, cfg)(r)
 
     if name in ("maxr_reschedule", "maxr_powersave"):
         retained, report, u_rows, coupling = powerload.reschedule(
-            h_est, gammas, sigma_e, noise, cfg.total_power, r_min=cfg.r_min,
-            variance_mode=cfg.variance_mode)
+            scenario.h_est_matrix(), scenario.sinr_targets(),
+            scenario.sigma_e_vector(), scenario.noise_vector(), cfg.total_power,
+            r_min=cfg.r_min, variance_mode=cfg.variance_mode)
         if name == "maxr_powersave":
             capped = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
             capped.rescheduled = report.rescheduled
@@ -181,21 +209,16 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
             report = capped
         return BeamformerSet(directions=u_rows, powers=report.powers), report
 
-    r = cfg.resolved_r() if name in FIXED_R_ALGORITHMS else None
-    u_rows = _directions(name, scenario, cfg, r)
-    coupling = powerload.coupling_matrix(h_est, u_rows, gammas, sigma_e, noise,
-                                         cfg.variance_mode)
-    if r is not None:
-        report = powerload.alg2_power_load(coupling, r)
-    else:
-        _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
-        if name == "avg_outage" and np.isfinite(r_star):
-            delta_r, beta = powerload.average_outage_perturbation(
-                coupling, report.sigma_f, r_star)
-            report = powerload.report_for_loading(
-                coupling, beta, r_star + delta_r,
-                iterations=report.iterations_used,
-                note="per-user offsets perturbed to minimize average outage")
+    u_rows = _directions(name, scenario, cfg)
+    coupling = _coupling(scenario, u_rows, cfg)
+    _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
+    if name == "avg_outage" and np.isfinite(r_star):
+        delta_r, beta = powerload.average_outage_perturbation(
+            coupling, report.sigma_f, r_star)
+        report = powerload.report_for_loading(
+            coupling, beta, r_star + delta_r,
+            iterations=report.iterations_used,
+            note="per-user offsets perturbed to minimize average outage")
     return BeamformerSet(directions=u_rows, powers=report.powers), report
 
 
@@ -245,10 +268,10 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     if len(served) != scenario.n_users:
         sub = Scenario(users=[scenario.users[i] for i in served],
                        n_antennas=scenario.n_antennas)
-    estimates, stderrs = montecarlo.estimate_outage(design, sub, cfg.n_trials,
+    estimates, stderrs = montecarlo.estimate_outage([design], sub, cfg.n_trials,
                                                     cfg.seed)
-    outage = {int(i): float(p) for i, p in zip(served, estimates)}
-    stderr = {int(i): float(s) for i, s in zip(served, stderrs)}
+    outage = {int(i): float(p) for i, p in zip(served, estimates[0])}
+    stderr = {int(i): float(s) for i, s in zip(served, stderrs[0])}
     for i in report.rescheduled:
         outage[int(i)] = 1.0
         stderr[int(i)] = 0.0
@@ -275,14 +298,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if name not in FIXED_R_ALGORITHMS:
             raise ValueError(f"sweep supports fixed-offset algorithms only, got {name!r}")
 
-    def make_fn(name):
-        def design_fn(scenario, r):
-            local = replace(cfg, r=r, delta=None)
-            design, _ = run_algorithm(name, scenario, local)
-            return design
-        return design_fn
+    def designer_for(name):
+        def designer(scenario):
+            design_at = fixed_r_designer(name, scenario, cfg)
+            return lambda r: design_at(r)[0]
+        return designer
 
-    algorithms = [(name, make_fn(name)) for name in names]
+    algorithms = [(name, designer_for(name)) for name in names]
     points = montecarlo.sweep(algorithms, lambda seed: _build_scenario(cfg, seed),
                               r_values, cfg.n_realizations, cfg.n_trials,
                               base_seed=cfg.seed)

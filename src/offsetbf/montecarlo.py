@@ -2,8 +2,11 @@
 
 Trials draw fresh channel errors conditioned on the fixed estimates
 (h = h_est + e per trial), evaluate the realized SINRs, and average the
-outage indicators. Sweeps aggregate over channel realizations, keeping only
-those for which every compared algorithm produced a viable design.
+outage indicators. Every design passed to one estimate is scored on the same
+error draws, so each user's errors are drawn once for all of them. Sweeps
+aggregate over channel realizations, keeping only those for which every
+compared algorithm produced a viable design; each algorithm's r-independent
+work (directions, coupling) is done once per realization.
 """
 
 import csv
@@ -44,30 +47,33 @@ def _trial_seed(base_seed, user_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(user_index,))
 
 
-def estimate_outage(design: BeamformerSet, scenario: Scenario, n_trials: int,
-                    base_seed):
-    """Per-user outage estimates and binomial standard errors.
+def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
+    """Per-design, per-user outage estimates and binomial standard errors.
 
-    For each user, n_trials errors are drawn from CN(0, sigma_e^2 I), the
-    realized SINR with h = h_est + e is compared against the target, and the
-    indicator average is returned. Per-user substreams are derived from
-    base_seed, so estimates are reproducible and trial counts extend prefixes.
+    Returns two arrays of shape (len(designs), K). For each user, n_trials
+    errors are drawn once from CN(0, sigma_e^2 I); every design is scored on
+    those draws by comparing its realized SINR with h = h_est + e against the
+    target. Per-user substreams are derived from base_seed, so estimates are
+    reproducible, trial counts extend prefixes, and a design's estimate does
+    not depend on which other designs share the call.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    w = design.weights()
-    k_users = scenario.n_users
-    estimates = np.zeros(k_users)
-    stderrs = np.zeros(k_users)
+    weights = [design.weights() for design in designs]
+    estimates = np.zeros((len(weights), scenario.n_users))
+    stderrs = np.zeros_like(estimates)
     for k, user in enumerate(scenario.users):
-        errors = draw_errors(user, n_trials, _trial_seed(base_seed, k))
-        h = user.h_est[None, :] + errors
-        gains = np.abs(h.conj() @ w.T) ** 2            # [t, j] = |h^H w_j|^2
-        interference = gains.sum(axis=1) - gains[:, k]
-        sinr = gains[:, k] / (interference + user.noise_power)
-        p = float(np.mean(sinr < user.sinr_target * (1.0 - SINR_TOLERANCE)))
-        estimates[k] = p
-        stderrs[k] = np.sqrt(p * (1.0 - p) / n_trials)
+        h_conj = draw_errors(user, n_trials, _trial_seed(base_seed, k))
+        h_conj += user.h_est
+        np.conjugate(h_conj, out=h_conj)
+        threshold = user.sinr_target * (1.0 - SINR_TOLERANCE)
+        for d, w in enumerate(weights):
+            gains = np.abs(h_conj @ w.T) ** 2          # [t, j] = |h^H w_j|^2
+            interference = gains.sum(axis=1) - gains[:, k]
+            sinr = gains[:, k] / (interference + user.noise_power)
+            p = float(np.mean(sinr < threshold))
+            estimates[d, k] = p
+            stderrs[d, k] = np.sqrt(p * (1.0 - p) / n_trials)
     return estimates, stderrs
 
 
@@ -78,63 +84,73 @@ def viability_check(design, power_limit: float = 100.0) -> bool:
     return float(np.sum(design.powers)) < power_limit
 
 
+def _or_none(fn, arg):
+    """fn(arg), or None if there is no fn or it raises a design error."""
+    if fn is None:
+        return None
+    try:
+        return fn(arg)
+    except (InfeasibleLoadingError, ConvergenceError, DegenerateChannelsError):
+        return None
+
+
 def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
           n_trials: int, base_seed=0, power_limit: float = 100.0) -> list:
     """Power-versus-outage sweep over a grid of offset coefficients.
 
-    algorithms: list of (name, design_fn) with design_fn(scenario, r)
-    returning a BeamformerSet; a design_fn may signal infeasibility by
-    returning None or raising one of the design errors.
+    algorithms: list of (name, designer). designer(scenario) does the
+    r-independent work once per realization and returns a closure
+    r -> BeamformerSet. Either call may signal infeasibility by raising one
+    of the design errors; the closure may also return None. A designer that
+    raises leaves its algorithm non-viable at every r of that realization.
     scenario_generator: callable(seed) -> Scenario; the same realization seeds
     are reused at every r so curves share their channel set.
 
-    A realization enters the averages only if every algorithm is viable on it
-    (same aggregation set for all, so the comparison is fair). Points with no
+    A realization enters the averages at r only if every algorithm is viable
+    on it there (same aggregation set for all, so the comparison is fair); its
+    designs are then scored together on one set of error draws. Points with no
     viable realization are emitted with NaN means and n_viable = 0.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")
-    scenario_seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=(i,))
-                      for i in range(n_realizations)]
-    scenarios = [scenario_generator(seed) for seed in scenario_seeds]
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be at least 1, got {n_realizations}")
+    r_values = [float(r) for r in r_values]
+    if not r_values:
+        raise ValueError("the r grid is empty")
+
+    # [ri][a] -> per kept realization: power, mean outage, outage variance
+    rows = [[([], [], []) for _ in algorithms] for _ in r_values]
+    for i in range(n_realizations):
+        scenario = scenario_generator(
+            np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)))
+        design_fns = [_or_none(designer, scenario) for _, designer in algorithms]
+        for ri, r in enumerate(r_values):
+            designs = [_or_none(design_at, r) for design_at in design_fns]
+            if not all(viability_check(d, power_limit) for d in designs):
+                continue
+            trial_seed = np.random.SeedSequence(entropy=base_seed,
+                                                spawn_key=(i, 1 + ri))
+            est, se = estimate_outage(designs, scenario, n_trials, trial_seed)
+            for a, design in enumerate(designs):
+                powers, outages, variances = rows[ri][a]
+                powers.append(float(np.sum(design.powers)))
+                outages.append(float(np.mean(est[a])))
+                variances.append(float(np.sum(se[a] ** 2)) / est.shape[1] ** 2)
 
     points = []
     for ri, r in enumerate(r_values):
-        designs = {name: [] for name, _ in algorithms}
-        kept = []
-        for i, scenario in enumerate(scenarios):
-            row = {}
-            for name, design_fn in algorithms:
-                try:
-                    row[name] = design_fn(scenario, r)
-                except (InfeasibleLoadingError, ConvergenceError,
-                        DegenerateChannelsError):
-                    row[name] = None
-            if all(viability_check(d, power_limit) for d in row.values()):
-                kept.append(i)
-                for name, _ in algorithms:
-                    designs[name].append(row[name])
-
-        for name, _ in algorithms:
-            if not kept:
-                points.append(SweepPoint(algorithm=name, r=float(r),
+        for (name, _), (powers, outages, variances) in zip(algorithms, rows[ri]):
+            n = len(powers)
+            if n == 0:
+                points.append(SweepPoint(algorithm=name, r=r,
                                          mean_power=float("nan"),
                                          mean_outage=float("nan"),
                                          stderr_outage=float("nan"), n_viable=0))
                 continue
-            powers, outages, variances = [], [], []
-            for design, i in zip(designs[name], kept):
-                scenario = scenarios[i]
-                trial_seed = np.random.SeedSequence(entropy=base_seed,
-                                                    spawn_key=(i, 1 + ri))
-                est, se = estimate_outage(design, scenario, n_trials, trial_seed)
-                powers.append(float(np.sum(design.powers)))
-                outages.append(float(np.mean(est)))
-                variances.append(float(np.sum(se ** 2)) / len(est) ** 2)
-            n = len(kept)
             points.append(SweepPoint(
                 algorithm=name,
-                r=float(r),
+                r=r,
                 mean_power=float(np.mean(powers)),
                 mean_outage=float(np.mean(outages)),
                 stderr_outage=float(np.sqrt(np.sum(variances)) / n),

@@ -3,6 +3,9 @@
 import numpy as np
 
 from offsetbf.channel import Scenario, UserChannel
+from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
+                             InfeasibleLoadingError)
+from offsetbf.montecarlo import SweepPoint, estimate_outage, viability_check
 
 
 def standard_complex(rng, shape):
@@ -72,3 +75,51 @@ def dense_slack_moments(h_k, u, beta, gamma_k, sigma_e, noise_k, k):
     var = 2.0 * sigma_e ** 2 * float(np.real(np.vdot(qh, qh)))
     var += sigma_e ** 4 * float(np.sum(np.abs(q) ** 2))
     return mu, float(np.sqrt(var))
+
+
+def per_algorithm_sweep(algorithms, scenario_generator, r_values, n_realizations,
+                        n_trials, base_seed=0, power_limit=100.0):
+    """Oracle for montecarlo.sweep: every design estimated on its own.
+
+    algorithms: list of (name, design_fn) with design_fn(scenario, r) returning
+    a BeamformerSet or None, or raising a design error. Each r and each
+    algorithm redoes all of its work, and each kept design gets one
+    single-design outage estimate seeded with spawn key (i, 1 + ri).
+    """
+    design_errors = (InfeasibleLoadingError, ConvergenceError,
+                     DegenerateChannelsError)
+    scenarios = [scenario_generator(np.random.SeedSequence(entropy=base_seed,
+                                                           spawn_key=(i,)))
+                 for i in range(n_realizations)]
+    points = []
+    for ri, r in enumerate(r_values):
+        designs = {name: [] for name, _ in algorithms}
+        kept = []
+        for i, scenario in enumerate(scenarios):
+            row = []
+            for _, design_fn in algorithms:
+                try:
+                    row.append(design_fn(scenario, r))
+                except design_errors:
+                    row.append(None)
+            if all(viability_check(d, power_limit) for d in row):
+                kept.append(i)
+                for (name, _), design in zip(algorithms, row):
+                    designs[name].append(design)
+        for name, _ in algorithms:
+            if not kept:
+                points.append(SweepPoint(name, float(r), float("nan"), float("nan"),
+                                         float("nan"), 0))
+                continue
+            powers, outages, variances = [], [], []
+            for design, i in zip(designs[name], kept):
+                seed = np.random.SeedSequence(entropy=base_seed, spawn_key=(i, 1 + ri))
+                est, se = estimate_outage([design], scenarios[i], n_trials, seed)
+                powers.append(float(np.sum(design.powers)))
+                outages.append(float(np.mean(est[0])))
+                variances.append(float(np.sum(se[0] ** 2)) / est.shape[1] ** 2)
+            n = len(kept)
+            points.append(SweepPoint(name, float(r), float(np.mean(powers)),
+                                     float(np.mean(outages)),
+                                     float(np.sqrt(np.sum(variances)) / n), n))
+    return points

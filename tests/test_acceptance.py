@@ -117,8 +117,8 @@ def test_criterion_03_offset_two_calibrates_the_outage_tail():
         design = BeamformerSet(directions=u, powers=report.powers)
         scenario = scenario_from_rows(h, sigma_e=SIGMA_E, noise=1.0,
                                       gamma=GAMMA)
-        outage, _ = estimate_outage(design, scenario, 100_000, 1000 + i)
-        if lo <= float(np.mean(outage)) <= hi:
+        outage, _ = estimate_outage([design], scenario, 100_000, 1000 + i)
+        if lo <= float(np.mean(outage[0])) <= hi:
             in_band += 1
     assert in_band >= 80
     assert time.perf_counter() - start < 600.0

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from offsetbf.channel import (FadingConfig, GeometryConfig, UserChannel, draw_errors,
-                              generate_scenario, load_scenario, save_scenario,
-                              scenario_from_dict, scenario_to_dict)
+from offsetbf.channel import (FadingConfig, GeometryConfig, UserChannel,
+                              _standard_complex, draw_errors, generate_scenario,
+                              load_scenario, save_scenario, scenario_from_dict,
+                              scenario_to_dict)
 from offsetbf.cli import RunConfig, run_algorithm
 
 
@@ -98,6 +99,19 @@ def test_draw_errors_prefix_stability():
     short = draw_errors(user, 4, seed=11)
     assert np.array_equal(long[:4], short)
     assert np.array_equal(draw_errors(user, 1, seed=11)[0], long[0])
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (50, 8), (2, 3, 5), (0, 4)])
+def test_standard_complex_matches_interleaved_expression_bitwise(shape):
+    for seed in range(20):
+        z = np.random.default_rng(seed).standard_normal(size=shape + (2,))
+        oracle = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        drawn = _standard_complex(np.random.default_rng(seed), shape)
+        assert drawn.shape == oracle.shape
+        assert drawn.tobytes() == oracle.tobytes()
+        if len(shape) == 2:
+            errors = draw_errors(_user(0.3, shape[1]), shape[0], seed)
+            assert errors.tobytes() == (0.3 * oracle).tobytes()
 
 
 def test_scenario_json_round_trip(tmp_path):

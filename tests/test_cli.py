@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from offsetbf import cli
+from offsetbf import cli, directions, powerload
 from offsetbf.channel import save_scenario, scenario_to_dict
 
 from helpers import scenario_from_rows, standard_complex, unit_scale_scenario
@@ -505,3 +505,70 @@ def test_sweep_config_errors(tmp_path, capsys):
     bad_algo = sweep_config(tmp_path, str(tmp_path / "y.csv"),
                             algorithms=["maxr"])
     assert run_cli(capsys, ["sweep", "--config", bad_algo])[0] == 1
+
+
+def test_sweep_repeated_algorithm_repeats_its_rows(tmp_path, capsys):
+    rows = {}
+    for tag, names in (("once", ["zf", "const_offset"]),
+                       ("twice", ["zf", "zf", "const_offset"])):
+        out = tmp_path / f"{tag}.csv"
+        cfg = sweep_config(tmp_path, str(out), algorithms=names)
+        assert run_cli(capsys, ["sweep", "--config", cfg])[0] == 0
+        with open(out, newline="") as fh:
+            rows[tag] = list(csv.reader(fh))
+    once = rows["once"]
+    expected = [once[0]] + [row for row in once[1:]
+                            for _ in range(2 if row[0] == "zf" else 1)]
+    assert rows["twice"] == expected
+
+
+@pytest.mark.parametrize("overrides", [
+    {"n_realizations": 0},
+    {"n_realizations": -2},
+    {"r_grid": []},
+    {"r_grid": None, "delta_grid": []},
+], ids=["zero-realizations", "negative-realizations", "empty-r-grid",
+        "empty-delta-grid"])
+def test_sweep_rejects_empty_sweeps(tmp_path, capsys, overrides):
+    out = tmp_path / "empty.csv"
+    block = {**GENERATE_BLOCK, "radius_km": 0.5}
+    doc = {"generate": block, "algorithms": ["zf"], "r_grid": [2.0],
+           "n_trials": 100, **overrides}
+    cfg = sweep_config(tmp_path, str(out), **doc)
+    code, stdout, err = run_cli(capsys, ["sweep", "--config", cfg])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_sweep_builds_r_independent_designs_once_per_realization(tmp_path, capsys,
+                                                                 monkeypatch):
+    counts = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("zf_directions", "rzf_directions", "const_offset_directions",
+                 "alg1_directions"):
+        counted(directions, name)
+    counted(powerload, "coupling_matrix")
+    counted(powerload, "alg2_power_load")
+    out = str(tmp_path / "counted.csv")
+    block = {**GENERATE_BLOCK, "radius_km": 0.5}
+    cfg = sweep_config(tmp_path, out, generate=block,
+                       algorithms=["zf", "rzf", "const_offset", "alg1"])
+    assert run_cli(capsys, ["sweep", "--config", cfg])[0] == 0
+    n_realizations, n_r = 3, 3
+    # alg1 starts every solve from ZF proxies
+    assert counts["zf_directions"] == n_realizations + n_realizations * n_r
+    assert counts["rzf_directions"] == n_realizations
+    assert counts["const_offset_directions"] == n_realizations
+    assert counts["alg1_directions"] == n_realizations * n_r
+    assert counts["coupling_matrix"] == 3 * n_realizations + n_realizations * n_r
+    assert counts["alg2_power_load"] == 4 * n_realizations * n_r

@@ -6,23 +6,37 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from offsetbf import montecarlo
 from offsetbf.directions import const_offset_directions
+from offsetbf.errors import DegenerateChannelsError
 from offsetbf.montecarlo import (estimate_outage, sweep, sweep_to_csv,
                                  viability_check, SWEEP_CSV_COLUMNS)
 from offsetbf.powerload import alg2_power_load, coupling_matrix
 from offsetbf.stats import BeamformerSet
 
-from helpers import scenario_from_rows, standard_complex, unit_scale_scenario
+from helpers import (per_algorithm_sweep, scenario_from_rows, standard_complex,
+                     unit_scale_scenario)
 
 
-def design_for(scenario, r):
+def designer(scenario):
+    """Constant-offset directions and coupling, then r -> loaded design."""
     h = scenario.h_est_matrix()
     gammas = scenario.sinr_targets()
     u = const_offset_directions(h, gammas)
     coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
                                scenario.noise_vector())
-    report = alg2_power_load(coupling, r)
-    return BeamformerSet(directions=u, powers=report.powers)
+    return lambda r: BeamformerSet(directions=u,
+                                   powers=alg2_power_load(coupling, r).powers)
+
+
+def design_for(scenario, r):
+    return designer(scenario)(r)
+
+
+def outage_of(design, scenario, n_trials, base_seed):
+    """The single-design estimate: row 0 of a one-design estimate_outage."""
+    estimates, stderrs = estimate_outage([design], scenario, n_trials, base_seed)
+    return estimates[0], stderrs[0]
 
 
 def make_scenario(seed, sigma_e=0.1):
@@ -37,7 +51,7 @@ def make_scenario(seed, sigma_e=0.1):
 def test_estimate_outage_zero_uncertainty_is_exactly_zero():
     scenario = make_scenario(0, sigma_e=0.0)
     design = design_for(scenario, 2.0)
-    estimates, stderrs = estimate_outage(design, scenario, 5000, base_seed=1)
+    estimates, stderrs = outage_of(design, scenario, 5000, base_seed=1)
     assert np.all(estimates == 0.0)
     assert np.all(stderrs == 0.0)
 
@@ -45,7 +59,7 @@ def test_estimate_outage_zero_uncertainty_is_exactly_zero():
 def test_estimate_outage_matches_gaussian_prediction():
     scenario = unit_scale_scenario(seed=3)
     design = design_for(scenario, 2.0)
-    estimates, _ = estimate_outage(design, scenario, 20000, base_seed=2)
+    estimates, _ = outage_of(design, scenario, 20000, base_seed=2)
     target = 1.0 - ndtr(2.0)
     in_band = np.sum((estimates >= 0.7 * target) & (estimates <= 1.3 * target))
     assert in_band >= 2
@@ -54,8 +68,8 @@ def test_estimate_outage_matches_gaussian_prediction():
 def test_estimate_outage_stderr_scales_with_trials():
     scenario = unit_scale_scenario(seed=4)
     design = design_for(scenario, 1.0)
-    _, se_small = estimate_outage(design, scenario, 2000, base_seed=3)
-    _, se_large = estimate_outage(design, scenario, 8000, base_seed=3)
+    _, se_small = outage_of(design, scenario, 2000, base_seed=3)
+    _, se_large = outage_of(design, scenario, 8000, base_seed=3)
     ratios = se_small / se_large
     assert np.all(ratios > 1.6)
     assert np.all(ratios < 2.6)
@@ -64,9 +78,9 @@ def test_estimate_outage_stderr_scales_with_trials():
 def test_estimate_outage_deterministic_and_seed_sensitive():
     scenario = unit_scale_scenario(seed=5)
     design = design_for(scenario, 1.0)
-    first, _ = estimate_outage(design, scenario, 2000, base_seed=7)
-    again, _ = estimate_outage(design, scenario, 2000, base_seed=7)
-    other, _ = estimate_outage(design, scenario, 2000, base_seed=8)
+    first, _ = outage_of(design, scenario, 2000, base_seed=7)
+    again, _ = outage_of(design, scenario, 2000, base_seed=7)
+    other, _ = outage_of(design, scenario, 2000, base_seed=8)
     assert np.array_equal(first, again)
     assert np.any(first != other)
 
@@ -78,17 +92,31 @@ def test_estimate_outage_margins_drive_outage():
                             powers=design.powers * 50.0)
     starved = BeamformerSet(directions=design.directions,
                             powers=design.powers * 1e-4)
-    outage_boosted, _ = estimate_outage(boosted, scenario, 200, base_seed=11)
-    outage_starved, _ = estimate_outage(starved, scenario, 200, base_seed=11)
+    outage_boosted, _ = outage_of(boosted, scenario, 200, base_seed=11)
+    outage_starved, _ = outage_of(starved, scenario, 200, base_seed=11)
     assert np.all(outage_boosted == 0.0)
     assert np.all(outage_starved == 1.0)
+
+
+def test_estimate_outage_shared_draws_match_single_design_calls():
+    scenario = unit_scale_scenario(seed=5)
+    d1 = design_for(scenario, 1.0)
+    d2 = design_for(scenario, 2.5)
+    seed = np.random.SeedSequence(entropy=4, spawn_key=(2, 1))
+    est, se = estimate_outage([d1, d2], scenario, 3000, seed)
+    assert est.shape == se.shape == (2, scenario.n_users)
+    for row, design in enumerate((d1, d2)):
+        est_one, se_one = estimate_outage([design], scenario, 3000, seed)
+        assert est[row].tobytes() == est_one[0].tobytes()
+        assert se[row].tobytes() == se_one[0].tobytes()
+    assert np.any(est[0] != est[1])
 
 
 def test_estimate_outage_rejects_zero_trials():
     scenario = unit_scale_scenario(seed=6)
     design = design_for(scenario, 1.0)
     with pytest.raises(ValueError):
-        estimate_outage(design, scenario, 0, base_seed=0)
+        estimate_outage([design], scenario, 0, base_seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +139,15 @@ def generator(seed):
     return scenario_from_rows(standard_complex(rng, (3, 4)), sigma_e=0.1)
 
 
+def sometimes_none(scenario):
+    """A designer with no design on realizations whose first entry is negative."""
+    if scenario.users[0].h_est[0].real < 0:
+        return lambda r: None
+    return designer(scenario)
+
+
 def test_sweep_grid_shape_and_common_realizations():
-    points = sweep([("co", design_for)], generator, r_values=[1.0, 2.0, 3.0],
+    points = sweep([("co", designer)], generator, r_values=[1.0, 2.0, 3.0],
                    n_realizations=4, n_trials=200, base_seed=0,
                    power_limit=1e6)
     assert len(points) == 3
@@ -122,15 +157,10 @@ def test_sweep_grid_shape_and_common_realizations():
 
 
 def test_sweep_fairness_uses_intersection_of_viable_sets():
-    def sometimes_none(scenario, r):
-        if scenario.users[0].h_est[0].real < 0:
-            return None
-        return design_for(scenario, r)
-
-    both = sweep([("always", design_for), ("flaky", sometimes_none)],
+    both = sweep([("always", designer), ("flaky", sometimes_none)],
                  generator, r_values=[1.0], n_realizations=8, n_trials=100,
                  base_seed=1, power_limit=1e6)
-    solo = sweep([("always", design_for)], generator, r_values=[1.0],
+    solo = sweep([("always", designer)], generator, r_values=[1.0],
                  n_realizations=8, n_trials=100, base_seed=1, power_limit=1e6)
     n_both = {p.algorithm: p.n_viable for p in both}
     assert n_both["always"] == n_both["flaky"]
@@ -143,7 +173,7 @@ def test_sweep_zero_uncertainty_gives_zero_outage_and_fixed_power():
         rng = np.random.default_rng(seed)
         return scenario_from_rows(standard_complex(rng, (3, 4)), sigma_e=0.0)
 
-    points = sweep([("co", design_for)], zero_generator, r_values=[1.0, 3.0],
+    points = sweep([("co", designer)], zero_generator, r_values=[1.0, 3.0],
                    n_realizations=3, n_trials=500, base_seed=2, power_limit=1e6)
     assert all(p.mean_outage == 0.0 for p in points)
     assert all(p.stderr_outage == 0.0 for p in points)
@@ -152,7 +182,7 @@ def test_sweep_zero_uncertainty_gives_zero_outage_and_fixed_power():
 
 
 def test_sweep_outage_and_power_monotone_in_r():
-    points = sweep([("co", design_for)], generator, r_values=[0.5, 2.0],
+    points = sweep([("co", designer)], generator, r_values=[0.5, 2.0],
                    n_realizations=5, n_trials=2000, base_seed=3, power_limit=1e6)
     low, high = points
     assert high.mean_power > low.mean_power
@@ -160,7 +190,7 @@ def test_sweep_outage_and_power_monotone_in_r():
 
 
 def test_sweep_empty_viable_set_yields_nan_point():
-    points = sweep([("co", design_for)], generator, r_values=[1.0],
+    points = sweep([("co", designer)], generator, r_values=[1.0],
                    n_realizations=3, n_trials=100, base_seed=4,
                    power_limit=1e-6)
     assert points[0].n_viable == 0
@@ -173,7 +203,7 @@ def test_sweep_empty_viable_set_yields_nan_point():
 
 def test_sweep_csv_deterministic(tmp_path):
     def run(path):
-        points = sweep([("co", design_for)], generator, r_values=[1.0, 2.0],
+        points = sweep([("co", designer)], generator, r_values=[1.0, 2.0],
                        n_realizations=3, n_trials=300, base_seed=5,
                        power_limit=1e6)
         sweep_to_csv(points, path)
@@ -187,3 +217,44 @@ def test_sweep_csv_deterministic(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == list(SWEEP_CSV_COLUMNS)
     assert len(rows) == 3
+
+
+def raises_on_some(scenario):
+    """A designer that fails outright on realizations whose first entry is negative."""
+    if scenario.users[0].h_est[0].real < 0:
+        raise DegenerateChannelsError("test designer refuses this realization")
+    return designer(scenario)
+
+
+@pytest.mark.parametrize("second", [sometimes_none, raises_on_some])
+def test_sweep_matches_per_algorithm_oracle(tmp_path, second):
+    algorithms = [("always", designer), ("other", second)]
+    kwargs = dict(r_values=[0.5, 1.0, 2.5], n_realizations=6, n_trials=400,
+                  base_seed=9, power_limit=1e6)
+    points = sweep(algorithms, generator, **kwargs)
+    oracle = per_algorithm_sweep(
+        [(name, lambda scenario, r, make=make: make(scenario)(r))
+         for name, make in algorithms], generator, **kwargs)
+    assert 0 < points[0].n_viable < 6
+    sweep_to_csv(points, tmp_path / "shared.csv")
+    sweep_to_csv(oracle, tmp_path / "oracle.csv")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_sweep_draws_each_users_errors_once_per_kept_realization(monkeypatch):
+    calls = []
+    draw = montecarlo.draw_errors
+
+    def counting_draw(*args):
+        calls.append(args[1])
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "draw_errors", counting_draw)
+    r_values = [0.5, 1.0, 2.5]
+    points = sweep([("always", designer), ("flaky", sometimes_none),
+                    ("again", designer)], generator, r_values=r_values,
+                   n_realizations=6, n_trials=100, base_seed=1, power_limit=1e6)
+    kept = [p.n_viable for p in points if p.algorithm == "always"]
+    assert all(0 < n < 6 for n in kept)
+    assert len(calls) == 3 * sum(kept)                # K = 3 users
+

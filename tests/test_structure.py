@@ -1,13 +1,14 @@
 """Structural guards over the package sources: imports stay at module level,
-the modules of offsetbf import each other without cycles, and the power
-loaders take the noise and variance mode from the coupling only."""
+the modules of offsetbf import each other without cycles, the power loaders
+take the noise and variance mode from the coupling only, and the trial count
+keeps the slot of montecarlo.estimate_outage that the benchmark tracer reads."""
 
 import ast
 import inspect
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
-from offsetbf import powerload
+from offsetbf import montecarlo, powerload
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "offsetbf"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -64,3 +65,9 @@ def test_only_coupling_builders_take_noise_or_variance_mode():
     takers = {name for name, fn in public if not name.startswith("_")
               and {"noise", "variance_mode"} & set(inspect.signature(fn).parameters)}
     assert takers == {"coupling_matrix", "reschedule"}
+
+
+def test_estimate_outage_trial_count_is_third_parameter():
+    # bench/tracer.py reads the trial count of a positional call as args[2]
+    params = list(inspect.signature(montecarlo.estimate_outage).parameters)
+    assert params[2] == "n_trials"
