@@ -3,6 +3,10 @@
 A base station with N_t antennas serves K single-antenna users. The BS only
 knows an estimate h_est of each user's channel; the true channel is
 h = h_est + e with i.i.d. errors e ~ CN(0, sigma_e^2 I), one sigma_e per user.
+A Scenario stacks the users: the K x N_t estimate matrix and K-vectors of
+error sizes, noise powers and SINR targets. generate_scenario draws one from a
+CellConfig; draw_errors samples a user's errors; the JSON files keep one
+entry per user.
 """
 
 import json
@@ -23,81 +27,65 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
-@dataclass
-class UserChannel:
-    """Per-user channel state: estimate, error size and QoS targets.
+@dataclass(eq=False)
+class Scenario:
+    """K users of one base station, stacked.
 
-    The true channel is h = h_est + e with e ~ CN(0, sigma_e^2 I).
+    Row k of h_est is user k's channel estimate; the true channel is
+    h_k = h_est[k] + e_k with e_k ~ CN(0, sigma_e[k]^2 I). sigma_e,
+    noise_power and sinr_target hold one entry per user, and a scalar
+    broadcasts to every user. The arrays are copies owned by the scenario.
     """
 
-    h_est: np.ndarray
-    sigma_e: float              # error standard deviation per antenna
-    noise_power: float          # receiver noise sigma_k^2, Watts
-    sinr_target: float          # gamma_k, linear scale
+    h_est: np.ndarray           # (K, N_t) channel estimates
+    sigma_e: np.ndarray         # (K,) error standard deviation per antenna
+    noise_power: np.ndarray     # (K,) receiver noise sigma_k^2, Watts
+    sinr_target: np.ndarray     # (K,) gamma_k, linear scale
 
     def __post_init__(self):
-        self.h_est = np.asarray(self.h_est, dtype=complex)
-        self.sigma_e = float(self.sigma_e)
-        if not 0 <= self.sigma_e < np.inf:
-            raise ValueError(f"sigma_e must be finite and nonnegative, got {self.sigma_e}")
-        if not 0 < self.noise_power < np.inf:
-            raise ValueError(f"noise_power must be finite and positive, got {self.noise_power}")
-        if not 0 < self.sinr_target < np.inf:
-            raise ValueError(f"sinr_target must be finite and positive, got {self.sinr_target}")
+        self.h_est = np.array(self.h_est, dtype=complex)
+        if self.h_est.ndim != 2:
+            raise ValueError(f"h_est must have shape (K, N_t), got {self.h_est.shape}")
+        if self.h_est.shape[0] < 1:
+            raise ValueError("scenario needs at least one user")
+        for name, bound in (("sigma_e", "nonnegative"), ("noise_power", "positive"),
+                            ("sinr_target", "positive")):
+            value = np.asarray(getattr(self, name), dtype=float)
+            value = np.broadcast_to(value, (self.n_users,)).copy()
+            ok = (value >= 0 if bound == "nonnegative" else value > 0) & (value < np.inf)
+            if not np.all(ok):
+                raise ValueError(f"{name} must be finite and {bound}, got {value[~ok][0]}")
+            setattr(self, name, value)
         if not np.all(np.isfinite(self.h_est)):
             raise ValueError("h_est must be finite")
 
-
-@dataclass
-class Scenario:
-    """An ordered set of users sharing one base station."""
-
-    users: list
-    n_antennas: int
-
-    def __post_init__(self):
-        if len(self.users) < 1:
-            raise ValueError("scenario needs at least one user")
-        for u in self.users:
-            if u.h_est.shape[0] != self.n_antennas:
-                raise ValueError("all users must share n_antennas")
-
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return self.h_est.shape[0]
 
-    def h_est_matrix(self) -> np.ndarray:
-        """Estimated channels stacked as rows, shape (K, N_t)."""
-        return np.array([u.h_est for u in self.users])
+    @property
+    def n_antennas(self) -> int:
+        return self.h_est.shape[1]
 
-    def noise_vector(self) -> np.ndarray:
-        return np.array([u.noise_power for u in self.users])
-
-    def sinr_targets(self) -> np.ndarray:
-        return np.array([u.sinr_target for u in self.users])
-
-    def sigma_e_vector(self) -> np.ndarray:
-        """Per-user error standard deviations sigma_e."""
-        return np.array([u.sigma_e for u in self.users])
+    def subset(self, indices) -> "Scenario":
+        """The users at `indices`, in that order, as a new scenario."""
+        idx = np.asarray(indices, dtype=int)
+        return Scenario(h_est=self.h_est[idx], sigma_e=self.sigma_e[idx],
+                        noise_power=self.noise_power[idx],
+                        sinr_target=self.sinr_target[idx])
 
 
 @dataclass
-class GeometryConfig:
-    """Cell geometry: user count, antenna count and cell radius."""
-
-    n_users: int = 3
-    n_antennas: int = 4
-    radius_km: float = 3.2
-
-
-@dataclass
-class FadingConfig:
-    """Large-scale model, error size and link targets.
+class CellConfig:
+    """A cell to draw: geometry, large-scale model, error size and link targets.
 
     The path-loss reference distance is fixed at 1 km: the large-scale gain
     in dB is -10 * exponent * log10(d_km / 1 km) plus log-normal shadowing.
     """
 
+    n_users: int = 3
+    n_antennas: int = 4
+    radius_km: float = 3.2
     path_loss_exponent: float = 3.52
     shadowing_std_db: float = 8.0
     noise_dbm: float = -90.0
@@ -105,47 +93,45 @@ class FadingConfig:
     gamma_db: float = 6.0
 
 
-def generate_scenario(geometry: GeometryConfig, fading: FadingConfig, seed) -> Scenario:
+def generate_scenario(cell: CellConfig, seed) -> Scenario:
     """Drop users uniformly in a disc and draw Rayleigh channels.
 
     The true channel is sqrt(gain) * g with g ~ CN(0, I); the BS sees
     h_est = sqrt(gain) * g - e with e ~ CN(0, sigma_e^2 I), and only h_est is
     kept. Deterministic given seed.
     """
-    if geometry.n_users < 1 or geometry.n_antennas < 1:
+    if cell.n_users < 1 or cell.n_antennas < 1:
         raise ValueError("n_users and n_antennas must be at least 1")
-    if geometry.radius_km <= 0:
+    if cell.radius_km <= 0:
         raise ValueError("radius_km must be positive")
 
     rng = np.random.default_rng(seed)
-    k, nt = geometry.n_users, geometry.n_antennas
+    k, nt = cell.n_users, cell.n_antennas
 
     # uniform position in the disc: density of d is proportional to d
-    d_km = geometry.radius_km * np.sqrt(rng.uniform(size=k))
-    shadow_db = rng.normal(0.0, fading.shadowing_std_db, size=k)
-    gain_db = -10.0 * fading.path_loss_exponent * np.log10(d_km / 1.0) + shadow_db
+    d_km = cell.radius_km * np.sqrt(rng.uniform(size=k))
+    shadow_db = rng.normal(0.0, cell.shadowing_std_db, size=k)
+    gain_db = -10.0 * cell.path_loss_exponent * np.log10(d_km / 1.0) + shadow_db
     gain = 10.0 ** (gain_db / 10.0)
 
     g = _standard_complex(rng, (k, nt))
-    e = fading.sigma_e * _standard_complex(rng, (k, nt))
+    e = cell.sigma_e * _standard_complex(rng, (k, nt))
     h_est = np.sqrt(gain)[:, None] * g - e
 
-    noise_w = 10.0 ** (fading.noise_dbm / 10.0) / 1000.0
-    gamma = 10.0 ** (fading.gamma_db / 10.0)
-    users = [UserChannel(h_est=h_est[i], sigma_e=fading.sigma_e,
-                         noise_power=noise_w, sinr_target=gamma) for i in range(k)]
-    return Scenario(users=users, n_antennas=nt)
+    return Scenario(h_est=h_est, sigma_e=cell.sigma_e,
+                    noise_power=10.0 ** (cell.noise_dbm / 10.0) / 1000.0,
+                    sinr_target=10.0 ** (cell.gamma_db / 10.0))
 
 
-def draw_errors(user: UserChannel, n_draws: int, seed) -> np.ndarray:
+def draw_errors(sigma_e: float, n_antennas: int, n_draws: int, seed) -> np.ndarray:
     """Draw n_draws error realizations e ~ CN(0, sigma_e^2 I), shape (n_draws, N_t).
 
     ``seed`` may be anything np.random.default_rng accepts (int, SeedSequence,
     Generator). Prefixes are stable: increasing n_draws keeps earlier rows.
     """
     rng = np.random.default_rng(seed)
-    errors = _standard_complex(rng, (n_draws, user.h_est.shape[0]))
-    errors *= user.sigma_e
+    errors = _standard_complex(rng, (n_draws, n_antennas))
+    errors *= sigma_e
     return errors
 
 
@@ -165,22 +151,26 @@ def _decode_cvec(pairs) -> np.ndarray:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     users = [{
-        "h_est": _encode_cvec(u.h_est),
-        "sigma_e": u.sigma_e,
-        "noise_power": float(u.noise_power),
-        "gamma": float(u.sinr_target),
-    } for u in scenario.users]
+        "h_est": _encode_cvec(scenario.h_est[k]),
+        "sigma_e": float(scenario.sigma_e[k]),
+        "noise_power": float(scenario.noise_power[k]),
+        "gamma": float(scenario.sinr_target[k]),
+    } for k in range(scenario.n_users)]
     return {"n_antennas": scenario.n_antennas, "users": users}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    users = [UserChannel(
-        h_est=_decode_cvec(entry["h_est"]),
-        sigma_e=float(entry["sigma_e"]),
-        noise_power=float(entry["noise_power"]),
-        sinr_target=float(entry["gamma"]),
-    ) for entry in doc["users"]]
-    return Scenario(users=users, n_antennas=int(doc["n_antennas"]))
+    entries = doc["users"]
+    n_antennas = int(doc["n_antennas"])
+    rows = [_decode_cvec(entry["h_est"]) for entry in entries]
+    if any(row.shape != (n_antennas,) for row in rows):
+        raise ValueError("all users must share n_antennas")
+    return Scenario(
+        h_est=np.array(rows, dtype=complex).reshape(len(rows), n_antennas),
+        sigma_e=[float(entry["sigma_e"]) for entry in entries],
+        noise_power=[float(entry["noise_power"]) for entry in entries],
+        sinr_target=[float(entry["gamma"]) for entry in entries],
+    )
 
 
 def save_scenario(scenario: Scenario, path) -> None:

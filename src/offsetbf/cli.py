@@ -16,13 +16,12 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import directions, montecarlo, powerload
-from .channel import (FadingConfig, GeometryConfig, Scenario, generate_scenario,
-                      load_scenario)
+from .channel import CellConfig, generate_scenario, load_scenario
 from .errors import (ConvergenceError, DegenerateChannelsError,
                      InfeasibleLoadingError)
 from .stats import BeamformerSet, r_from_delta
@@ -31,8 +30,7 @@ FIXED_R_ALGORITHMS = ("zf", "mrt", "rzf", "alg1", "const_offset")
 MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
 ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
 
-GENERATE_KEYS = ("n_users", "n_antennas", "radius_km", "path_loss_exponent",
-                 "shadowing_std_db", "noise_dbm", "sigma_e", "gamma_db", "seed")
+GENERATE_KEYS = tuple(f.name for f in fields(CellConfig)) + ("seed",)
 CONFIG_KEYS = ("scenario_file", "generate", "algorithm", "r", "delta", "r_mode",
                "total_power", "variance_mode", "seed", "out", "r_min", "r_cap",
                "rzf_loading", "r_grid", "delta_grid", "algorithms",
@@ -97,6 +95,10 @@ class RunConfig:
             _require_number("r_grid", value)
         if cfg.total_power <= 0:
             raise ValueError(f"total_power must be positive, got {cfg.total_power!r}")
+        if cfg.r_cap <= 0:
+            raise ValueError(f"r_cap must be positive, got {cfg.r_cap!r}")
+        if cfg.n_trials < 1:
+            raise ValueError(f"n_trials must be at least 1, got {cfg.n_trials!r}")
         if cfg.variance_mode not in (None, *powerload.VARIANCE_MODES):
             raise ValueError(f"unknown variance_mode {cfg.variance_mode!r}")
         for name in cfg.algorithms:
@@ -113,9 +115,19 @@ class RunConfig:
         raise ValueError("algorithm requires r or delta in the config")
 
 
-def _load_config(path) -> RunConfig:
-    with open(path) as fh:
+def _load_config(args) -> RunConfig:
+    """Read the JSON config, apply the command-line overrides, then validate."""
+    with open(args.config) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("the config must be a JSON object")
+    overrides = {"out": args.out, "seed": args.seed, "n_trials": args.trials}
+    doc.update({key: value for key, value in overrides.items() if value is not None})
+    if args.algorithms is not None:
+        names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
+        doc["algorithms"] = names
+        if len(names) == 1:
+            doc["algorithm"] = names[0]
     return RunConfig.from_dict(doc)
 
 
@@ -123,23 +135,14 @@ def _build_scenario(cfg: RunConfig, seed=None):
     if cfg.scenario_file is not None:
         return load_scenario(cfg.scenario_file)
     doc = dict(cfg.generate)
-    if seed is None:
-        seed = doc.pop("seed", cfg.seed)
-    else:
-        doc.pop("seed", None)
-    geometry = GeometryConfig(
-        n_users=doc.pop("n_users", 3),
-        n_antennas=doc.pop("n_antennas", 4),
-        radius_km=doc.pop("radius_km", 3.2),
-    )
-    fading = FadingConfig(**doc)
-    return generate_scenario(geometry, fading, seed)
+    doc_seed = doc.pop("seed", cfg.seed)
+    return generate_scenario(CellConfig(**doc), doc_seed if seed is None else seed)
 
 
 def _directions(name, scenario, cfg: RunConfig, r=None):
     """The beamforming directions of algorithm `name`, before any loading."""
-    h_est = scenario.h_est_matrix()
-    gammas = scenario.sinr_targets()
+    h_est = scenario.h_est
+    gammas = scenario.sinr_target
     if name == "zf":
         return directions.zf_directions(h_est)
     if name == "mrt":
@@ -147,21 +150,20 @@ def _directions(name, scenario, cfg: RunConfig, r=None):
     if name == "rzf":
         loading = cfg.rzf_loading
         if loading is None:
-            loading = scenario.n_users * float(np.mean(scenario.noise_vector())) \
+            loading = scenario.n_users * float(np.mean(scenario.noise_power)) \
                 / cfg.total_power
         return directions.rzf_directions(h_est, loading)
     if name == "alg1":
-        return directions.alg1_directions(h_est, gammas, scenario.sigma_e_vector(), r)
+        return directions.alg1_directions(h_est, gammas, scenario.sigma_e, r)
     if name in ("const_offset", "maxr", "avg_outage"):
         return directions.const_offset_directions(h_est, gammas)
     raise ValueError(f"unknown algorithm {name!r}")
 
 
 def _coupling(scenario, u_rows, cfg: RunConfig):
-    return powerload.coupling_matrix(scenario.h_est_matrix(), u_rows,
-                                     scenario.sinr_targets(),
-                                     scenario.sigma_e_vector(),
-                                     scenario.noise_vector(), cfg.variance_mode)
+    return powerload.coupling_matrix(scenario.h_est, u_rows, scenario.sinr_target,
+                                     scenario.sigma_e, scenario.noise_power,
+                                     cfg.variance_mode)
 
 
 def fixed_r_designer(name: str, scenario, cfg: RunConfig):
@@ -199,9 +201,7 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
 
     if name in ("maxr_reschedule", "maxr_powersave"):
         retained, report, u_rows, coupling = powerload.reschedule(
-            scenario.h_est_matrix(), scenario.sinr_targets(),
-            scenario.sigma_e_vector(), scenario.noise_vector(), cfg.total_power,
-            r_min=cfg.r_min, variance_mode=cfg.variance_mode)
+            scenario, cfg.total_power, r_min=cfg.r_min, variance_mode=cfg.variance_mode)
         if name == "maxr_powersave":
             capped = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
             capped.rescheduled = report.rescheduled
@@ -264,12 +264,8 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     scenario = _build_scenario(cfg)
     design, report = run_algorithm(cfg.algorithm, scenario, cfg)
     served = list(report.served_indices)
-    sub = scenario
-    if len(served) != scenario.n_users:
-        sub = Scenario(users=[scenario.users[i] for i in served],
-                       n_antennas=scenario.n_antennas)
-    estimates, stderrs = montecarlo.estimate_outage([design], sub, cfg.n_trials,
-                                                    cfg.seed)
+    estimates, stderrs = montecarlo.estimate_outage(
+        [design], scenario.subset(served), cfg.n_trials, cfg.seed)
     outage = {int(i): float(p) for i, p in zip(served, estimates[0])}
     stderr = {int(i): float(s) for i, s in zip(served, stderrs[0])}
     for i in report.rescheduled:
@@ -313,24 +309,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.n_trials = args.trials
-    if args.algorithms is not None:
-        names = [n.strip() for n in args.algorithms.split(",") if n.strip()]
-        for name in names:
-            if name not in ALGORITHM_IDS:
-                raise ValueError(f"unknown algorithm {name!r}")
-        cfg.algorithms = names
-        if len(names) == 1:
-            cfg.algorithm = names[0]
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="offsetbf",
@@ -348,25 +326,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = _load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _load_config(args)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
     handler = {"design": cmd_design, "sweep": cmd_sweep, "maxr": cmd_maxr,
                "montecarlo": cmd_montecarlo}[args.command]
+    # DegenerateChannelsError is a ValueError, so the design errors go first
     try:
         return handler(cfg)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except InfeasibleLoadingError as exc:
         print(f"design infeasible: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DegenerateChannelsError) as exc:
         print(f"design failed: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -62,15 +62,16 @@ def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
     weights = [design.weights() for design in designs]
     estimates = np.zeros((len(weights), scenario.n_users))
     stderrs = np.zeros_like(estimates)
-    for k, user in enumerate(scenario.users):
-        h_conj = draw_errors(user, n_trials, _trial_seed(base_seed, k))
-        h_conj += user.h_est
+    for k in range(scenario.n_users):
+        h_conj = draw_errors(scenario.sigma_e[k], scenario.n_antennas, n_trials,
+                             _trial_seed(base_seed, k))
+        h_conj += scenario.h_est[k]
         np.conjugate(h_conj, out=h_conj)
-        threshold = user.sinr_target * (1.0 - SINR_TOLERANCE)
+        threshold = scenario.sinr_target[k] * (1.0 - SINR_TOLERANCE)
         for d, w in enumerate(weights):
             gains = np.abs(h_conj @ w.T) ** 2          # [t, j] = |h^H w_j|^2
             interference = gains.sum(axis=1) - gains[:, k]
-            sinr = gains[:, k] / (interference + user.noise_power)
+            sinr = gains[:, k] / (interference + scenario.noise_power[k])
             p = float(np.mean(sinr < threshold))
             estimates[d, k] = p
             stderrs[d, k] = np.sqrt(p * (1.0 - p) / n_trials)

@@ -270,9 +270,8 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
                            last_iterate=beta)
 
 
-def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
-               r_min: float = 2.0, variance_mode=None):
-    """Drop users until the achievable common offset reaches r_min.
+def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=None):
+    """Drop users of a Scenario until the achievable common offset reaches r_min.
 
     While max_r_power_load yields r < r_min and at least two users remain, the
     user with the largest entry of A^{-1} sigma^2 is dropped and the design is
@@ -288,40 +287,34 @@ def reschedule(h_est: np.ndarray, gammas, sigma_e, noise, total_power: float,
     Returns (retained original indices, DesignReport, directions, coupling),
     the last two built for the retained set, so callers can reuse them.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    noise = np.asarray(noise, dtype=float)
-    k = h_est.shape[0]
-    sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,)).copy()
-
-    retained = list(range(k))
+    retained = list(range(scenario.n_users))
     dropped = []
     while True:
-        idx = np.array(retained)
-        noise_sub = noise[idx]
+        sub = scenario.subset(retained)
         try:
-            u_sub = const_offset_directions(h_est[idx], gammas[idx])
-            coupling = coupling_matrix(h_est[idx], u_sub, gammas[idx], sigma_e[idx],
-                                       noise_sub, variance_mode)
+            u_sub = const_offset_directions(sub.h_est, sub.sinr_target)
+            coupling = coupling_matrix(sub.h_est, u_sub, sub.sinr_target, sub.sigma_e,
+                                       sub.noise_power, variance_mode)
         except (ConvergenceError, DegenerateChannelsError):
             if len(retained) == 1:
                 raise
-            alphas = np.sum(np.abs(h_est[idx]) ** 2, axis=1)
-            ranking = noise_sub * gammas[idx] / (alphas + sigma_e[idx] ** 2)
+            alphas = np.sum(np.abs(sub.h_est) ** 2, axis=1)
+            ranking = sub.noise_power * sub.sinr_target / (alphas + sub.sigma_e ** 2)
             dropped.append(retained.pop(int(np.argmax(ranking))))
             continue
         try:
-            beta, r, report = max_r_power_load(coupling, total_power)
+            _, r, report = max_r_power_load(coupling, total_power)
         except (ConvergenceError, InfeasibleLoadingError):
             if len(retained) == 1:
                 raise
-            ranking = noise_sub / np.diag(coupling.a)
+            ranking = sub.noise_power / np.diag(coupling.a)
             dropped.append(retained.pop(int(np.argmax(ranking))))
             continue
         if r >= r_min or len(retained) == 1:
             report.rescheduled = list(dropped)
             report.served_indices = list(retained)
             return retained, report, u_sub, coupling
-        worst = int(np.argmax(coupling.a_inv @ noise_sub))
+        worst = int(np.argmax(coupling.a_inv @ sub.noise_power))
         dropped.append(retained.pop(worst))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from offsetbf.channel import Scenario, UserChannel
+from offsetbf.channel import Scenario
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.montecarlo import SweepPoint, estimate_outage, viability_check
@@ -20,10 +20,8 @@ def unit_scale_scenario(k=3, nt=4, seed=0, sigma_e=0.1, noise=1.0, gamma=4.0):
     moderate r are almost surely feasible, handy for statistical checks.
     """
     rng = np.random.default_rng(seed)
-    h_est = standard_complex(rng, (k, nt))
-    users = [UserChannel(h_est=h_est[i], sigma_e=sigma_e, noise_power=noise,
-                         sinr_target=gamma) for i in range(k)]
-    return Scenario(users=users, n_antennas=nt)
+    return Scenario(h_est=standard_complex(rng, (k, nt)), sigma_e=sigma_e,
+                    noise_power=noise, sinr_target=gamma)
 
 
 def orthonormal_rows(k, nt, seed=0, norms=None):
@@ -39,14 +37,7 @@ def orthonormal_rows(k, nt, seed=0, norms=None):
 
 def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0):
     """Wrap explicit channel rows into a Scenario."""
-    h_est = np.asarray(h_est, dtype=complex)
-    k, nt = h_est.shape
-    sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,))
-    noise = np.broadcast_to(np.asarray(noise, dtype=float), (k,))
-    gamma = np.broadcast_to(np.asarray(gamma, dtype=float), (k,))
-    users = [UserChannel(h_est=h_est[i], sigma_e=sigma_e[i], noise_power=float(noise[i]),
-                         sinr_target=float(gamma[i])) for i in range(k)]
-    return Scenario(users=users, n_antennas=nt)
+    return Scenario(h_est=h_est, sigma_e=sigma_e, noise_power=noise, sinr_target=gamma)
 
 
 def sinr_values(beamformers, h_rows, noise):

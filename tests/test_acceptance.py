@@ -14,7 +14,7 @@ import time
 import numpy as np
 from scipy.special import ndtr
 
-from offsetbf.channel import FadingConfig, GeometryConfig, generate_scenario
+from offsetbf.channel import CellConfig, Scenario, generate_scenario
 from offsetbf.directions import (const_offset_directions,
                                  directions_constant_offset, mrt_directions,
                                  solve_nu_constant_offset, zf_directions)
@@ -64,14 +64,13 @@ def test_criterion_01_perfect_csi_equalizes_sinr_in_one_iteration():
     """With zero uncertainty the loading hits every SINR target immediately."""
     start = time.perf_counter()
     scenario = unit_scale_scenario(seed=0, sigma_e=0.0)
-    h = scenario.h_est_matrix()
-    gammas = scenario.sinr_targets()
+    h = scenario.h_est
+    gammas = scenario.sinr_target
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
-                               scenario.noise_vector())
+    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
     report = alg2_power_load(coupling, 2.0)
     design = BeamformerSet(directions=u, powers=report.powers)
-    sinr = sinr_values(design, h, scenario.noise_vector())
+    sinr = sinr_values(design, h, scenario.noise_power)
     assert report.iterations_used == 1
     assert np.max(np.abs(sinr - gammas) / gammas) <= 1e-6
     assert time.perf_counter() - start < 1.0
@@ -143,13 +142,13 @@ def test_criterion_05_loading_converges_within_five_iterations():
     seed = 0
     while len(iterations) < 100 and seed < 3000:
         seed += 1
-        scenario = generate_scenario(GeometryConfig(), FadingConfig(), seed=seed)
-        h = scenario.h_est_matrix()
-        gammas = scenario.sinr_targets()
+        scenario = generate_scenario(CellConfig(), seed=seed)
+        h = scenario.h_est
+        gammas = scenario.sinr_target
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
-                                       scenario.noise_vector())
+            coupling = coupling_matrix(h, u, gammas, scenario.sigma_e,
+                                       scenario.noise_power)
             report = alg2_power_load(coupling, 2.0, tol=1e-6)
         except DESIGN_ERRORS:
             continue
@@ -338,8 +337,8 @@ def test_criterion_09_power_saving_spends_less_with_more_antennas():
         h_full = np.sqrt(gain)[:, None] * g - sig[:, None] * e
         for nt in nt_grid:
             h = h_full[:, :nt]
-            retained, maxr_report = reschedule(h, gammas, sig, noise, total_power=1.0,
-                                               r_min=2.0)[:2]
+            cell = Scenario(h_est=h, sigma_e=sig, noise_power=noise, sinr_target=gammas)
+            retained, maxr_report = reschedule(cell, total_power=1.0, r_min=2.0)[:2]
             idx = np.array(retained)
             u = const_offset_directions(h[idx], gammas[idx])
             coupling = coupling_matrix(h[idx], u, gammas[idx], sig[idx], noise[idx])

@@ -145,6 +145,48 @@ def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patc
     assert not out.exists()
 
 
+def test_config_rejects_non_positive_r_cap_before_designing(tmp_path, capsys,
+                                                            monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("reschedule ran before the config was checked")
+    monkeypatch.setattr(powerload, "reschedule", not_reached)
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, {"generate": GENERATE_BLOCK,
+                                  "algorithm": "maxr_powersave", "r_cap": 0,
+                                  "out": str(out)})
+    code, stdout, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 1
+    assert err == "config error: r_cap must be positive, got 0\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_config_rejects_zero_trials(tmp_path, capsys):
+    # at 50 km no realization is viable, so the sweep would otherwise exit 0
+    # with a NaN row without ever estimating an outage
+    out = tmp_path / "none.csv"
+    cfg = sweep_config(tmp_path, str(out), generate={**GENERATE_BLOCK, "radius_km": 50.0},
+                       algorithms=["zf"], r_grid=[2.0], n_realizations=2, n_trials=0)
+    code, stdout, err = run_cli(capsys, ["sweep", "--config", cfg])
+    assert code == 1
+    assert err == "config error: n_trials must be at least 1, got 0\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_trials_override_is_checked_like_the_config(tmp_path, capsys):
+    out = tmp_path / "mc.json"
+    cfg = write_config(tmp_path, {"scenario_file": unit_scenario_file(tmp_path),
+                                  "algorithm": "const_offset", "r": 2.0,
+                                  "n_trials": 100, "out": str(out)})
+    code, stdout, err = run_cli(capsys, ["montecarlo", "--config", cfg,
+                                         "--trials", "0"])
+    assert code == 1
+    assert err == "config error: n_trials must be at least 1, got 0\n"
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_config_rejects_non_finite_scenario_sigma_e(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     doc = scenario_to_dict(unit_scale_scenario(seed=0))
@@ -194,6 +236,16 @@ def test_config_file_errors(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert run_cli(capsys, ["design", "--config", str(broken)])[0] == 1
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"generate": {}, "algorithm": "zf", "r": 2.0}]))
+    for extra in ([], ["--trials", "10"]):
+        code, out, err = run_cli(capsys, ["design", "--config", str(path), *extra])
+        assert code == 1
+        assert err == "config error: the config must be a JSON object\n"
+        assert out == ""
 
 
 def test_design_requires_offset_parameter(tmp_path, capsys):
@@ -387,6 +439,20 @@ def test_design_seed_override_changes_generated_scenario(tmp_path, capsys):
     assert run_cli(capsys, ["design", "--config", cfg, "--seed", "6"])[0] == 0
     second = json.loads((tmp_path / "seeded.json").read_text())["report"]["users"]
     assert first != second
+
+
+def test_degenerate_channels_error_exits_2_not_as_config_error(tmp_path, capsys):
+    # DegenerateChannelsError is a ValueError; it must still count as a
+    # failed design rather than a configuration error
+    out = tmp_path / "zf.json"
+    cfg = write_config(tmp_path, {"generate": {"n_users": 5, "n_antennas": 4,
+                                               "radius_km": 0.5, "seed": 0},
+                                  "algorithm": "zf", "r": 2.0, "out": str(out)})
+    code, stdout, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 2
+    assert stdout == ""
+    assert err == "design failed: ZF needs K <= N_t, got K=5, N_t=4\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_users,n_antennas,seed,cause", [

@@ -398,8 +398,8 @@ def test_solve_nu_errors_match_dense_oracle(seed, message):
         "generate": {"n_users": 3, "n_antennas": 4, "radius_km": 3.2, "seed": seed},
         "algorithm": "alg1", "delta": 0.05})
     scenario = cli._build_scenario(cfg)
-    h, gammas = scenario.h_est_matrix(), scenario.sinr_targets()
-    sigma_e, r = float(scenario.sigma_e_vector()[0]), cfg.resolved_r()
+    h, gammas = scenario.h_est, scenario.sinr_target
+    sigma_e, r = float(scenario.sigma_e[0]), cfg.resolved_r()
     psi = zf_directions(h)
     with pytest.raises(ConvergenceError, match=message):
         dense_solve_nu(h, gammas, sigma_e, r, psi)
@@ -517,8 +517,8 @@ def alg1_design(scenario, r):
 def test_alg1_perfect_csi_hits_targets():
     sc = unit_scale_scenario(seed=15, sigma_e=0.0)
     design = alg1_design(sc, r=2.0)
-    sinr = sinr_values(design, sc.h_est_matrix(), sc.noise_vector())
-    assert np.max(np.abs(sinr - sc.sinr_targets()) / sc.sinr_targets()) < 1e-6
+    sinr = sinr_values(design, sc.h_est, sc.noise_power)
+    assert np.max(np.abs(sinr - sc.sinr_target) / sc.sinr_target) < 1e-6
 
 
 def test_alg1_invariants():

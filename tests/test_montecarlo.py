@@ -20,11 +20,10 @@ from helpers import (per_algorithm_sweep, scenario_from_rows, standard_complex,
 
 def designer(scenario):
     """Constant-offset directions and coupling, then r -> loaded design."""
-    h = scenario.h_est_matrix()
-    gammas = scenario.sinr_targets()
+    h = scenario.h_est
+    gammas = scenario.sinr_target
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e_vector(),
-                               scenario.noise_vector())
+    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
     return lambda r: BeamformerSet(directions=u,
                                    powers=alg2_power_load(coupling, r).powers)
 
@@ -141,7 +140,7 @@ def generator(seed):
 
 def sometimes_none(scenario):
     """A designer with no design on realizations whose first entry is negative."""
-    if scenario.users[0].h_est[0].real < 0:
+    if scenario.h_est[0, 0].real < 0:
         return lambda r: None
     return designer(scenario)
 
@@ -221,7 +220,7 @@ def test_sweep_csv_deterministic(tmp_path):
 
 def raises_on_some(scenario):
     """A designer that fails outright on realizations whose first entry is negative."""
-    if scenario.users[0].h_est[0].real < 0:
+    if scenario.h_est[0, 0].real < 0:
         raise DegenerateChannelsError("test designer refuses this realization")
     return designer(scenario)
 
@@ -246,7 +245,7 @@ def test_sweep_draws_each_users_errors_once_per_kept_realization(monkeypatch):
     draw = montecarlo.draw_errors
 
     def counting_draw(*args):
-        calls.append(args[1])
+        calls.append(args[2])
         return draw(*args)
 
     monkeypatch.setattr(montecarlo, "draw_errors", counting_draw)

@@ -15,7 +15,8 @@ from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 report_for_loading, reschedule)
 from offsetbf.stats import BeamformerSet
 
-from helpers import dense_slack_moments, orthonormal_rows, sinr_values, standard_complex
+from helpers import (dense_slack_moments, orthonormal_rows, scenario_from_rows,
+                     sinr_values, standard_complex)
 
 
 def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0, noise=1.0):
@@ -291,7 +292,7 @@ def test_reschedule_keeps_all_when_offset_already_large():
     rng = np.random.default_rng(12)
     h = standard_complex(rng, (2, 4))
     gammas = np.full(2, 4.0)
-    retained, report, _, _ = reschedule(h, gammas, np.full(2, 0.1), np.ones(2),
+    retained, report, _, _ = reschedule(scenario_from_rows(h, gamma=gammas),
                                         total_power=200.0, r_min=2.0)
     assert retained == [0, 1]
     assert report.rescheduled == []
@@ -303,7 +304,7 @@ def test_reschedule_drops_duplicate_channel():
     base = standard_complex(rng, (4,))
     h = np.vstack([base, base + 1e-6 * standard_complex(rng, (4,))])
     gammas = np.full(2, 4.0)
-    retained, report, _, _ = reschedule(h, gammas, np.full(2, 0.1), np.ones(2),
+    retained, report, _, _ = reschedule(scenario_from_rows(h, gamma=gammas),
                                         total_power=200.0, r_min=2.0)
     assert len(retained) == 1
     assert len(report.rescheduled) == 1
@@ -320,7 +321,7 @@ def test_reschedule_survives_singular_dual_iteration():
     h = standard_complex(rng, (3, 4))
     h[1] = h[0] + 1e-6 * h[2]
     gammas = np.full(3, 4.0)
-    retained, report, _, _ = reschedule(h, gammas, np.full(3, 0.1), np.ones(3),
+    retained, report, _, _ = reschedule(scenario_from_rows(h, gamma=gammas),
                                         total_power=200.0, r_min=2.0)
     assert len(retained) >= 1
     assert sorted(retained + report.rescheduled) == [0, 1, 2]
@@ -348,7 +349,7 @@ def test_reschedule_drop_order_matches_ranking():
     assert 0 < r_full < 2.0
     expected_first_drop = int(np.argmax(base))
 
-    retained, report, _, _ = reschedule(h, gammas, sigma_e, noise,
+    retained, report, _, _ = reschedule(scenario_from_rows(h, sigma_e, noise, gammas),
                                         total_power=base.sum() + 0.3, r_min=2.0)
     assert report.rescheduled == [expected_first_drop]
     assert expected_first_drop not in retained
@@ -374,8 +375,8 @@ def test_reschedule_recovers_from_infeasible_loading():
     with pytest.raises(InfeasibleLoadingError):
         max_r_power_load(coupling, total_power=100.0)
 
-    retained, report, u_kept, c_kept = reschedule(h, gammas, sigma_e, noise,
-                                                  total_power=100.0, r_min=2.0)
+    retained, report, u_kept, c_kept = reschedule(
+        scenario_from_rows(h, sigma_e, noise, gammas), total_power=100.0, r_min=2.0)
     assert retained == [0, 2]
     assert report.rescheduled == [1]
     assert report.offsets[0] >= 2.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from offsetbf.channel import UserChannel, draw_errors
+from offsetbf.channel import draw_errors
 from offsetbf.directions import zf_directions
 from offsetbf.powerload import coupling_matrix
 from offsetbf.stats import BeamformerSet, predicted_outage, r_from_delta
@@ -79,9 +79,8 @@ def test_slack_moments_monte_carlo_oracle():
     coupling = coupling_matrix(h_rows, bf.directions, gammas, 0.1, noise, "exact")
     mu = coupling.mu_f(bf.powers)[0]
     sigma = coupling.sigma_f(bf.powers)[0]
-    user = UserChannel(h_est=h, sigma_e=0.1, noise_power=0.5, sinr_target=2.0)
     samples = sample_slack(h, bf.directions, bf.powers, 2.0, 0.5, 0,
-                           draw_errors(user, 10 ** 6, seed=11))
+                           draw_errors(0.1, nt, 10 ** 6, seed=11))
     scale = max(abs(mu), sigma)
     assert abs(samples.mean() - mu) < 0.01 * scale
     assert abs(samples.var() - sigma ** 2) < 0.01 * sigma ** 2
