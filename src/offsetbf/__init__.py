@@ -7,10 +7,10 @@ mu_f_k >= r sigma_f_k bounds the outage probability without solving a conic
 program. Modules:
 
 channel     scenario generation, the CN(0, sigma_e^2 I) error model, serialization
-stats       beamformer sets, offset-outage conversions
+stats       offset-outage conversions
 directions  beamforming direction solvers (dual fixed point, baselines)
 powerload   slack moments and power loading for fixed directions (QoS, max-r,
-            perturbation)
+            perturbation), and the design report
 montecarlo  empirical outage validation and power/outage sweeps
 cli         command-line front end
 """

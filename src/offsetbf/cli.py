@@ -12,6 +12,7 @@ stdout carries nothing but the output path; diagnostics go to stderr.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import numbers
@@ -24,7 +25,7 @@ from . import directions, montecarlo, powerload
 from .channel import CellConfig, generate_scenario, load_scenario
 from .errors import (ConvergenceError, DegenerateChannelsError,
                      InfeasibleLoadingError)
-from .stats import BeamformerSet, r_from_delta
+from .stats import r_from_delta
 
 FIXED_R_ALGORITHMS = ("zf", "mrt", "rzf", "alg1", "const_offset")
 MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
@@ -86,6 +87,9 @@ class RunConfig:
             for key, value in cfg.generate.items():
                 if key in ("n_users", "n_antennas", "seed"):
                     _require_number(f"generate.{key}", value, numbers.Integral)
+                elif not isinstance(value, float):
+                    # a nan or inf float goes on to the scenario, which names its field
+                    _require_number(f"generate.{key}", value)
         for key in ("seed", "n_realizations", "n_trials"):
             _require_number(key, getattr(cfg, key), numbers.Integral)
         optional = [key for key in ("r", "rzf_loading") if getattr(cfg, key) is not None]
@@ -167,28 +171,23 @@ def _coupling(scenario, u_rows, cfg: RunConfig):
 
 
 def fixed_r_designer(name: str, scenario, cfg: RunConfig):
-    """Closure r -> (BeamformerSet, DesignReport) for a fixed-r algorithm id.
+    """Closure r -> DesignReport for a fixed-r algorithm id.
 
     The directions and coupling of every id but alg1 do not depend on r, so
     they are built once here and each call only loads power at its offset;
     alg1's directions depend on r and are rebuilt at each call.
     """
-    def load_at(u_rows, coupling, r):
-        report = powerload.alg2_power_load(coupling, r)
-        return BeamformerSet(directions=u_rows, powers=report.powers), report
-
     if name == "alg1":
         def design_at(r):
             u_rows = _directions(name, scenario, cfg, r)
-            return load_at(u_rows, _coupling(scenario, u_rows, cfg), r)
+            return powerload.alg2_power_load(_coupling(scenario, u_rows, cfg), r)
         return design_at
-    u_rows = _directions(name, scenario, cfg)
-    coupling = _coupling(scenario, u_rows, cfg)
-    return lambda r: load_at(u_rows, coupling, r)
+    coupling = _coupling(scenario, _directions(name, scenario, cfg), cfg)
+    return lambda r: powerload.alg2_power_load(coupling, r)
 
 
 def run_algorithm(name: str, scenario, cfg: RunConfig):
-    """Run one design pipeline; returns (BeamformerSet, DesignReport).
+    """Run one design pipeline; returns its DesignReport.
 
     Fixed-r ids load power at the offset r; maxr and avg_outage maximize the
     common offset under the budget (avg_outage then perturbs it per user);
@@ -200,26 +199,17 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
         return fixed_r_designer(name, scenario, cfg)(r)
 
     if name in ("maxr_reschedule", "maxr_powersave"):
-        retained, report, u_rows, coupling = powerload.reschedule(
+        coupling, report = powerload.reschedule(
             scenario, cfg.total_power, r_min=cfg.r_min, variance_mode=cfg.variance_mode)
         if name == "maxr_powersave":
-            capped = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
-            capped.rescheduled = report.rescheduled
-            capped.served_indices = list(retained)
-            report = capped
-        return BeamformerSet(directions=u_rows, powers=report.powers), report
+            report = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
+        return report
 
-    u_rows = _directions(name, scenario, cfg)
-    coupling = _coupling(scenario, u_rows, cfg)
+    coupling = _coupling(scenario, _directions(name, scenario, cfg), cfg)
     _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
     if name == "avg_outage" and np.isfinite(r_star):
-        delta_r, beta = powerload.average_outage_perturbation(
-            coupling, report.sigma_f, r_star)
-        report = powerload.report_for_loading(
-            coupling, beta, r_star + delta_r,
-            iterations=report.iterations_used,
-            note="per-user offsets perturbed to minimize average outage")
-    return BeamformerSet(directions=u_rows, powers=report.powers), report
+        report = powerload.average_outage_perturbation(coupling, report)
+    return report
 
 
 def _csv_path(out_path: str) -> str:
@@ -249,7 +239,7 @@ def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
 
 def cmd_design(cfg: RunConfig) -> int:
     scenario = _build_scenario(cfg)
-    _, report = run_algorithm(cfg.algorithm, scenario, cfg)
+    report = run_algorithm(cfg.algorithm, scenario, cfg)
     print(_write_report(cfg, cfg.algorithm, report))
     return 0
 
@@ -262,10 +252,10 @@ def cmd_maxr(cfg: RunConfig) -> int:
 
 def cmd_montecarlo(cfg: RunConfig) -> int:
     scenario = _build_scenario(cfg)
-    design, report = run_algorithm(cfg.algorithm, scenario, cfg)
+    report = run_algorithm(cfg.algorithm, scenario, cfg)
     served = list(report.served_indices)
     estimates, stderrs = montecarlo.estimate_outage(
-        [design], scenario.subset(served), cfg.n_trials, cfg.seed)
+        [report], scenario.subset(served), cfg.n_trials, cfg.seed)
     outage = {int(i): float(p) for i, p in zip(served, estimates[0])}
     stderr = {int(i): float(s) for i, s in zip(served, stderrs[0])}
     for i in report.rescheduled:
@@ -294,13 +284,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if name not in FIXED_R_ALGORITHMS:
             raise ValueError(f"sweep supports fixed-offset algorithms only, got {name!r}")
 
-    def designer_for(name):
-        def designer(scenario):
-            design_at = fixed_r_designer(name, scenario, cfg)
-            return lambda r: design_at(r)[0]
-        return designer
-
-    algorithms = [(name, designer_for(name)) for name in names]
+    algorithms = [(name, functools.partial(fixed_r_designer, name, cfg=cfg))
+                  for name in names]
     points = montecarlo.sweep(algorithms, lambda seed: _build_scenario(cfg, seed),
                               r_values, cfg.n_realizations, cfg.n_trials,
                               base_seed=cfg.seed)

@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel import Scenario, draw_errors
 from .errors import ConvergenceError, DegenerateChannelsError, InfeasibleLoadingError
-from .stats import BeamformerSet
 
 SWEEP_CSV_COLUMNS = ("algorithm", "r", "mean_power_W", "mean_outage",
                      "stderr_outage", "n_viable")
@@ -101,7 +100,7 @@ def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
 
     algorithms: list of (name, designer). designer(scenario) does the
     r-independent work once per realization and returns a closure
-    r -> BeamformerSet. Either call may signal infeasibility by raising one
+    r -> DesignReport. Either call may signal infeasibility by raising one
     of the design errors; the closure may also return None. A designer that
     raises leaves its algorithm non-viable at every r of that realization.
     scenario_generator: callable(seed) -> Scenario; the same realization seeds

@@ -5,8 +5,9 @@ A beta = sigma^2 + sigma_f (.) r for a K x K coupling matrix A, with sigma_f
 depending on beta through a quadratic form. This module provides the
 fixed-point power loading, the max-common-offset loading under a power
 budget, user rescheduling, the power-saving cap, and the average-outage
-perturbation of the offset coefficients. The CouplingMatrix carries the noise
-powers and the resolved variance mode, so the loaders take only the coupling.
+perturbation of the offset coefficients. The CouplingMatrix carries the
+directions, the noise powers and the resolved variance mode, so the loaders
+take only the coupling; each returns a DesignReport, the one design value.
 """
 
 import math
@@ -28,7 +29,8 @@ CDF_FIT_POINTS = 201
 @dataclass
 class CouplingMatrix:
     """The K x K matrix A linking powers to the offset equalities, the noise
-    powers sigma^2 and the variance tensor G, for one variance mode.
+    powers sigma^2 and the variance tensor G of fixed unit-norm directions,
+    for one variance mode.
 
     This is the one implementation of the slack moments. The mean is linear in
     the powers, mu_f = A beta - sigma^2, with
@@ -45,6 +47,7 @@ class CouplingMatrix:
     mutually orthogonal.
     """
 
+    directions: np.ndarray                         # (K, N_t) complex, unit-norm rows
     a: np.ndarray
     a_inv: np.ndarray
     noise: np.ndarray                              # sigma^2, Watts
@@ -68,7 +71,7 @@ class CouplingMatrix:
 
 @dataclass
 class DesignReport:
-    """Result of a power loading run.
+    """A design: unit-norm directions (rows) and their nonnegative power loading.
 
     offsets holds the per-user r_k actually enforced and mu_f, sigma_f the slack
     moments of the CouplingMatrix at these powers; rescheduled lists the
@@ -76,6 +79,7 @@ class DesignReport:
     back to the original user indices.
     """
 
+    directions: np.ndarray
     powers: np.ndarray
     offsets: np.ndarray
     mu_f: np.ndarray
@@ -91,6 +95,10 @@ class DesignReport:
     def __post_init__(self):
         if self.served_indices is None:
             self.served_indices = list(range(len(self.powers)))
+
+    def weights(self) -> np.ndarray:
+        """Beamformers w_k = sqrt(beta_k) u_k stacked as rows."""
+        return np.sqrt(self.powers)[:, None] * self.directions
 
     def to_dict(self) -> dict:
         users = []
@@ -131,9 +139,14 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
 
     variance_mode None is exact up to SIMPLIFIED_ABOVE_NT antennas and
     simplified above. The simplified G is the exact one built from the
-    diagonal of the Gram matrix u_j^H u_l.
+    diagonal of the Gram matrix u_j^H u_l. The directions must have unit-norm
+    rows and the noise powers must be positive.
     """
     k, n_antennas = h_est.shape
+    directions = np.asarray(directions, dtype=complex)
+    norms = np.linalg.norm(directions, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-9):
+        raise ValueError(f"directions must be unit norm, got norms {norms}")
     if variance_mode is None:
         variance_mode = "exact" if n_antennas <= SIMPLIFIED_ABOVE_NT else "simplified"
     if variance_mode not in VARIANCE_MODES:
@@ -141,6 +154,8 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
     noise = np.array(noise, dtype=float)
     if noise.shape != (k,):
         raise ValueError(f"noise must have {k} entries, got shape {noise.shape}")
+    if not np.all(noise > 0):
+        raise ValueError(f"noise powers must be positive, got {noise}")
     gammas = np.asarray(gammas, dtype=float)
     sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,)).copy()
 
@@ -165,18 +180,26 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
         g_tensor[i] = np.outer(s, s) * (2.0 * sigma_e[i] ** 2 * triple
                                         + sigma_e[i] ** 4 * gram_abs2)
 
-    return CouplingMatrix(a=a, a_inv=a_inv, noise=noise,
+    return CouplingMatrix(directions=directions, a=a, a_inv=a_inv, noise=noise,
                           variance_mode=variance_mode, g_tensor=g_tensor)
 
 
 def report_for_loading(coupling: CouplingMatrix, beta, r_vec, iterations: int = 1,
                        note: str = "") -> DesignReport:
-    """Report a loading: its slack moments, predicted outage and total power."""
+    """Report a loading of the coupling's directions: its slack moments,
+    predicted outage and total power.
+
+    Raises InfeasibleLoadingError when a power entry is negative.
+    """
     beta = np.asarray(beta, dtype=float)
+    if np.any(beta < 0):
+        raise InfeasibleLoadingError(
+            f"power loading fixed point has negative entries: {beta}", powers=beta)
     r_vec = np.broadcast_to(np.asarray(r_vec, dtype=float), beta.shape).copy()
     mu_f = coupling.mu_f(beta)
     sigma_f = coupling.sigma_f(beta)
-    return DesignReport(powers=beta, offsets=r_vec, mu_f=mu_f, sigma_f=sigma_f,
+    return DesignReport(directions=coupling.directions, powers=beta, offsets=r_vec,
+                        mu_f=mu_f, sigma_f=sigma_f,
                         predicted_outage=predicted_outage(mu_f, sigma_f),
                         total_power=float(beta.sum()), rescheduled=[],
                         iterations_used=iterations,
@@ -214,10 +237,6 @@ def alg2_power_load(coupling: CouplingMatrix, r, tol: float = 1e-6,
         change = np.max(np.abs(beta_new - beta)) / scale
         beta = beta_new
         if change < tol:
-            if np.any(beta < 0):
-                raise InfeasibleLoadingError(
-                    f"power loading fixed point has negative entries: {beta}",
-                    powers=beta)
             return report_for_loading(coupling, beta, r_vec, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
@@ -233,9 +252,13 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
     Gaussian approximation). When all error variances are zero the offset is
     unbounded: the report carries r = inf and the plain QoS loading.
 
+    With positive noise and a nonnegative QoS loading the Z-matrix A is an
+    M-matrix, so A^{-1} >= 0 and the offset is always fundable:
+    1^T A^{-1} sigma_f > 0 once any sigma_f_k > 0.
+
     Raises InfeasibleLoadingError when the zero-offset QoS loading A^{-1} sigma^2
     already has negative entries (no offset is achievable for the given set) or
-    when 1^T A^{-1} sigma_f <= 0 leaves the offset unfundable.
+    when the max-r loading has a negative entry.
 
     Returns (beta, r, DesignReport).
     """
@@ -255,11 +278,7 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
 
     r = 0.0
     for iteration in range(1, max_iters + 1):
-        denom = colsums @ sigma_f
-        if denom <= 0:
-            raise InfeasibleLoadingError(
-                "offset is unfundable: 1^T A^{-1} sigma_f <= 0", powers=beta)
-        r_new = budget / denom
+        r_new = budget / (colsums @ sigma_f)
         beta = base + r_new * (coupling.a_inv @ sigma_f)
         sigma_f = coupling.sigma_f(beta)
         converged = abs(r_new - r) <= tol * max(abs(r_new), 1e-30)
@@ -284,8 +303,8 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
     approximation of A^{-1} sigma^2 (gamma_k sigma_k^2 over the beam gain, or
     over the channel norm when no directions exist) and the loop continues.
 
-    Returns (retained original indices, DesignReport, directions, coupling),
-    the last two built for the retained set, so callers can reuse them.
+    Returns (coupling, DesignReport), both of the retained set; the report
+    lists the dropped and served users by their original indices.
     """
     retained = list(range(scenario.n_users))
     dropped = []
@@ -313,7 +332,7 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
         if r >= r_min or len(retained) == 1:
             report.rescheduled = list(dropped)
             report.served_indices = list(retained)
-            return retained, report, u_sub, coupling
+            return coupling, report
         worst = int(np.argmax(coupling.a_inv @ sub.noise_power))
         dropped.append(retained.pop(worst))
 
@@ -321,13 +340,16 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
 def power_saving_cap(coupling: CouplingMatrix, maxr_report: DesignReport,
                      r_cap: float = 5.0) -> DesignReport:
     """Cap the common offset: if the max-r report of this coupling exceeds r_cap,
-    re-solve the power minimization at r = r_cap, typically spending far less."""
+    re-solve the power minimization at r = r_cap, typically spending far less.
+    The capped report keeps the max-r report's dropped and served users."""
     if r_cap <= 0:
         raise ValueError("r_cap must be positive")
     r = maxr_report.offsets[0]
     if r > r_cap:
         capped = alg2_power_load(coupling, r_cap)
         capped.note = f"offset capped at {r_cap} (max-r solution reached {r:.4g})"
+        capped.rescheduled = list(maxr_report.rescheduled)
+        capped.served_indices = list(maxr_report.served_indices)
         return capped
     return maxr_report
 
@@ -339,11 +361,12 @@ def fit_normal_cdf_quadratic():
     return float(a0), float(a1), float(a2)
 
 
-def average_outage_perturbation(coupling: CouplingMatrix, sigma_f: np.ndarray,
-                                r_star: float):
+def average_outage_perturbation(coupling: CouplingMatrix,
+                                maxr_report: DesignReport) -> DesignReport:
     """Per-user offset perturbations minimizing the average Gaussian outage.
 
-    Starting from the max-r solution (all users at the common offset r_star),
+    Starting from the max-r report of this coupling (all users at a finite
+    common offset r_star, with slack deviations sigma_f),
     maximize sum_k q(r_star + delta_r_k) subject to power conservation
     1^T A^{-1} (sigma_f (.) delta_r) = 0, where q = a0 r^2 + a1 r + a2 is
     fit_normal_cdf_quadratic() (a0 < 0). With b = (1^T A^{-1}) (.) sigma_f
@@ -352,9 +375,10 @@ def average_outage_perturbation(coupling: CouplingMatrix, sigma_f: np.ndarray,
         delta_r = (-(2 a0 r* + a1) 1 - zeta b) / (2 a0),
     and the powers are refreshed once with sigma_f held fixed.
 
-    Returns (delta_r, beta).
+    Returns the report of the refreshed powers at the offsets r_star + delta_r.
     """
-    sigma_f = np.asarray(sigma_f, dtype=float)
+    sigma_f = maxr_report.sigma_f
+    r_star = maxr_report.offsets[0]
     a0, a1, _ = fit_normal_cdf_quadratic()
 
     b = coupling.a_inv.sum(axis=0) * sigma_f
@@ -366,4 +390,6 @@ def average_outage_perturbation(coupling: CouplingMatrix, sigma_f: np.ndarray,
         delta_r = (-slope - zeta * b) / (2.0 * a0)
     r_vec = r_star + delta_r
     beta = coupling.a_inv @ coupling.noise + coupling.a_inv @ (sigma_f * r_vec)
-    return delta_r, beta
+    return report_for_loading(
+        coupling, beta, r_vec, iterations=maxr_report.iterations_used,
+        note="per-user offsets perturbed to minimize average outage")

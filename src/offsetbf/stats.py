@@ -1,4 +1,4 @@
-"""Beamformer sets and offset-outage conversions.
+"""Offset-outage conversions.
 
 For user k with SINR target gamma_k, define
     Q_k = beta_k u_k u_k^H / gamma_k - sum_{j != k} beta_j u_j u_j^H,
@@ -9,38 +9,8 @@ mean and standard deviation of f_k under the Gaussian error model. Both
 moments, exact and simplified, are computed by powerload.CouplingMatrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc, ndtri
-
-
-@dataclass
-class BeamformerSet:
-    """Unit-norm directions (rows) plus nonnegative power loading.
-
-    The beamformer of user k is w_k = sqrt(powers[k]) * directions[k].
-    """
-
-    directions: np.ndarray  # (K, N_t) complex, unit-norm rows
-    powers: np.ndarray      # (K,) Watts
-
-    def __post_init__(self):
-        self.directions = np.asarray(self.directions, dtype=complex)
-        self.powers = np.asarray(self.powers, dtype=float)
-        norms = np.linalg.norm(self.directions, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError(f"directions must be unit norm, got norms {norms}")
-        if np.any(self.powers < 0):
-            raise ValueError(f"powers must be nonnegative, got {self.powers}")
-
-    @property
-    def n_users(self) -> int:
-        return self.directions.shape[0]
-
-    def weights(self) -> np.ndarray:
-        """Beamformers w_k = sqrt(beta_k) u_k stacked as rows."""
-        return np.sqrt(self.powers)[:, None] * self.directions
 
 
 def r_from_delta(delta: float, mode: str = "cantelli") -> float:

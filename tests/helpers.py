@@ -40,9 +40,9 @@ def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0):
     return Scenario(h_est=h_est, sigma_e=sigma_e, noise_power=noise, sinr_target=gamma)
 
 
-def sinr_values(beamformers, h_rows, noise):
+def sinr_values(design, h_rows, noise):
     """SINR of each user for channels h_rows (K, N_t) and the given design."""
-    w = beamformers.weights()
+    w = design.weights()
     gains = np.abs(h_rows.conj() @ w.T) ** 2   # [i, j] = |h_i^H w_j|^2
     signal = np.diag(gains)
     interference = gains.sum(axis=1) - signal
@@ -73,7 +73,7 @@ def per_algorithm_sweep(algorithms, scenario_generator, r_values, n_realizations
     """Oracle for montecarlo.sweep: every design estimated on its own.
 
     algorithms: list of (name, design_fn) with design_fn(scenario, r) returning
-    a BeamformerSet or None, or raising a design error. Each r and each
+    a DesignReport or None, or raising a design error. Each r and each
     algorithm redoes all of its work, and each kept design gets one
     single-design outage estimate seeded with spawn key (i, 1 + ri).
     """

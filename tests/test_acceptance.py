@@ -24,7 +24,6 @@ from offsetbf.montecarlo import estimate_outage
 from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 coupling_matrix, max_r_power_load, power_saving_cap,
                                 reschedule)
-from offsetbf.stats import BeamformerSet
 
 from helpers import (orthonormal_rows, scenario_from_rows, sinr_values,
                      standard_complex, unit_scale_scenario)
@@ -69,8 +68,7 @@ def test_criterion_01_perfect_csi_equalizes_sinr_in_one_iteration():
     u = const_offset_directions(h, gammas)
     coupling = coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
     report = alg2_power_load(coupling, 2.0)
-    design = BeamformerSet(directions=u, powers=report.powers)
-    sinr = sinr_values(design, h, scenario.noise_power)
+    sinr = sinr_values(report, h, scenario.noise_power)
     assert report.iterations_used == 1
     assert np.max(np.abs(sinr - gammas) / gammas) <= 1e-6
     assert time.perf_counter() - start < 1.0
@@ -113,10 +111,9 @@ def test_criterion_03_offset_two_calibrates_the_outage_tail():
     in_band = 0
     for i, (h, u, coupling, report, noise) in enumerate(
             feasible_unit_instances(100, k=3, nt=8)):
-        design = BeamformerSet(directions=u, powers=report.powers)
         scenario = scenario_from_rows(h, sigma_e=SIGMA_E, noise=1.0,
                                       gamma=GAMMA)
-        outage, _ = estimate_outage([design], scenario, 100_000, 1000 + i)
+        outage, _ = estimate_outage([report], scenario, 100_000, 1000 + i)
         if lo <= float(np.mean(outage[0])) <= hi:
             in_band += 1
     assert in_band >= 80
@@ -195,7 +192,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     u_sym = const_offset_directions(h_sym, gammas)
     c_sym = coupling_matrix(h_sym, u_sym, gammas, sig, noise)
     beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, 10.0, tol=1e-12)
-    delta_sym, _ = average_outage_perturbation(c_sym, rep_sym.sigma_f, r_sym)
+    delta_sym = average_outage_perturbation(c_sym, rep_sym).offsets - r_sym
     assert np.max(np.abs(delta_sym)) <= 1e-12
 
     checked = 0
@@ -221,9 +218,9 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         except DESIGN_ERRORS:
             continue
         checked += 1
-        delta, beta_new = average_outage_perturbation(coupling, report.sigma_f,
-                                                      r_star)
-        assert abs(beta_new.sum() - beta.sum()) <= 1e-9 * beta.sum()
+        perturbed = average_outage_perturbation(coupling, report)
+        delta = perturbed.offsets - r_star
+        assert abs(perturbed.powers.sum() - beta.sum()) <= 1e-9 * beta.sum()
         change = float(np.sum(ndtr(-(r_star + delta)))) - len(delta) * ndtr(-r_star)
         assert change <= 1e-12
         total_change += change
@@ -338,10 +335,7 @@ def test_criterion_09_power_saving_spends_less_with_more_antennas():
         for nt in nt_grid:
             h = h_full[:, :nt]
             cell = Scenario(h_est=h, sigma_e=sig, noise_power=noise, sinr_target=gammas)
-            retained, maxr_report = reschedule(cell, total_power=1.0, r_min=2.0)[:2]
-            idx = np.array(retained)
-            u = const_offset_directions(h[idx], gammas[idx])
-            coupling = coupling_matrix(h[idx], u, gammas[idx], sig[idx], noise[idx])
+            coupling, maxr_report = reschedule(cell, total_power=1.0, r_min=2.0)
             capped = power_saving_cap(coupling, maxr_report, r_cap=5.0)
             means[nt].append(capped.powers.sum())
 

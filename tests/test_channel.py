@@ -258,6 +258,6 @@ def test_scenario_from_dict_ignores_legacy_fields():
     assert legacy.h_est.tobytes() == current.h_est.tobytes()
     assert legacy.sigma_e.tobytes() == current.sigma_e.tobytes()
     cfg = RunConfig(generate={}, algorithm="zf", r=2.0)
-    _, report_legacy = run_algorithm("zf", legacy, cfg)
-    _, report_current = run_algorithm("zf", scenario_from_dict(scenario_to_dict(current)), cfg)
+    report_legacy = run_algorithm("zf", legacy, cfg)
+    report_current = run_algorithm("zf", scenario_from_dict(scenario_to_dict(current)), cfg)
     assert np.array_equal(report_legacy.powers, report_current.powers)

@@ -130,6 +130,9 @@ def generate_with(**values):
     (generate_with(n_users=True), "generate.n_users must be an integer"),
     (generate_with(n_antennas="4"), "generate.n_antennas must be an integer"),
     (generate_with(seed=1.5), "generate.seed must be an integer"),
+    (generate_with(radius_km="0.5"), "generate.radius_km must be a finite number"),
+    (generate_with(gamma_db=True), "generate.gamma_db must be a finite number"),
+    (generate_with(sigma_e=[0.1]), "generate.sigma_e must be a finite number"),
 ])
 def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patch,
                                                           message):
@@ -403,6 +406,26 @@ def test_maxr_without_reschedule_fails_on_duplicates(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["maxr", "--config", cfg])
     assert code == 2
     assert "design" in err
+
+
+@pytest.mark.parametrize("algorithm,seed,total_power", [
+    ("maxr", 0, 1e-14),
+    ("avg_outage", 6, 1e-11),
+])
+def test_budget_below_qos_loading_is_design_infeasible(tmp_path, capsys, algorithm,
+                                                       seed, total_power):
+    # The max-r loading of a budget far below the zero-offset QoS loading has
+    # negative powers, which no design can carry.
+    out = tmp_path / "x.json"
+    cfg = write_config(tmp_path, {"generate": {"n_users": 4, "n_antennas": 8,
+                                               "seed": seed, "radius_km": 3.2},
+                                  "algorithm": algorithm, "total_power": total_power,
+                                  "out": str(out)})
+    code, stdout, err = run_cli(capsys, ["design", "--config", cfg])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("design infeasible: power loading fixed point has negative")
+    assert not out.exists()
 
 
 def test_maxr_reports_singular_dual_as_design_failure(tmp_path, capsys):

@@ -510,8 +510,7 @@ def test_nu_massive_approx_improves_with_antennas():
 # ---------------------------------------------------------------------------
 
 def alg1_design(scenario, r):
-    design, _ = cli.run_algorithm("alg1", scenario, cli.RunConfig(r=r))
-    return design
+    return cli.run_algorithm("alg1", scenario, cli.RunConfig(r=r))
 
 
 def test_alg1_perfect_csi_hits_targets():

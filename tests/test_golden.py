@@ -42,7 +42,7 @@ def run_case(name, k, nt, radius_km, seed):
     })
     scenario = cli._build_scenario(cfg)
     try:
-        _, report = cli.run_algorithm(name, scenario, cfg)
+        report = cli.run_algorithm(name, scenario, cfg)
     except DESIGN_ERRORS as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
     return {"report": report.to_dict()}

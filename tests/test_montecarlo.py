@@ -11,21 +11,24 @@ from offsetbf.directions import const_offset_directions
 from offsetbf.errors import DegenerateChannelsError
 from offsetbf.montecarlo import (estimate_outage, sweep, sweep_to_csv,
                                  viability_check, SWEEP_CSV_COLUMNS)
-from offsetbf.powerload import alg2_power_load, coupling_matrix
-from offsetbf.stats import BeamformerSet
+from offsetbf.powerload import alg2_power_load, coupling_matrix, report_for_loading
 
 from helpers import (per_algorithm_sweep, scenario_from_rows, standard_complex,
                      unit_scale_scenario)
 
 
-def designer(scenario):
-    """Constant-offset directions and coupling, then r -> loaded design."""
+def constant_offset_coupling(scenario):
+    """The coupling of the constant-offset directions of a scenario."""
     h = scenario.h_est
     gammas = scenario.sinr_target
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
-    return lambda r: BeamformerSet(directions=u,
-                                   powers=alg2_power_load(coupling, r).powers)
+    return coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
+
+
+def designer(scenario):
+    """Constant-offset directions and coupling, then r -> loaded design."""
+    coupling = constant_offset_coupling(scenario)
+    return lambda r: alg2_power_load(coupling, r)
 
 
 def design_for(scenario, r):
@@ -86,11 +89,10 @@ def test_estimate_outage_deterministic_and_seed_sensitive():
 
 def test_estimate_outage_margins_drive_outage():
     scenario = unit_scale_scenario(seed=9)
-    design = design_for(scenario, 2.0)
-    boosted = BeamformerSet(directions=design.directions,
-                            powers=design.powers * 50.0)
-    starved = BeamformerSet(directions=design.directions,
-                            powers=design.powers * 1e-4)
+    coupling = constant_offset_coupling(scenario)
+    design = alg2_power_load(coupling, 2.0)
+    boosted = report_for_loading(coupling, design.powers * 50.0, 2.0)
+    starved = report_for_loading(coupling, design.powers * 1e-4, 2.0)
     outage_boosted, _ = outage_of(boosted, scenario, 200, base_seed=11)
     outage_starved, _ = outage_of(starved, scenario, 200, base_seed=11)
     assert np.all(outage_boosted == 0.0)
@@ -124,8 +126,9 @@ def test_estimate_outage_rejects_zero_trials():
 
 def test_viability_check_thresholds():
     u = np.array([[1.0, 0.0]], dtype=complex)
-    assert viability_check(BeamformerSet(directions=u, powers=np.array([99.9])))
-    assert not viability_check(BeamformerSet(directions=u, powers=np.array([100.0])))
+    coupling = coupling_matrix(u, u, np.ones(1), 0.1, np.ones(1))
+    assert viability_check(report_for_loading(coupling, [99.9], 0.0))
+    assert not viability_check(report_for_loading(coupling, [100.0], 0.0))
     assert not viability_check(None)
 
 

@@ -13,7 +13,6 @@ from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
                                 coupling_matrix, fit_normal_cdf_quadratic,
                                 max_r_power_load, power_saving_cap,
                                 report_for_loading, reschedule)
-from offsetbf.stats import BeamformerSet
 
 from helpers import (dense_slack_moments, orthonormal_rows, scenario_from_rows,
                      sinr_values, standard_complex)
@@ -108,8 +107,7 @@ def test_alg2_perfect_csi_single_iteration():
     report = alg2_power_load(coupling, r=7.0)
     assert report.iterations_used == 1
     assert np.max(np.abs(report.powers - coupling.a_inv @ noise)) < 1e-9
-    design = BeamformerSet(directions=u, powers=report.powers)
-    sinr = sinr_values(design, h, noise)
+    sinr = sinr_values(report, h, noise)
     assert np.max(np.abs(sinr - gammas) / gammas) < 1e-9
 
 
@@ -247,18 +245,23 @@ def test_max_r_zero_uncertainty_sentinel():
     assert np.max(np.abs(beta - coupling.a_inv @ noise)) < 1e-12
 
 
-def test_max_r_unfundable_offset_raises():
+def test_coupling_matrix_rejects_non_positive_noise():
     # Nearly parallel users served by matched beams: det A < 0, so every
-    # entry of A^{-1} is negative. The noise A (1, 1) makes the zero-offset
-    # loading (1, 1) nonnegative, but 1^T A^{-1} sigma_f < 0. (With positive
-    # noise A is an M-matrix, A^{-1} >= 0, and this branch cannot be reached.)
+    # entry of A^{-1} is negative. The noise A (1, 1) has a negative entry and
+    # would make 1^T A^{-1} sigma_f < 0, an offset no budget can fund; with
+    # positive noise A is an M-matrix, A^{-1} >= 0, and that cannot happen.
     h = np.array([[1.0, 0.0], [0.999, np.sqrt(1 - 0.999 ** 2)]], dtype=complex)
     a = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), np.ones(2)).a
-    noise = a @ np.ones(2)
-    coupling = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), noise)
-    assert np.all(coupling.a_inv < 0)
-    with pytest.raises(InfeasibleLoadingError, match="unfundable"):
-        max_r_power_load(coupling, total_power=10.0)
+    assert np.all(np.linalg.inv(a) < 0)
+    for noise in (a @ np.ones(2), np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="noise powers must be positive"):
+            coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), noise)
+
+
+def test_coupling_matrix_rejects_non_unit_directions():
+    h = np.array([[1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="directions must be unit norm"):
+        coupling_matrix(h, 2.0 * h, np.ones(1), 0.1, np.ones(1))
 
 
 def test_max_r_convergence_error_carries_last_iterate():
@@ -292,9 +295,9 @@ def test_reschedule_keeps_all_when_offset_already_large():
     rng = np.random.default_rng(12)
     h = standard_complex(rng, (2, 4))
     gammas = np.full(2, 4.0)
-    retained, report, _, _ = reschedule(scenario_from_rows(h, gamma=gammas),
-                                        total_power=200.0, r_min=2.0)
-    assert retained == [0, 1]
+    _, report = reschedule(scenario_from_rows(h, gamma=gammas),
+                           total_power=200.0, r_min=2.0)
+    assert report.served_indices == [0, 1]
     assert report.rescheduled == []
     assert report.offsets[0] >= 2.0
 
@@ -304,11 +307,11 @@ def test_reschedule_drops_duplicate_channel():
     base = standard_complex(rng, (4,))
     h = np.vstack([base, base + 1e-6 * standard_complex(rng, (4,))])
     gammas = np.full(2, 4.0)
-    retained, report, _, _ = reschedule(scenario_from_rows(h, gamma=gammas),
-                                        total_power=200.0, r_min=2.0)
-    assert len(retained) == 1
+    _, report = reschedule(scenario_from_rows(h, gamma=gammas),
+                           total_power=200.0, r_min=2.0)
+    assert len(report.served_indices) == 1
     assert len(report.rescheduled) == 1
-    assert sorted(retained + report.rescheduled) == [0, 1]
+    assert sorted(report.served_indices + report.rescheduled) == [0, 1]
     assert report.offsets[0] >= 2.0
 
 
@@ -321,10 +324,10 @@ def test_reschedule_survives_singular_dual_iteration():
     h = standard_complex(rng, (3, 4))
     h[1] = h[0] + 1e-6 * h[2]
     gammas = np.full(3, 4.0)
-    retained, report, _, _ = reschedule(scenario_from_rows(h, gamma=gammas),
-                                        total_power=200.0, r_min=2.0)
-    assert len(retained) >= 1
-    assert sorted(retained + report.rescheduled) == [0, 1, 2]
+    _, report = reschedule(scenario_from_rows(h, gamma=gammas),
+                           total_power=200.0, r_min=2.0)
+    assert len(report.served_indices) >= 1
+    assert sorted(report.served_indices + report.rescheduled) == [0, 1, 2]
     assert np.min(report.offsets) >= 2.0
 
 
@@ -349,10 +352,10 @@ def test_reschedule_drop_order_matches_ranking():
     assert 0 < r_full < 2.0
     expected_first_drop = int(np.argmax(base))
 
-    retained, report, _, _ = reschedule(scenario_from_rows(h, sigma_e, noise, gammas),
-                                        total_power=base.sum() + 0.3, r_min=2.0)
+    _, report = reschedule(scenario_from_rows(h, sigma_e, noise, gammas),
+                           total_power=base.sum() + 0.3, r_min=2.0)
     assert report.rescheduled == [expected_first_drop]
-    assert expected_first_drop not in retained
+    assert expected_first_drop not in report.served_indices
     assert report.offsets[0] >= 2.0
 
 
@@ -375,13 +378,16 @@ def test_reschedule_recovers_from_infeasible_loading():
     with pytest.raises(InfeasibleLoadingError):
         max_r_power_load(coupling, total_power=100.0)
 
-    retained, report, u_kept, c_kept = reschedule(
+    c_kept, report = reschedule(
         scenario_from_rows(h, sigma_e, noise, gammas), total_power=100.0, r_min=2.0)
+    retained = report.served_indices
     assert retained == [0, 2]
     assert report.rescheduled == [1]
     assert report.offsets[0] >= 2.0
     # the returned directions and coupling are those of the retained set
-    assert np.array_equal(u_kept, const_offset_directions(h[retained], gammas[retained]))
+    u_kept = const_offset_directions(h[retained], gammas[retained])
+    assert np.array_equal(report.directions, u_kept)
+    assert np.array_equal(c_kept.directions, u_kept)
     fresh = coupling_matrix(h[retained], u_kept, gammas[retained], sigma_e[retained],
                             noise[retained])
     assert np.array_equal(c_kept.a, fresh.a)
@@ -430,9 +436,9 @@ def test_perturbation_zero_on_symmetric_instance():
     gammas = np.full(3, 4.0)
     coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1), np.full(3, 0.3))
     beta, r_star, report = max_r_power_load(coupling, total_power=30.0, tol=1e-12)
-    delta_r, beta_new = average_outage_perturbation(coupling, report.sigma_f, r_star)
-    assert np.max(np.abs(delta_r)) < 1e-12
-    assert np.max(np.abs(beta_new - beta)) < 1e-9 * np.max(beta)
+    perturbed = average_outage_perturbation(coupling, report)
+    assert np.max(np.abs(perturbed.offsets - r_star)) < 1e-12
+    assert np.max(np.abs(perturbed.powers - beta)) < 1e-9 * np.max(beta)
 
 
 def test_perturbation_conserves_power_and_objective():
@@ -457,9 +463,9 @@ def test_perturbation_conserves_power_and_objective():
                                                     tol=1e-12)
             budget *= 2.0 / r_star
         assert r_star > 0
-        delta_r, beta_new = average_outage_perturbation(coupling, report.sigma_f,
-                                                        r_star)
-        assert abs(beta_new.sum() - beta.sum()) < 1e-9 * beta.sum()
+        perturbed = average_outage_perturbation(coupling, report)
+        delta_r = perturbed.offsets - r_star
+        assert abs(perturbed.powers.sum() - beta.sum()) < 1e-9 * beta.sum()
         before = np.sum(surrogate_outage(np.full(3, r_star)))
         after = np.sum(surrogate_outage(r_star + delta_r))
         assert after <= before + 1e-12
@@ -479,6 +485,22 @@ def test_report_for_loading_matches_alg2():
     assert rebuilt.mu_f == pytest.approx(report.mu_f, rel=1e-12)
     assert rebuilt.sigma_f == pytest.approx(report.sigma_f, rel=1e-12)
     assert rebuilt.total_power == pytest.approx(report.total_power, rel=1e-12)
+
+
+def test_report_for_loading_rejects_negative_powers():
+    _, _, _, coupling = random_instance(seed=16)
+    with pytest.raises(InfeasibleLoadingError,
+                       match="power loading fixed point has negative entries") as excinfo:
+        report_for_loading(coupling, [1.0, -0.1, 2.0], 2.0)
+    assert np.array_equal(excinfo.value.powers, [1.0, -0.1, 2.0])
+
+
+def test_design_report_weights():
+    u = np.eye(2, dtype=complex)
+    coupling = coupling_matrix(u, u, np.ones(2), 0.1, np.ones(2))
+    report = report_for_loading(coupling, [4.0, 9.0], 2.0)
+    assert report.directions is coupling.directions
+    assert np.allclose(report.weights(), np.diag([2.0, 3.0]))
 
 
 def test_design_report_serialization_with_drops():

@@ -122,7 +122,7 @@ def cli_powers(name, h, gammas, noise, sigma_e, mode, total_power):
     scenario = scenario_from_rows(h, sigma_e=sigma_e, noise=noise, gamma=gammas)
     cfg = cli.RunConfig(algorithm=name, r=FIXED_R, total_power=total_power,
                         variance_mode=mode)
-    _, report = cli.run_algorithm(name, scenario, cfg)
+    report = cli.run_algorithm(name, scenario, cfg)
     beta = np.zeros(h.shape[0])
     beta[report.served_indices] = report.powers
     return beta

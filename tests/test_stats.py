@@ -7,19 +7,18 @@ from scipy.special import erfc
 
 from offsetbf.channel import draw_errors
 from offsetbf.directions import zf_directions
-from offsetbf.powerload import coupling_matrix
-from offsetbf.stats import BeamformerSet, predicted_outage, r_from_delta
+from offsetbf.powerload import coupling_matrix, report_for_loading
+from offsetbf.stats import predicted_outage, r_from_delta
 
 from helpers import orthonormal_rows, sinr_values, standard_complex
 
 
-def random_beamformers(k, nt, seed, powers=None):
+def random_beamformers(k, nt, seed):
+    """Random unit-norm directions (rows) and powers in [0.5, 2]."""
     rng = np.random.default_rng(seed)
     u = standard_complex(rng, (k, nt))
     u = u / np.linalg.norm(u, axis=1)[:, None]
-    if powers is None:
-        powers = rng.uniform(0.5, 2.0, size=k)
-    return BeamformerSet(directions=u, powers=np.asarray(powers, dtype=float))
+    return u, rng.uniform(0.5, 2.0, size=k)
 
 
 def sample_slack(h_k, u, beta, gamma_k, noise_k, k, errors):
@@ -39,16 +38,16 @@ def test_slack_sign_matches_sinr_margin():
     # With sigma_e = 0 the slack mean at the realized channels is f_k itself,
     # which must be nonnegative exactly when the SINR meets its target.
     rng = np.random.default_rng(3)
-    bf = random_beamformers(3, 4, seed=4)
+    u, powers = random_beamformers(3, 4, seed=4)
     h_est = standard_complex(rng, (3, 4))
     gammas = np.array([2.0, 4.0, 1.5])
     noise = np.array([0.3, 1.0, 0.5])
     for trial in range(100):
         e = 0.3 * standard_complex(rng, (3, 4))
         h = h_est + e
-        sinr = sinr_values(bf, h, noise)
-        mu = coupling_matrix(h, bf.directions, gammas, 0.0, noise).mu_f(bf.powers)
-        assert np.array_equal(mu >= 0, sinr >= gammas)
+        design = report_for_loading(coupling_matrix(h, u, gammas, 0.0, noise), powers, 0.0)
+        sinr = sinr_values(design, h, noise)
+        assert np.array_equal(design.mu_f >= 0, sinr >= gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -70,16 +69,16 @@ def test_slack_moments_hand_values():
 
 def test_slack_moments_monte_carlo_oracle():
     nt = 4
-    bf = random_beamformers(3, nt, seed=9)
+    u, powers = random_beamformers(3, nt, seed=9)
     rng = np.random.default_rng(10)
     h = standard_complex(rng, (nt,)) * 2.0
     h_rows = np.vstack([h, standard_complex(rng, (2, nt))])
     gammas = np.full(3, 2.0)
     noise = np.full(3, 0.5)
-    coupling = coupling_matrix(h_rows, bf.directions, gammas, 0.1, noise, "exact")
-    mu = coupling.mu_f(bf.powers)[0]
-    sigma = coupling.sigma_f(bf.powers)[0]
-    samples = sample_slack(h, bf.directions, bf.powers, 2.0, 0.5, 0,
+    coupling = coupling_matrix(h_rows, u, gammas, 0.1, noise, "exact")
+    mu = coupling.mu_f(powers)[0]
+    sigma = coupling.sigma_f(powers)[0]
+    samples = sample_slack(h, u, powers, 2.0, 0.5, 0,
                            draw_errors(0.1, nt, 10 ** 6, seed=11))
     scale = max(abs(mu), sigma)
     assert abs(samples.mean() - mu) < 0.01 * scale
@@ -163,18 +162,3 @@ def test_predicted_outage_values():
     got = predicted_outage([0.0, 2.0, 1.0, -1.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0])
     assert got[:2] == pytest.approx([0.5, 0.5 * erfc(2.0 / np.sqrt(2.0))], rel=1e-12)
     assert np.array_equal(got[2:], [0.0, 1.0, 0.0])
-
-
-def test_beamformer_set_validation():
-    with pytest.raises(ValueError):
-        BeamformerSet(directions=np.array([[2.0, 0.0]], dtype=complex),
-                      powers=np.array([1.0]))
-    with pytest.raises(ValueError):
-        BeamformerSet(directions=np.array([[1.0, 0.0]], dtype=complex),
-                      powers=np.array([-0.1]))
-
-
-def test_beamformer_weights():
-    bf = BeamformerSet(directions=np.eye(2, dtype=complex),
-                       powers=np.array([4.0, 9.0]))
-    assert np.allclose(bf.weights(), np.diag([2.0, 3.0]))

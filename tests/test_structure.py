@@ -1,7 +1,9 @@
 """Structural guards over the package sources: imports stay at module level,
 the modules of offsetbf import each other without cycles, the power loaders
 take the noise and variance mode from the coupling only, and the trial count
-keeps the slot of montecarlo.estimate_outage that the benchmark tracer reads."""
+and the reports keep the slots of montecarlo.estimate_outage,
+powerload.reschedule and powerload.max_r_power_load that the benchmark
+tracer reads."""
 
 import ast
 import inspect
@@ -9,6 +11,9 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from offsetbf import montecarlo, powerload
+from offsetbf.powerload import DesignReport
+
+from helpers import unit_scale_scenario
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "offsetbf"
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
@@ -71,3 +76,12 @@ def test_estimate_outage_trial_count_is_third_parameter():
     # bench/tracer.py reads the trial count of a positional call as args[2]
     params = list(inspect.signature(montecarlo.estimate_outage).parameters)
     assert params[2] == "n_trials"
+
+
+def test_reschedule_and_max_r_reports_keep_their_slots():
+    # bench/tracer.py reads reschedule(...)[1] and max_r_power_load(...)[2]
+    scenario = unit_scale_scenario(seed=0)
+    rescheduled = powerload.reschedule(scenario, total_power=50.0)
+    assert isinstance(rescheduled[1], DesignReport)
+    coupling = rescheduled[0]
+    assert isinstance(powerload.max_r_power_load(coupling, 50.0)[2], DesignReport)
