@@ -294,7 +294,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="offsetbf",
         description="Offset-based robust downlink beamforming")
@@ -308,7 +310,11 @@ def main(argv=None) -> int:
                        help="Monte-Carlo trials override")
         p.add_argument("--algorithms", default=None,
                        help="comma-separated algorithm ids override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args)

@@ -183,34 +183,65 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
                              tol: float = 1e-10, max_iters: int = 500) -> np.ndarray:
     """Fixed point nu_k^{-1} = h_k^H (I + sum_j nu_j h_j h_j^H)^{-1} h_k (1 + 1/gamma_k).
 
-    The N_t x N_t matrix is I plus a rank-K term, so the iteration runs in the
+    The N_t x N_t matrix is I plus a rank-K term, so the solver works in the
     users' span: with H the K x N_t matrix of rows h_k^H, G = H H^H = [h_i^H h_j]
     and N = diag(nu), the push-through identity gives
-    h_k^H (I + H^H N H)^{-1} h_k = [(I + G N)^{-1} G]_kk.
-    Forming G costs O(K^2 N_t) once; each sweep is then one K x K solve,
-    O(K^3).
+    h_k^H (I + H^H N H)^{-1} h_k = X_kk with X = (I + G N)^{-1} G, so
+    v_k(nu) = (1 + 1/gamma_k) X_kk costs one K x K solve after the O(K^2 N_t)
+    Gram matrix.
+
+    The map nu -> 1/v(nu) is a standard interference function (Yates 1995), so
+    its fixed point is unique. Starting at nu_k = gamma_k / alpha_k, each step
+    solves f(nu) = log nu + log v(nu) = 0 by Newton's method in log nu. Since
+    dX_kk/dnu_j = -X_kj X_jk, its Jacobian is
+      J = I - diag((1 + 1/gamma) / v) Re(X o X^T) diag(nu).
+    The Newton candidate nu exp(-J^{-1} f) is taken when it reduces ||f||^2;
+    otherwise (also when J or the candidate's matrix is singular, or v leaves
+    the positive cone there) the step is the plain sweep nu = 1/v(nu). The
+    solver stops when a step's largest relative change is below tol;
+    max_iters counts steps, Newton or plain. About five steps, ten K x K
+    solves, reach tol where the plain sweep alone takes about ninety.
     """
     gammas = np.asarray(gammas, dtype=float)
-    k_users = h_est.shape[0]
+    scale = 1.0 + 1.0 / gammas
     gram = h_est.conj() @ h_est.T          # [i, j] = h_i^H h_j
-    eye = np.eye(k_users)
-    nu = nu_massive_approx(h_est, gammas)
+    eye = np.eye(h_est.shape[0])
 
-    for _ in range(max_iters):
+    def evaluate(nu):
+        """X = (I + G N)^{-1} G and v(nu) = (1 + 1/gamma) diag X."""
+        x = np.linalg.solve(eye + gram * nu, gram)
+        return x, np.real(np.diagonal(x)) * scale
+
+    def checked(nu):
+        """evaluate(nu), raising the solver's errors, and f(nu)."""
         try:
-            x = np.linalg.solve(eye + gram * nu, gram)    # (I + G N)^{-1} G
+            x, v = evaluate(nu)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("dual fixed point made the shared matrix singular",
                                    last_iterate=nu) from exc
-        vals = np.real(np.diagonal(x)) * (1.0 + 1.0 / gammas)
-        if np.any(vals <= 0):
+        if np.any(v <= 0):
             raise ConvergenceError("dual fixed point left the positive cone",
                                    last_iterate=nu)
-        nu_new = 1.0 / vals
+        return x, v, np.log(nu * v)
+
+    nu = nu_massive_approx(h_est, gammas)
+    x, v, f = checked(nu)
+    for _ in range(max_iters):
+        jac = eye - (scale / v)[:, None] * np.real(x * x.T) * nu
+        with np.errstate(all="ignore"):
+            try:
+                trial = nu * np.exp(-np.linalg.solve(jac, f))
+                x_t, v_t = evaluate(trial)
+                f_t = np.log(trial * v_t)
+                newton = bool(np.all(np.isfinite(f_t)) and f_t @ f_t < f @ f)
+            except np.linalg.LinAlgError:
+                newton = False
+        nu_new = trial if newton else 1.0 / v
         max_rel = np.max(np.abs(nu_new - nu) / nu_new)
         nu = nu_new
         if max_rel < tol:
             return nu
+        x, v, f = (x_t, v_t, f_t) if newton else checked(nu)
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 

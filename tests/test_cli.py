@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end (in-process)."""
 
+import argparse
 import csv
 import json
 
@@ -347,6 +348,23 @@ def test_design_rerun_is_byte_identical(tmp_path, capsys):
     assert run_cli(capsys, ["design", "--config", cfg])[0] == 0
     assert (tmp_path / "report.json").read_bytes() == first_json
     assert (tmp_path / "report.csv").read_bytes() == first_csv
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
+    cfg = write_config(tmp_path, {"scenario_file": unit_scenario_file(tmp_path),
+                                  "algorithm": "zf", "r": 2.0,
+                                  "out": str(tmp_path / "report.json")})
+    assert run_cli(capsys, ["design", "--config", cfg])[0] == 0
+    assert run_cli(capsys, ["design", "--config", cfg, "--seed", "4"])[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_design_roundtrip_from_embedded_config(tmp_path, capsys):

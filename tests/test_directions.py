@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetbf import cli
+from offsetbf.channel import CellConfig, generate_scenario
 from offsetbf.directions import (DualState, alg1_directions, const_offset_directions,
                                  directions_constant_offset, directions_from_nu,
                                  mrt_directions, nu_massive_approx,
@@ -240,14 +243,44 @@ def test_solve_nu_constant_offset_residual():
         assert abs(1.0 / nu[k] - val) < 1e-10 * val
 
 
+@pytest.mark.parametrize("nt", [20, 40, 60])
+def test_solve_nu_constant_offset_newton_converges_in_ten_steps(nt):
+    # Generated K = 6 cells: the plain sweep needs about 90 sweeps, Newton in
+    # log nu about five steps.
+    for seed in range(5):
+        scenario = generate_scenario(CellConfig(n_users=6, n_antennas=nt), seed)
+        h, gammas = scenario.h_est, scenario.sinr_target
+        nu = solve_nu_constant_offset(h, gammas, max_iters=10)
+        nu_ref = dense_solve_nu_constant_offset(h, gammas, tol=1e-14, max_iters=5000)
+        assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-12
+        with pytest.raises(ConvergenceError):
+            dense_solve_nu_constant_offset(h, gammas, max_iters=10)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 6), extra=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_nu_constant_offset_is_a_fixed_point(k, extra, seed):
+    # nu_k v_k(nu) = 1 with v_k = (1 + 1/gamma_k) h_k^H M^{-1} h_k and the
+    # N_t x N_t matrix M = I + sum_j nu_j h_j h_j^H formed explicitly.
+    rng = np.random.default_rng(seed)
+    nt = k + extra
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+    h = standard_complex(rng, (k, nt)) * np.sqrt(gains)[:, None]
+    gammas = 10.0 ** rng.uniform(0.0, 1.0, size=k)
+    nu = solve_nu_constant_offset(h, gammas)
+    m = np.eye(nt) + np.einsum("j,ji,jl->il", nu, h, h.conj())
+    forms = np.real(np.einsum("ki,ik->k", h.conj(), np.linalg.solve(m, h.T)))
+    assert np.max(np.abs(nu * forms * (1.0 + 1.0 / gammas) - 1.0)) < 1e-12
+
+
 def test_solve_nu_matches_constant_offset_when_degenerate():
     rng = np.random.default_rng(7)
     h = standard_complex(rng, (3, 4))
     gammas = np.array([4.0, 4.0, 4.0])
     psi = zf_directions(h)
-    dual = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi)
+    dual = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi, tol=1e-14)
     nu_const = solve_nu_constant_offset(h, gammas)
-    assert np.max(np.abs(dual.nu - nu_const)) < 1e-10 * np.max(nu_const)
+    assert np.max(np.abs(dual.nu - nu_const)) < 1e-12 * np.max(nu_const)
 
 
 def test_solve_nu_self_consistency():
@@ -344,9 +377,9 @@ def test_constant_offset_chain_matches_dense_oracle(k, nt):
     rng = np.random.default_rng(100 * k + nt)
     h = standard_complex(rng, (k, nt)) * np.sqrt(rng.uniform(0.2, 3.0, size=k))[:, None]
     gammas = rng.uniform(1.0, 6.0, size=k)
-    nu_ref = dense_solve_nu_constant_offset(h, gammas)
+    nu_ref = dense_solve_nu_constant_offset(h, gammas, tol=1e-14, max_iters=5000)
     nu = solve_nu_constant_offset(h, gammas)
-    assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-10
+    assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-12
     u_ref = dense_directions_constant_offset(nu_ref, h, gammas)
     u = directions_constant_offset(nu, h, gammas)
     assert np.max(np.abs(u - u_ref)) < 1e-10
