@@ -22,9 +22,9 @@ def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     first n rows of a length-2n draw equal a length-n draw (stable prefixes
     for Monte-Carlo trial counts).
     """
-    z = rng.standard_normal(size=tuple(shape) + (2,)).view(np.complex128)[..., 0]
-    z /= np.sqrt(2.0)
-    return z
+    z = rng.standard_normal(size=tuple(shape) + (2,))
+    z *= 1.0 / np.sqrt(2.0)     # the bits of complex division by sqrt(2)
+    return z.view(np.complex128)[..., 0]
 
 
 @dataclass(eq=False)
@@ -131,7 +131,8 @@ def draw_errors(sigma_e: float, n_antennas: int, n_draws: int, seed) -> np.ndarr
     """
     rng = np.random.default_rng(seed)
     errors = _standard_complex(rng, (n_draws, n_antennas))
-    errors *= sigma_e
+    parts = errors.view(float)      # real and imaginary parts, scaled in place
+    parts *= sigma_e
     return errors
 
 

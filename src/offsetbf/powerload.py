@@ -10,6 +10,7 @@ directions, the noise powers and the resolved variance mode, so the loaders
 take only the coupling; each returns a DesignReport, the one design value.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -354,8 +355,10 @@ def power_saving_cap(coupling: CouplingMatrix, maxr_report: DesignReport,
     return maxr_report
 
 
+@functools.cache
 def fit_normal_cdf_quadratic():
-    """Least-squares fit a0 r^2 + a1 r + a2 of the standard normal CDF over CDF_FIT_WINDOW."""
+    """Least-squares fit a0 r^2 + a1 r + a2 of the standard normal CDF over
+    CDF_FIT_WINDOW; its inputs are module constants, so it is fitted once."""
     grid = np.linspace(*CDF_FIT_WINDOW, CDF_FIT_POINTS)
     a0, a1, a2 = np.polyfit(grid, ndtr(grid), 2)
     return float(a0), float(a1), float(a2)

@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from offsetbf.channel import Scenario
+from offsetbf.channel import Scenario, draw_errors
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
-from offsetbf.montecarlo import SweepPoint, estimate_outage, viability_check
+from offsetbf.montecarlo import (SINR_TOLERANCE, SweepPoint, _trial_seed,
+                                 viability_check)
 
 
 def standard_complex(rng, shape):
@@ -68,6 +69,29 @@ def dense_slack_moments(h_k, u, beta, gamma_k, sigma_e, noise_k, k):
     return mu, float(np.sqrt(var))
 
 
+def estimate_outage_oracle(designs, scenario, n_trials, base_seed):
+    """Oracle for montecarlo.estimate_outage: each user's n_trials errors in one
+    draw, and each design scored on its own in full-length passes, with the
+    realized SINR of every trial compared against the target."""
+    weights = [design.weights() for design in designs]
+    estimates = np.zeros((len(weights), scenario.n_users))
+    stderrs = np.zeros_like(estimates)
+    for k in range(scenario.n_users):
+        h_conj = draw_errors(scenario.sigma_e[k], scenario.n_antennas, n_trials,
+                             _trial_seed(base_seed, k))
+        h_conj += scenario.h_est[k]
+        np.conjugate(h_conj, out=h_conj)
+        threshold = scenario.sinr_target[k] * (1.0 - SINR_TOLERANCE)
+        for d, w in enumerate(weights):
+            gains = np.abs(h_conj @ w.T) ** 2          # [t, j] = |h^H w_j|^2
+            interference = gains.sum(axis=1) - gains[:, k]
+            sinr = gains[:, k] / (interference + scenario.noise_power[k])
+            p = float(np.mean(sinr < threshold))
+            estimates[d, k] = p
+            stderrs[d, k] = np.sqrt(p * (1.0 - p) / n_trials)
+    return estimates, stderrs
+
+
 def per_algorithm_sweep(algorithms, scenario_generator, r_values, n_realizations,
                         n_trials, base_seed=0, power_limit=100.0):
     """Oracle for montecarlo.sweep: every design estimated on its own.
@@ -105,7 +129,7 @@ def per_algorithm_sweep(algorithms, scenario_generator, r_values, n_realizations
             powers, outages, variances = [], [], []
             for design, i in zip(designs[name], kept):
                 seed = np.random.SeedSequence(entropy=base_seed, spawn_key=(i, 1 + ri))
-                est, se = estimate_outage([design], scenarios[i], n_trials, seed)
+                est, se = estimate_outage_oracle([design], scenarios[i], n_trials, seed)
                 powers.append(float(np.sum(design.powers)))
                 outages.append(float(np.mean(est[0])))
                 variances.append(float(np.sum(se[0] ** 2)) / est.shape[1] ** 2)

@@ -160,6 +160,15 @@ def test_draw_errors_prefix_stability():
     assert np.array_equal(draw_errors(0.1, 4, 1, seed=11)[0], long[0])
 
 
+@pytest.mark.parametrize("blocks", [[5], [4, 4, 2], [1, 1, 1], [1024, 1024, 7]])
+def test_draw_errors_block_by_block_equals_one_draw_bitwise(blocks):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(1, 2)))
+    parts = [draw_errors(0.3, 4, n, rng) for n in blocks]
+    whole = draw_errors(0.3, 4, sum(blocks),
+                        np.random.SeedSequence(entropy=3, spawn_key=(1, 2)))
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(7,), (3, 4), (50, 8), (2, 3, 5), (0, 4)])
 def test_standard_complex_matches_interleaved_expression_bitwise(shape):
     for seed in range(20):

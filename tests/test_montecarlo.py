@@ -13,8 +13,10 @@ from offsetbf.montecarlo import (estimate_outage, sweep, sweep_to_csv,
                                  viability_check, SWEEP_CSV_COLUMNS)
 from offsetbf.powerload import alg2_power_load, coupling_matrix, report_for_loading
 
-from helpers import (per_algorithm_sweep, scenario_from_rows, standard_complex,
-                     unit_scale_scenario)
+from helpers import (estimate_outage_oracle, per_algorithm_sweep, scenario_from_rows,
+                     standard_complex, unit_scale_scenario)
+
+B = montecarlo.TRIAL_BLOCK
 
 
 def constant_offset_coupling(scenario):
@@ -111,6 +113,68 @@ def test_estimate_outage_shared_draws_match_single_design_calls():
         assert est[row].tobytes() == est_one[0].tobytes()
         assert se[row].tobytes() == se_one[0].tobytes()
     assert np.any(est[0] != est[1])
+
+
+def assert_matches_oracle(designs, scenario, n_trials, seed):
+    """estimate_outage equals the single-design oracle byte for byte."""
+    est, se = estimate_outage(designs, scenario, n_trials, seed)
+    est_oracle, se_oracle = estimate_outage_oracle(designs, scenario, n_trials, seed)
+    assert est.shape == se.shape == est_oracle.shape
+    assert est.tobytes() == est_oracle.tobytes()
+    assert se.tobytes() == se_oracle.tobytes()
+    return est
+
+
+def mixed_scenario():
+    """Four users in the unit-scale regime; user 1 has no channel error."""
+    rng = np.random.default_rng(21)
+    return scenario_from_rows(standard_complex(rng, (4, 6)),
+                              sigma_e=[0.1, 0.0, 0.15, 0.12], gamma=4.0)
+
+
+@pytest.mark.parametrize("n_designs", [1, 3])
+@pytest.mark.parametrize("n_trials", [1, B - 1, B, B + 1, 2 * B + 3, 5000])
+def test_estimate_outage_matches_single_design_oracle(n_trials, n_designs):
+    scenario = mixed_scenario()
+    designs = [design_for(scenario, r) for r in (0.5, 1.5, 3.0)[:n_designs]]
+    seed = np.random.SeedSequence(entropy=13, spawn_key=(1, 2))
+    est = assert_matches_oracle(designs, scenario, n_trials, seed)
+    assert np.all(est[:, 1] == 0.0)
+    if n_trials == 5000:
+        assert np.all((est[:, [0, 2, 3]] > 0.0) & (est[:, [0, 2, 3]] < 1.0))
+
+
+def test_estimate_outage_matches_oracle_on_a_subset_of_users():
+    scenario = mixed_scenario()
+    served = scenario.subset([3, 0, 2])
+    designs = [design_for(served, 1.0), design_for(served, 2.0)]
+    assert_matches_oracle(designs, served, 3 * B + 17, 5)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_estimate_outage_does_not_depend_on_the_block_size(monkeypatch, block):
+    scenario = mixed_scenario()
+    designs = [design_for(scenario, 0.5), design_for(scenario, 2.0)]
+    expected = estimate_outage(designs, scenario, 200, base_seed=3)
+    monkeypatch.setattr(montecarlo, "TRIAL_BLOCK", block)
+    est = assert_matches_oracle(designs, scenario, 200, 3)
+    assert est.tobytes() == expected[0].tobytes()
+
+
+def test_estimate_outage_rejects_designs_for_another_user_count():
+    scenario = mixed_scenario()
+    three = design_for(scenario.subset([0, 1, 2]), 1.0)
+    with pytest.raises(ValueError, match="design 1 has 3 beamformers of length 6 "
+                                         "for a scenario of 2 users and 6 antennas"):
+        estimate_outage([design_for(scenario.subset([0, 1]), 1.0), three],
+                        scenario.subset([0, 1]), 10, base_seed=0)
+    with pytest.raises(ValueError, match="design 0 has 3 beamformers of length 6 "
+                                         "for a scenario of 4 users"):
+        estimate_outage([three], scenario, 10, base_seed=0)
+    narrow = scenario_from_rows(scenario.h_est[:3, :4])
+    with pytest.raises(ValueError, match="design 0 has 3 beamformers of length 6 "
+                                         "for a scenario of 3 users and 4 antennas"):
+        estimate_outage([three], narrow, 10, base_seed=0)
 
 
 def test_estimate_outage_rejects_zero_trials():
@@ -244,19 +308,22 @@ def test_sweep_matches_per_algorithm_oracle(tmp_path, second):
 
 
 def test_sweep_draws_each_users_errors_once_per_kept_realization(monkeypatch):
-    calls = []
+    rows = {}                                          # generator -> rows drawn
     draw = montecarlo.draw_errors
 
     def counting_draw(*args):
-        calls.append(args[2])
+        rows[args[3]] = rows.get(args[3], 0) + args[2]
         return draw(*args)
 
     monkeypatch.setattr(montecarlo, "draw_errors", counting_draw)
     r_values = [0.5, 1.0, 2.5]
+    n_trials = 2 * B + 5
     points = sweep([("always", designer), ("flaky", sometimes_none),
                     ("again", designer)], generator, r_values=r_values,
-                   n_realizations=6, n_trials=100, base_seed=1, power_limit=1e6)
+                   n_realizations=6, n_trials=n_trials, base_seed=1, power_limit=1e6)
     kept = [p.n_viable for p in points if p.algorithm == "always"]
     assert all(0 < n < 6 for n in kept)
-    assert len(calls) == 3 * sum(kept)                # K = 3 users
+    # one substream per user (K = 3) and kept realization, drawn n_trials deep
+    assert len(rows) == 3 * sum(kept)
+    assert set(rows.values()) == {n_trials}
 
