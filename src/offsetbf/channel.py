@@ -51,6 +51,9 @@ class Scenario:
         for name, bound in (("sigma_e", "nonnegative"), ("noise_power", "positive"),
                             ("sinr_target", "positive")):
             value = np.asarray(getattr(self, name), dtype=float)
+            if value.ndim and value.shape != (self.n_users,):
+                raise ValueError(f"{name} has {value.size} entries for "
+                                 f"{self.n_users} users")
             value = np.broadcast_to(value, (self.n_users,)).copy()
             ok = (value >= 0 if bound == "nonnegative" else value > 0) & (value < np.inf)
             if not np.all(ok):

@@ -32,10 +32,6 @@ MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
 ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
 
 GENERATE_KEYS = tuple(f.name for f in fields(CellConfig)) + ("seed",)
-CONFIG_KEYS = ("scenario_file", "generate", "algorithm", "r", "delta", "r_mode",
-               "total_power", "variance_mode", "seed", "out", "r_min", "r_cap",
-               "rzf_loading", "r_grid", "delta_grid", "algorithms",
-               "n_realizations", "n_trials")
 
 
 def _require_number(name, value, kind=numbers.Real):
@@ -119,6 +115,9 @@ class RunConfig:
         raise ValueError("algorithm requires r or delta in the config")
 
 
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
 def _load_config(args) -> RunConfig:
     """Read the JSON config, apply the command-line overrides, then validate."""
     with open(args.config) as fh:
@@ -164,12 +163,6 @@ def _directions(name, scenario, cfg: RunConfig, r=None):
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def _coupling(scenario, u_rows, cfg: RunConfig):
-    return powerload.coupling_matrix(scenario.h_est, u_rows, scenario.sinr_target,
-                                     scenario.sigma_e, scenario.noise_power,
-                                     cfg.variance_mode)
-
-
 def fixed_r_designer(name: str, scenario, cfg: RunConfig):
     """Closure r -> DesignReport for a fixed-r algorithm id.
 
@@ -180,9 +173,11 @@ def fixed_r_designer(name: str, scenario, cfg: RunConfig):
     if name == "alg1":
         def design_at(r):
             u_rows = _directions(name, scenario, cfg, r)
-            return powerload.alg2_power_load(_coupling(scenario, u_rows, cfg), r)
+            return powerload.alg2_power_load(
+                powerload.coupling_matrix(scenario, u_rows, cfg.variance_mode), r)
         return design_at
-    coupling = _coupling(scenario, _directions(name, scenario, cfg), cfg)
+    coupling = powerload.coupling_matrix(scenario, _directions(name, scenario, cfg),
+                                         cfg.variance_mode)
     return lambda r: powerload.alg2_power_load(coupling, r)
 
 
@@ -205,7 +200,8 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
             report = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
         return report
 
-    coupling = _coupling(scenario, _directions(name, scenario, cfg), cfg)
+    coupling = powerload.coupling_matrix(scenario, _directions(name, scenario, cfg),
+                                         cfg.variance_mode)
     _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
     if name == "avg_outage" and np.isfinite(r_star):
         report = powerload.average_outage_perturbation(coupling, report)

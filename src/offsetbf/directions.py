@@ -6,31 +6,11 @@ and their conjugates), the constant-offset variant in the K-dimensional span
 of the channels, and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateChannelsError
 
 COND_LIMIT = 1e12
-
-
-@dataclass
-class DualState:
-    """Dual variables of the SINR constraints and the proxy directions.
-
-    psi_direction holds the unit vectors psi_f_k / nu_k, the proxies for the
-    direction of d_k = r sqrt(2) sigma_e Q_k h_est_k; the full dual vector is
-    nu_k * psi_direction[k].
-    """
-
-    nu: np.ndarray             # (K,)
-    psi_direction: np.ndarray  # (K, N_t) unit rows
-
-    def __post_init__(self):
-        norms = np.linalg.norm(self.psi_direction, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("psi_direction rows must be unit norm")
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -104,7 +84,7 @@ def _reduced_terms(h_est: np.ndarray, psi: np.ndarray, coup: float):
 
 
 def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
-             psi: np.ndarray, tol: float = 1e-10, max_iters: int = 500) -> DualState:
+             psi: np.ndarray, tol: float = 1e-10, max_iters: int = 500) -> np.ndarray:
     """Gauss-Seidel solution of the dual fixed point with common offset r.
 
     nu_k^{-1} = h_k^H M_k^{-1} h_k (1 + 1/gamma_k), with coup = r sqrt(2) sigma_e and
@@ -148,16 +128,17 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
             nu_sum += nu_new - nu[k]
             nu[k] = nu_new
         if max_rel < tol:
-            return DualState(nu=nu, psi_direction=psi)
+            return nu
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 
 
-def directions_from_nu(dual: DualState, h_est: np.ndarray, gammas: np.ndarray,
-                       sigma_e: float, r: float) -> np.ndarray:
+def directions_from_nu(nu: np.ndarray, psi: np.ndarray, h_est: np.ndarray,
+                       gammas: np.ndarray, sigma_e: float, r: float) -> np.ndarray:
     """Per-user eigen directions: u_k is the eigenvector of
       B_k = I - M_k + nu_k (1 + 1/gamma_k) h_k h_k^H      (M_k as in solve_nu)
     for the eigenvalue of largest real part, phased so that h_k^H u_k >= 0.
+    The proxies psi are normalized to unit rows, as in solve_nu.
 
     In the basis Q of _reduced_terms, B_k = shift_k I + Q T_k Q^H has spectrum
     shift_k + eig(T_k) on span Q and shift_k on its complement. One batched
@@ -166,10 +147,10 @@ def directions_from_nu(dual: DualState, h_est: np.ndarray, gammas: np.ndarray,
     positive real part, u_k is orthogonal to every channel: DegenerateChannelsError.
     """
     gammas = np.asarray(gammas, dtype=float)
-    basis, _, terms, _ = _reduced_terms(h_est, dual.psi_direction,
-                                        r * np.sqrt(2.0) * sigma_e)
-    small = (dual.nu * (1.0 + 1.0 / gammas))[:, None, None] * terms \
-        - np.einsum("j,jil->il", dual.nu, terms)
+    psi = _normalize_rows(np.asarray(psi, dtype=complex))
+    basis, _, terms, _ = _reduced_terms(h_est, psi, r * np.sqrt(2.0) * sigma_e)
+    small = (nu * (1.0 + 1.0 / gammas))[:, None, None] * terms \
+        - np.einsum("j,jil->il", nu, terms)
     eigvals, eigvecs = np.linalg.eig(small)
     users, top = np.arange(h_est.shape[0]), np.argmax(eigvals.real, axis=1)
     if basis.shape[1] < h_est.shape[1] and np.any(eigvals[users, top].real <= 0):
@@ -283,5 +264,6 @@ def alg1_directions(h_est: np.ndarray, gammas: np.ndarray, sigma_e: np.ndarray,
     if np.ptp(sigma_e) > 1e-12:
         raise ValueError("the closed-form design assumes a common sigma_e")
     common = float(sigma_e[0])
-    dual = solve_nu(h_est, gammas, common, r, zf_directions(h_est))
-    return directions_from_nu(dual, h_est, gammas, common, r)
+    psi = zf_directions(h_est)
+    nu = solve_nu(h_est, gammas, common, r, psi)
+    return directions_from_nu(nu, psi, h_est, gammas, common, r)

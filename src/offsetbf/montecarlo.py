@@ -30,6 +30,10 @@ SWEEP_CSV_COLUMNS = ("algorithm", "r", "mean_power_W", "mean_outage",
 # instead of picking up rounding noise from the power solve.
 SINR_TOLERANCE = 1e-9
 
+# Watts. A sweep leaves a realization out at r when any of its designs there
+# spends this much or more (viability_check).
+VIABLE_POWER_LIMIT_W = 100.0
+
 # Trials per block of estimate_outage: a block's arrays (0.5 MB for 3 designs
 # at K = 4, N_t = 8) stay inside a 2 MB per-core L2; 256 and 2048 were slower.
 TRIAL_BLOCK = 1024
@@ -97,11 +101,12 @@ def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
     return estimates, np.sqrt(estimates * (1.0 - estimates) / n_trials)
 
 
-def viability_check(design, power_limit: float = 100.0) -> bool:
-    """A design is viable if it exists and spends strictly less than power_limit."""
+def viability_check(design) -> bool:
+    """A design is viable if it exists and spends strictly less than
+    VIABLE_POWER_LIMIT_W."""
     if design is None:
         return False
-    return float(np.sum(design.powers)) < power_limit
+    return float(np.sum(design.powers)) < VIABLE_POWER_LIMIT_W
 
 
 def _or_none(fn, arg):
@@ -115,7 +120,7 @@ def _or_none(fn, arg):
 
 
 def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
-          n_trials: int, base_seed=0, power_limit: float = 100.0) -> list:
+          n_trials: int, base_seed=0) -> list:
     """Power-versus-outage sweep over a grid of offset coefficients.
 
     algorithms: list of (name, designer). designer(scenario) does the
@@ -127,9 +132,10 @@ def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
     are reused at every r so curves share their channel set.
 
     A realization enters the averages at r only if every algorithm is viable
-    on it there (same aggregation set for all, so the comparison is fair); its
-    designs are then scored together on one set of error draws. Points with no
-    viable realization are emitted with NaN means and n_viable = 0.
+    on it there, by viability_check (same aggregation set for all, so the
+    comparison is fair); its designs are then scored together on one set of
+    error draws. Points with no viable realization are emitted with NaN means
+    and n_viable = 0.
     """
     if not algorithms:
         raise ValueError("need at least one algorithm")
@@ -147,7 +153,7 @@ def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
         design_fns = [_or_none(designer, scenario) for _, designer in algorithms]
         for ri, r in enumerate(r_values):
             designs = [_or_none(design_at, r) for design_at in design_fns]
-            if not all(viability_check(d, power_limit) for d in designs):
+            if not all(viability_check(d) for d in designs):
                 continue
             trial_seed = np.random.SeedSequence(entropy=base_seed,
                                                 spawn_key=(i, 1 + ri))

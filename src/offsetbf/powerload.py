@@ -31,7 +31,8 @@ CDF_FIT_POINTS = 201
 class CouplingMatrix:
     """The K x K matrix A linking powers to the offset equalities, the noise
     powers sigma^2 and the variance tensor G of fixed unit-norm directions,
-    for one variance mode.
+    for one variance mode. coupling_matrix builds it from a Scenario, whose
+    noise_power it holds as sigma^2.
 
     This is the one implementation of the slack moments. The mean is linear in
     the powers, mu_f = A beta - sigma^2, with
@@ -134,17 +135,22 @@ class DesignReport:
         }
 
 
-def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
-                    noise, variance_mode=None) -> CouplingMatrix:
-    """Build A, its inverse and the variance tensor for fixed directions.
+def coupling_matrix(scenario, directions: np.ndarray,
+                    variance_mode=None) -> CouplingMatrix:
+    """Build A, its inverse and the variance tensor for fixed directions of
+    a Scenario's users; the noise powers are the scenario's.
 
     variance_mode None is exact up to SIMPLIFIED_ABOVE_NT antennas and
     simplified above. The simplified G is the exact one built from the
-    diagonal of the Gram matrix u_j^H u_l. The directions must have unit-norm
-    rows and the noise powers must be positive.
+    diagonal of the Gram matrix u_j^H u_l. The directions must be K x N_t of
+    the scenario, with unit-norm rows.
     """
+    h_est, gammas, sigma_e = scenario.h_est, scenario.sinr_target, scenario.sigma_e
     k, n_antennas = h_est.shape
     directions = np.asarray(directions, dtype=complex)
+    if directions.shape != h_est.shape:
+        raise ValueError(f"directions have shape {directions.shape}, the scenario "
+                         f"needs {h_est.shape}")
     norms = np.linalg.norm(directions, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise ValueError(f"directions must be unit norm, got norms {norms}")
@@ -152,13 +158,6 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
         variance_mode = "exact" if n_antennas <= SIMPLIFIED_ABOVE_NT else "simplified"
     if variance_mode not in VARIANCE_MODES:
         raise ValueError(f"unknown variance_mode {variance_mode!r}")
-    noise = np.array(noise, dtype=float)
-    if noise.shape != (k,):
-        raise ValueError(f"noise must have {k} entries, got shape {noise.shape}")
-    if not np.all(noise > 0):
-        raise ValueError(f"noise powers must be positive, got {noise}")
-    gammas = np.asarray(gammas, dtype=float)
-    sigma_e = np.broadcast_to(np.asarray(sigma_e, dtype=float), (k,)).copy()
 
     cross = h_est.conj() @ directions.T        # [i, j] = h_i^H u_j
     habs2 = np.abs(cross) ** 2
@@ -181,8 +180,9 @@ def coupling_matrix(h_est: np.ndarray, directions: np.ndarray, gammas, sigma_e,
         g_tensor[i] = np.outer(s, s) * (2.0 * sigma_e[i] ** 2 * triple
                                         + sigma_e[i] ** 4 * gram_abs2)
 
-    return CouplingMatrix(directions=directions, a=a, a_inv=a_inv, noise=noise,
-                          variance_mode=variance_mode, g_tensor=g_tensor)
+    return CouplingMatrix(directions=directions, a=a, a_inv=a_inv,
+                          noise=scenario.noise_power, variance_mode=variance_mode,
+                          g_tensor=g_tensor)
 
 
 def report_for_loading(coupling: CouplingMatrix, beta, r_vec, iterations: int = 1,
@@ -313,8 +313,7 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
         sub = scenario.subset(retained)
         try:
             u_sub = const_offset_directions(sub.h_est, sub.sinr_target)
-            coupling = coupling_matrix(sub.h_est, u_sub, sub.sinr_target, sub.sigma_e,
-                                       sub.noise_power, variance_mode)
+            coupling = coupling_matrix(sub, u_sub, variance_mode)
         except (ConvergenceError, DegenerateChannelsError):
             if len(retained) == 1:
                 raise

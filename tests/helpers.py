@@ -93,7 +93,7 @@ def estimate_outage_oracle(designs, scenario, n_trials, base_seed):
 
 
 def per_algorithm_sweep(algorithms, scenario_generator, r_values, n_realizations,
-                        n_trials, base_seed=0, power_limit=100.0):
+                        n_trials, base_seed=0):
     """Oracle for montecarlo.sweep: every design estimated on its own.
 
     algorithms: list of (name, design_fn) with design_fn(scenario, r) returning
@@ -117,7 +117,7 @@ def per_algorithm_sweep(algorithms, scenario_generator, r_values, n_realizations
                     row.append(design_fn(scenario, r))
                 except design_errors:
                     row.append(None)
-            if all(viability_check(d, power_limit) for d in row):
+            if all(viability_check(d) for d in row):
                 kept.append(i)
                 for (name, _), design in zip(algorithms, row):
                     designs[name].append(design)

@@ -50,7 +50,7 @@ def feasible_unit_instances(n_instances, k=3, nt=4, sigma_e=SIGMA_E, r=2.0,
         h = standard_complex(rng, (k, nt))
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, sig, noise)
+            coupling = coupling_matrix(scenario_from_rows(h, sig, noise, gammas), u)
             report = alg2_power_load(coupling, r, tol=tol)
         except DESIGN_ERRORS:
             continue
@@ -66,7 +66,7 @@ def test_criterion_01_perfect_csi_equalizes_sinr_in_one_iteration():
     h = scenario.h_est
     gammas = scenario.sinr_target
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
+    coupling = coupling_matrix(scenario, u)
     report = alg2_power_load(coupling, 2.0)
     sinr = sinr_values(report, h, scenario.noise_power)
     assert report.iterations_used == 1
@@ -144,8 +144,7 @@ def test_criterion_05_loading_converges_within_five_iterations():
         gammas = scenario.sinr_target
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, scenario.sigma_e,
-                                       scenario.noise_power)
+            coupling = coupling_matrix(scenario, u)
             report = alg2_power_load(coupling, 2.0, tol=1e-6)
         except DESIGN_ERRORS:
             continue
@@ -168,7 +167,7 @@ def test_criterion_06_max_offset_exhausts_budget_and_equalizes():
         noise = np.ones(3)
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, sig, noise)
+            coupling = coupling_matrix(scenario_from_rows(h, sig, noise, gammas), u)
             beta, r, report = max_r_power_load(coupling, total_power, tol=1e-12)
         except DESIGN_ERRORS:
             continue
@@ -190,7 +189,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     sig = np.full(3, SIGMA_E)
     noise = np.ones(3)
     u_sym = const_offset_directions(h_sym, gammas)
-    c_sym = coupling_matrix(h_sym, u_sym, gammas, sig, noise)
+    c_sym = coupling_matrix(scenario_from_rows(h_sym, sig, noise, gammas), u_sym)
     beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, 10.0, tol=1e-12)
     delta_sym = average_outage_perturbation(c_sym, rep_sym).offsets - r_sym
     assert np.max(np.abs(delta_sym)) <= 1e-12
@@ -204,7 +203,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         h = standard_complex(rng, (3, 4))
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, sig, noise)
+            coupling = coupling_matrix(scenario_from_rows(h, sig, noise, gammas), u)
             # Calibrate the budget so the common offset lands mid-range,
             # where the quadratic tail model is at its best.
             budget = 10.0
@@ -292,7 +291,7 @@ def test_criterion_08_two_user_loading_matches_bisection_oracle():
         h = standard_complex(rng, (2, 2))
         try:
             u = const_offset_directions(h, gammas)
-            coupling = coupling_matrix(h, u, gammas, np.full(2, SIGMA_E), noise)
+            coupling = coupling_matrix(scenario_from_rows(h, SIGMA_E, noise, gammas), u)
             report = alg2_power_load(coupling, r, tol=1e-12)
         except DESIGN_ERRORS:
             continue
@@ -358,12 +357,10 @@ def test_criterion_10_simplified_variance_tracks_exact_for_nulling_beams():
             for seed in range(5):
                 rng = np.random.default_rng(100 * nt + 10 * k_users + seed)
                 h = standard_complex(rng, (k_users, nt))
-                gammas = np.full(k_users, GAMMA)
-                sig = np.full(k_users, SIGMA_E)
-                noise = np.ones(k_users)
                 u = zf_directions(h)
-                coupling = coupling_matrix(h, u, gammas, sig, noise, "exact")
-                simplified = coupling_matrix(h, u, gammas, sig, noise, "simplified")
+                scenario = scenario_from_rows(h, SIGMA_E, gamma=GAMMA)
+                coupling = coupling_matrix(scenario, u, "exact")
+                simplified = coupling_matrix(scenario, u, "simplified")
                 report = alg2_power_load(coupling, 2.0, tol=1e-10)
                 for beta in (report.powers,
                              rng.uniform(0.5, 2.0, size=k_users)):

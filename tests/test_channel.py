@@ -108,13 +108,22 @@ def test_scenario_rejects_one_bad_entry_of_a_user_vector(field, message):
         _scenario(k=4, **{field: values})
 
 
+@pytest.mark.parametrize("field", ["sigma_e", "noise_power", "sinr_target"])
+def test_scenario_rejects_a_user_vector_of_the_wrong_length(field):
+    for n in (3, 5, 1):
+        with pytest.raises(ValueError, match=f"{field} has {n} entries for 4 users"):
+            _scenario(k=4, **{field: np.full(n, 0.5)})
+    with pytest.raises(ValueError, match=f"{field} has 4 entries for 4 users"):
+        _scenario(k=4, **{field: np.full((4, 1), 0.5)})
+
+
 def test_scenario_rejects_no_users_and_bad_shapes():
     with pytest.raises(ValueError, match="scenario needs at least one user"):
         _scenario(k=0)
     with pytest.raises(ValueError, match="h_est must have shape"):
         _scenario(h_est=np.ones(4))
-    with pytest.raises(ValueError):
-        _scenario(sigma_e=[0.1, 0.2])            # two entries for three users
+    with pytest.raises(ValueError, match="sigma_e has 2 entries for 3 users"):
+        _scenario(sigma_e=[0.1, 0.2])
 
 
 def test_scenario_subset_keeps_order_values_and_copies():

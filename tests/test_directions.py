@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from offsetbf import cli
 from offsetbf.channel import CellConfig, generate_scenario
-from offsetbf.directions import (DualState, alg1_directions, const_offset_directions,
+from offsetbf.directions import (alg1_directions, const_offset_directions,
                                  directions_constant_offset, directions_from_nu,
                                  mrt_directions, nu_massive_approx,
                                  rzf_directions, solve_nu,
@@ -278,9 +278,9 @@ def test_solve_nu_matches_constant_offset_when_degenerate():
     h = standard_complex(rng, (3, 4))
     gammas = np.array([4.0, 4.0, 4.0])
     psi = zf_directions(h)
-    dual = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi, tol=1e-14)
+    nu = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi, tol=1e-14)
     nu_const = solve_nu_constant_offset(h, gammas)
-    assert np.max(np.abs(dual.nu - nu_const)) < 1e-12 * np.max(nu_const)
+    assert np.max(np.abs(nu - nu_const)) < 1e-12 * np.max(nu_const)
 
 
 def test_solve_nu_self_consistency():
@@ -289,11 +289,11 @@ def test_solve_nu_self_consistency():
     gammas = np.array([4.0, 2.0, 3.0])
     psi = zf_directions(h)
     sigma_e, r = 0.1, 2.0
-    dual = solve_nu(h, gammas, sigma_e, r, psi)
+    nu = solve_nu(h, gammas, sigma_e, r, psi)
     for k in range(3):
-        m = literal_dual_matrix(h, psi, dual.nu, gammas, sigma_e, r, k)
+        m = literal_dual_matrix(h, psi, nu, gammas, sigma_e, r, k)
         val = np.real(np.vdot(h[k], np.linalg.solve(m, h[k]))) * (1 + 1 / gammas[k])
-        assert abs(1.0 / dual.nu[k] - val) < 1e-8 * val
+        assert abs(1.0 / nu[k] - val) < 1e-8 * val
 
 
 def test_solve_nu_constant_offset_singular_matrix_is_convergence_error():
@@ -318,8 +318,8 @@ def test_directions_from_nu_perfect_csi_orthonormal():
     h = orthonormal_rows(3, 4, seed=9)
     gammas = np.array([4.0, 4.0, 4.0])
     psi = zf_directions(h)
-    dual = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi)
-    u = directions_from_nu(dual, h, gammas, sigma_e=0.0, r=0.0)
+    nu = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi)
+    u = directions_from_nu(nu, psi, h, gammas, sigma_e=0.0, r=0.0)
     for k in range(3):
         assert abs(abs(np.vdot(u[k], h[k])) - 1.0) < 1e-9
 
@@ -330,10 +330,10 @@ def test_directions_from_nu_eigen_residual_and_phase():
     gammas = np.array([4.0, 2.0, 3.0])
     psi = zf_directions(h)
     sigma_e, r = 0.1, 2.0
-    dual = solve_nu(h, gammas, sigma_e, r, psi)
-    u = directions_from_nu(dual, h, gammas, sigma_e, r)
+    nu = solve_nu(h, gammas, sigma_e, r, psi)
+    u = directions_from_nu(nu, psi, h, gammas, sigma_e, r)
     for k in range(3):
-        b = literal_eigen_matrix(h, psi, dual.nu, gammas, sigma_e, r, k)
+        b = literal_eigen_matrix(h, psi, nu, gammas, sigma_e, r, k)
         eigvals = np.linalg.eigvals(b)
         lam = eigvals[np.argmax(eigvals.real)]
         assert np.linalg.norm(b @ u[k] - lam * u[k]) < 1e-8
@@ -352,12 +352,12 @@ def test_directions_from_nu_fixed_point_structure():
     gammas = np.array([4.0, 2.0, 3.0])
     psi = zf_directions(h)
     sigma_e, r = 0.1, 2.0
-    dual = solve_nu(h, gammas, sigma_e, r, psi)
-    u = directions_from_nu(dual, h, gammas, sigma_e, r)
+    nu = solve_nu(h, gammas, sigma_e, r, psi)
+    u = directions_from_nu(nu, psi, h, gammas, sigma_e, r)
     for k in range(3):
-        m = literal_dual_matrix(h, psi, dual.nu, gammas, sigma_e, r, k)
-        b = literal_eigen_matrix(h, psi, dual.nu, gammas, sigma_e, r, k)
-        recon = np.eye(4) - m + dual.nu[k] * (1 + 1 / gammas[k]) * np.outer(
+        m = literal_dual_matrix(h, psi, nu, gammas, sigma_e, r, k)
+        b = literal_eigen_matrix(h, psi, nu, gammas, sigma_e, r, k)
+        recon = np.eye(4) - m + nu[k] * (1 + 1 / gammas[k]) * np.outer(
             h[k], h[k].conj())
         assert np.max(np.abs(b - recon)) < 1e-12
         x = np.linalg.solve(m, h[k])
@@ -414,10 +414,10 @@ def test_alg1_chain_matches_dense_oracle(k, nt):
     early = ref.value.last_iterate
     assert np.max(np.abs(got.value.last_iterate - early) / early) < 1e-12
     nu_ref = dense_solve_nu(h, gammas, sigma_e, r, psi)
-    dual = solve_nu(h, gammas, sigma_e, r, psi)
-    assert np.max(np.abs(dual.nu - nu_ref) / nu_ref) < 1e-10
+    nu = solve_nu(h, gammas, sigma_e, r, psi)
+    assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-10
     u_ref = dense_directions_from_nu(nu_ref, psi, h, gammas, sigma_e, r)
-    u = directions_from_nu(dual, h, gammas, sigma_e, r)
+    u = directions_from_nu(nu, psi, h, gammas, sigma_e, r)
     assert np.max(np.abs(u - u_ref)) < 1e-10
 
 
@@ -481,7 +481,7 @@ def test_directions_from_nu_direction_orthogonal_to_every_channel(build):
     u_dense = eigvecs[:, np.argmax(eigvals.real)]
     assert np.max(np.abs(h.conj() @ u_dense)) < 1e-6 * np.linalg.norm(h)
     with pytest.raises(DegenerateChannelsError, match="orthogonal to every channel"):
-        directions_from_nu(DualState(nu=nu, psi_direction=psi), h, gammas, sigma_e, r)
+        directions_from_nu(nu, psi, h, gammas, sigma_e, r)
 
 
 def test_directions_constant_offset_orthogonal():

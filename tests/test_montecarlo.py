@@ -21,10 +21,8 @@ B = montecarlo.TRIAL_BLOCK
 
 def constant_offset_coupling(scenario):
     """The coupling of the constant-offset directions of a scenario."""
-    h = scenario.h_est
-    gammas = scenario.sinr_target
-    u = const_offset_directions(h, gammas)
-    return coupling_matrix(h, u, gammas, scenario.sigma_e, scenario.noise_power)
+    return coupling_matrix(
+        scenario, const_offset_directions(scenario.h_est, scenario.sinr_target))
 
 
 def designer(scenario):
@@ -188,12 +186,21 @@ def test_estimate_outage_rejects_zero_trials():
 # viability
 # ---------------------------------------------------------------------------
 
-def test_viability_check_thresholds():
+def test_viability_check_thresholds(monkeypatch):
     u = np.array([[1.0, 0.0]], dtype=complex)
-    coupling = coupling_matrix(u, u, np.ones(1), 0.1, np.ones(1))
+    coupling = coupling_matrix(scenario_from_rows(u, 0.1, gamma=1.0), u)
+    assert montecarlo.VIABLE_POWER_LIMIT_W == 100.0
     assert viability_check(report_for_loading(coupling, [99.9], 0.0))
     assert not viability_check(report_for_loading(coupling, [100.0], 0.0))
     assert not viability_check(None)
+    monkeypatch.setattr(montecarlo, "VIABLE_POWER_LIMIT_W", 50.0)
+    assert not viability_check(report_for_loading(coupling, [99.9], 0.0))
+
+
+@pytest.fixture
+def no_power_limit(monkeypatch):
+    """Keep every design viable, whatever it spends."""
+    monkeypatch.setattr(montecarlo, "VIABLE_POWER_LIMIT_W", 1e6)
 
 
 # ---------------------------------------------------------------------------
@@ -212,53 +219,52 @@ def sometimes_none(scenario):
     return designer(scenario)
 
 
-def test_sweep_grid_shape_and_common_realizations():
+def test_sweep_grid_shape_and_common_realizations(no_power_limit):
     points = sweep([("co", designer)], generator, r_values=[1.0, 2.0, 3.0],
-                   n_realizations=4, n_trials=200, base_seed=0,
-                   power_limit=1e6)
+                   n_realizations=4, n_trials=200, base_seed=0)
     assert len(points) == 3
     assert [p.r for p in points] == [1.0, 2.0, 3.0]
     assert all(p.algorithm == "co" for p in points)
     assert all(p.n_viable == 4 for p in points)
 
 
-def test_sweep_fairness_uses_intersection_of_viable_sets():
+def test_sweep_fairness_uses_intersection_of_viable_sets(no_power_limit):
     both = sweep([("always", designer), ("flaky", sometimes_none)],
                  generator, r_values=[1.0], n_realizations=8, n_trials=100,
-                 base_seed=1, power_limit=1e6)
+                 base_seed=1)
     solo = sweep([("always", designer)], generator, r_values=[1.0],
-                 n_realizations=8, n_trials=100, base_seed=1, power_limit=1e6)
+                 n_realizations=8, n_trials=100, base_seed=1)
     n_both = {p.algorithm: p.n_viable for p in both}
     assert n_both["always"] == n_both["flaky"]
     assert 0 < n_both["always"] < 8
     assert solo[0].n_viable > n_both["always"]
 
 
-def test_sweep_zero_uncertainty_gives_zero_outage_and_fixed_power():
+def test_sweep_zero_uncertainty_gives_zero_outage_and_fixed_power(no_power_limit):
     def zero_generator(seed):
         rng = np.random.default_rng(seed)
         return scenario_from_rows(standard_complex(rng, (3, 4)), sigma_e=0.0)
 
     points = sweep([("co", designer)], zero_generator, r_values=[1.0, 3.0],
-                   n_realizations=3, n_trials=500, base_seed=2, power_limit=1e6)
+                   n_realizations=3, n_trials=500, base_seed=2)
     assert all(p.mean_outage == 0.0 for p in points)
     assert all(p.stderr_outage == 0.0 for p in points)
     # the loading is r-independent at zero uncertainty
     assert points[0].mean_power == pytest.approx(points[1].mean_power, rel=1e-12)
 
 
-def test_sweep_outage_and_power_monotone_in_r():
+def test_sweep_outage_and_power_monotone_in_r(no_power_limit):
     points = sweep([("co", designer)], generator, r_values=[0.5, 2.0],
-                   n_realizations=5, n_trials=2000, base_seed=3, power_limit=1e6)
+                   n_realizations=5, n_trials=2000, base_seed=3)
     low, high = points
     assert high.mean_power > low.mean_power
     assert high.mean_outage < low.mean_outage
 
 
-def test_sweep_empty_viable_set_yields_nan_point():
+def test_sweep_empty_viable_set_yields_nan_point(monkeypatch):
+    monkeypatch.setattr(montecarlo, "VIABLE_POWER_LIMIT_W", 1e-6)
     points = sweep([("co", designer)], generator, r_values=[1.0],
-                   n_realizations=3, n_trials=100, base_seed=4,
-                   power_limit=1e-6)
+                   n_realizations=3, n_trials=100, base_seed=4)
     assert points[0].n_viable == 0
     assert np.isnan(points[0].mean_power)
     assert np.isnan(points[0].mean_outage)
@@ -267,11 +273,10 @@ def test_sweep_empty_viable_set_yields_nan_point():
               base_seed=0)
 
 
-def test_sweep_csv_deterministic(tmp_path):
+def test_sweep_csv_deterministic(tmp_path, no_power_limit):
     def run(path):
         points = sweep([("co", designer)], generator, r_values=[1.0, 2.0],
-                       n_realizations=3, n_trials=300, base_seed=5,
-                       power_limit=1e6)
+                       n_realizations=3, n_trials=300, base_seed=5)
         sweep_to_csv(points, path)
 
     path_a = tmp_path / "a.csv"
@@ -293,10 +298,10 @@ def raises_on_some(scenario):
 
 
 @pytest.mark.parametrize("second", [sometimes_none, raises_on_some])
-def test_sweep_matches_per_algorithm_oracle(tmp_path, second):
+def test_sweep_matches_per_algorithm_oracle(tmp_path, second, no_power_limit):
     algorithms = [("always", designer), ("other", second)]
     kwargs = dict(r_values=[0.5, 1.0, 2.5], n_realizations=6, n_trials=400,
-                  base_seed=9, power_limit=1e6)
+                  base_seed=9)
     points = sweep(algorithms, generator, **kwargs)
     oracle = per_algorithm_sweep(
         [(name, lambda scenario, r, make=make: make(scenario)(r))
@@ -307,7 +312,8 @@ def test_sweep_matches_per_algorithm_oracle(tmp_path, second):
     assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
-def test_sweep_draws_each_users_errors_once_per_kept_realization(monkeypatch):
+def test_sweep_draws_each_users_errors_once_per_kept_realization(monkeypatch,
+                                                                no_power_limit):
     rows = {}                                          # generator -> rows drawn
     draw = montecarlo.draw_errors
 
@@ -320,7 +326,7 @@ def test_sweep_draws_each_users_errors_once_per_kept_realization(monkeypatch):
     n_trials = 2 * B + 5
     points = sweep([("always", designer), ("flaky", sometimes_none),
                     ("again", designer)], generator, r_values=r_values,
-                   n_realizations=6, n_trials=n_trials, base_seed=1, power_limit=1e6)
+                   n_realizations=6, n_trials=n_trials, base_seed=1)
     kept = [p.n_viable for p in points if p.algorithm == "always"]
     assert all(0 < n < 6 for n in kept)
     # one substream per user (K = 3) and kept realization, drawn n_trials deep

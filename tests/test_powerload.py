@@ -23,7 +23,7 @@ def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0, noise=1.0):
     h = standard_complex(rng, (k, nt))
     gammas = np.full(k, gamma)
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, np.full(k, sigma_e), np.full(k, noise))
+    coupling = coupling_matrix(scenario_from_rows(h, sigma_e, noise, gammas), u)
     return h, u, gammas, coupling
 
 
@@ -34,14 +34,14 @@ def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0, noise=1.0):
 def test_coupling_matrix_orthogonal_identity():
     h = orthonormal_rows(3, 4, seed=0)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(3), np.zeros(3), np.ones(3))
+    coupling = coupling_matrix(scenario_from_rows(h, 0.0, gamma=1.0), u)
     assert np.max(np.abs(coupling.a - np.eye(3))) < 1e-12
 
 
 def test_coupling_matrix_hand_instance():
     h = np.array([[1.0, 0.0], [np.sqrt(0.1), np.sqrt(0.9)]], dtype=complex)
     u = np.array([[1.0, 0.0], [np.sqrt(0.1), np.sqrt(0.9)]], dtype=complex)
-    coupling = coupling_matrix(h, u, np.ones(2), np.full(2, 0.1), np.ones(2))
+    coupling = coupling_matrix(scenario_from_rows(h, 0.1, gamma=1.0), u)
     expected = np.array([[1.01, -0.11], [-0.11, 1.01]])
     assert np.max(np.abs(coupling.a - expected)) < 1e-12
 
@@ -51,26 +51,30 @@ def test_coupling_matrix_singular_is_degenerate():
     # are (1, -1) and (-1, 1).
     h = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(DegenerateChannelsError, match="singular"):
-        coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2), np.ones(2))
+        coupling_matrix(scenario_from_rows(h, 0.0, gamma=1.0), h.copy())
 
 
 def test_coupling_matrix_rejects_unknown_variance_mode():
     h = orthonormal_rows(2, 4, seed=0)
     with pytest.raises(ValueError, match="unknown variance_mode 'fast'"):
-        coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2), np.ones(2), "fast")
+        coupling_matrix(scenario_from_rows(h, 0.0, gamma=1.0), h.copy(), "fast")
 
 
-def test_coupling_matrix_rejects_noise_of_wrong_length():
-    h = orthonormal_rows(2, 4, seed=0)
-    for noise in (np.ones(3), np.ones(1), 1.0):
-        with pytest.raises(ValueError, match="noise must have 2 entries"):
-            coupling_matrix(h, h.copy(), np.ones(2), np.zeros(2), noise)
+def test_coupling_matrix_rejects_directions_of_the_wrong_shape():
+    scenario = scenario_from_rows(orthonormal_rows(3, 4, seed=0))
+    for rows in (4, 2):
+        directions = orthonormal_rows(rows, 4, seed=1)
+        with pytest.raises(ValueError, match=rf"\({rows}, 4\).*\(3, 4\)") as excinfo:
+            coupling_matrix(scenario, directions)
+        assert excinfo.type is ValueError      # not a DegenerateChannelsError
+    with pytest.raises(ValueError, match=r"\(3, 5\).*\(3, 4\)"):
+        coupling_matrix(scenario, orthonormal_rows(3, 5, seed=1))
 
 
 def test_coupling_matrix_resolves_variance_mode_by_array_size():
     for nt, mode in ((16, "exact"), (17, "simplified")):
         h = orthonormal_rows(2, nt, seed=0)
-        coupling = coupling_matrix(h, h.copy(), np.ones(2), np.full(2, 0.1), np.ones(2))
+        coupling = coupling_matrix(scenario_from_rows(h, 0.1, gamma=1.0), h.copy())
         assert coupling.variance_mode == mode
 
 
@@ -103,7 +107,7 @@ def test_alg2_perfect_csi_single_iteration():
     gammas = np.full(3, 4.0)
     u = const_offset_directions(h, gammas)
     noise = np.ones(3)
-    coupling = coupling_matrix(h, u, gammas, np.zeros(3), noise)
+    coupling = coupling_matrix(scenario_from_rows(h, 0.0, noise, gammas), u)
     report = alg2_power_load(coupling, r=7.0)
     assert report.iterations_used == 1
     assert np.max(np.abs(report.powers - coupling.a_inv @ noise)) < 1e-9
@@ -125,7 +129,7 @@ def test_alg2_offset_equalities_and_iteration_budget():
     h = standard_complex(rng, (3, 4))
     gammas = np.full(3, 4.0)
     u = zf_directions(h)
-    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1), np.ones(3))
+    coupling = coupling_matrix(scenario_from_rows(h, gamma=gammas), u)
     report = alg2_power_load(coupling, r=2.0, tol=1e-6)
     assert report.iterations_used <= 5
     for mu, sigma in zip(report.mu_f, report.sigma_f):
@@ -159,7 +163,7 @@ def test_alg2_infeasible_raises():
     # powers, which must be reported as infeasible rather than returned.
     h = np.array([[1.0, 0.0], [0.999, np.sqrt(1 - 0.999 ** 2)]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.full(2, 4.0), np.zeros(2), np.ones(2))
+    coupling = coupling_matrix(scenario_from_rows(h, 0.0), u)
     with pytest.raises(InfeasibleLoadingError):
         alg2_power_load(coupling, r=0.0)
 
@@ -175,7 +179,7 @@ def test_alg2_mixed_sigma_handles_zero_variance_rows():
     h = standard_complex(rng, (2, 4))
     gammas = np.full(2, 4.0)
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, np.array([0.0, 0.1]), np.ones(2))
+    coupling = coupling_matrix(scenario_from_rows(h, [0.0, 0.1], gamma=gammas), u)
     report = alg2_power_load(coupling, r=2.0)
     assert report.sigma_f[0] == 0.0
     assert report.sigma_f[1] > 0.0
@@ -186,10 +190,9 @@ def test_alg2_variance_mode_matches_on_orthogonal_directions():
     h = orthonormal_rows(3, 8, seed=9, norms=[2.0, 1.0, 1.5])
     u = h / np.linalg.norm(h, axis=1)[:, None]
     gammas = np.full(3, 4.0)
-    exact = alg2_power_load(coupling_matrix(h, u, gammas, np.full(3, 0.1),
-                                            np.ones(3), "exact"), r=2.0)
-    simplified = alg2_power_load(coupling_matrix(h, u, gammas, np.full(3, 0.1),
-                                                 np.ones(3), "simplified"), r=2.0)
+    scenario = scenario_from_rows(h, gamma=gammas)
+    exact = alg2_power_load(coupling_matrix(scenario, u, "exact"), r=2.0)
+    simplified = alg2_power_load(coupling_matrix(scenario, u, "simplified"), r=2.0)
     assert np.max(np.abs(exact.powers - simplified.powers)) < 1e-9
 
 
@@ -215,7 +218,7 @@ def test_picard_iteration_is_contraction_on_feasible_instances():
 def test_max_r_single_user_hand_value():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1), np.array([0.1]))
+    coupling = coupling_matrix(scenario_from_rows(h, noise=0.1, gamma=1.0), u)
     beta, r, report = max_r_power_load(coupling, total_power=1.0)
     assert beta[0] == pytest.approx(1.0, abs=1e-9)
     assert report.sigma_f[0] == pytest.approx(np.sqrt(0.0201), rel=1e-9)
@@ -238,30 +241,17 @@ def test_max_r_zero_uncertainty_sentinel():
     gammas = np.full(3, 4.0)
     u = const_offset_directions(h, gammas)
     noise = np.ones(3)
-    coupling = coupling_matrix(h, u, gammas, np.zeros(3), noise)
+    coupling = coupling_matrix(scenario_from_rows(h, 0.0, noise, gammas), u)
     beta, r, report = max_r_power_load(coupling, total_power=50.0)
     assert math.isinf(r)
     assert "unbounded offset" in report.note
     assert np.max(np.abs(beta - coupling.a_inv @ noise)) < 1e-12
 
 
-def test_coupling_matrix_rejects_non_positive_noise():
-    # Nearly parallel users served by matched beams: det A < 0, so every
-    # entry of A^{-1} is negative. The noise A (1, 1) has a negative entry and
-    # would make 1^T A^{-1} sigma_f < 0, an offset no budget can fund; with
-    # positive noise A is an M-matrix, A^{-1} >= 0, and that cannot happen.
-    h = np.array([[1.0, 0.0], [0.999, np.sqrt(1 - 0.999 ** 2)]], dtype=complex)
-    a = coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), np.ones(2)).a
-    assert np.all(np.linalg.inv(a) < 0)
-    for noise in (a @ np.ones(2), np.array([1.0, 0.0])):
-        with pytest.raises(ValueError, match="noise powers must be positive"):
-            coupling_matrix(h, h.copy(), np.full(2, 4.0), np.full(2, 0.1), noise)
-
-
 def test_coupling_matrix_rejects_non_unit_directions():
     h = np.array([[1.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="directions must be unit norm"):
-        coupling_matrix(h, 2.0 * h, np.ones(1), 0.1, np.ones(1))
+        coupling_matrix(scenario_from_rows(h, gamma=1.0), 2.0 * h)
 
 
 def test_max_r_convergence_error_carries_last_iterate():
@@ -340,20 +330,17 @@ def test_reschedule_drop_order_matches_ranking():
         [0.8 * np.cos(theta), 0.8 * np.sin(theta), 0.0, 0.0],
         [0.0, 0.0, 1.2, 0.0],
     ], dtype=complex)
-    gammas = np.full(3, 4.0)
-    sigma_e = np.full(3, 0.1)
-    noise = np.ones(3)
+    scenario = scenario_from_rows(h, gamma=4.0)
 
-    u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, sigma_e, noise)
-    base = coupling.a_inv @ noise
+    u = const_offset_directions(h, scenario.sinr_target)
+    coupling = coupling_matrix(scenario, u)
+    base = coupling.a_inv @ scenario.noise_power
     assert np.all(base >= 0)
     _, r_full, _ = max_r_power_load(coupling, total_power=base.sum() + 0.3)
     assert 0 < r_full < 2.0
     expected_first_drop = int(np.argmax(base))
 
-    _, report = reschedule(scenario_from_rows(h, sigma_e, noise, gammas),
-                           total_power=base.sum() + 0.3, r_min=2.0)
+    _, report = reschedule(scenario, total_power=base.sum() + 0.3, r_min=2.0)
     assert report.rescheduled == [expected_first_drop]
     assert expected_first_drop not in report.served_indices
     assert report.offsets[0] >= 2.0
@@ -369,27 +356,23 @@ def test_reschedule_recovers_from_infeasible_loading():
         [0.8 * np.cos(theta), 0.8 * np.sin(theta), 0.0, 0.0],
         [0.0, 0.0, 1.2, 0.0],
     ], dtype=complex)
-    gammas = np.full(3, 4.0)
-    sigma_e = np.full(3, 0.1)
-    noise = np.ones(3)
+    scenario = scenario_from_rows(h, gamma=4.0)
 
-    u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, sigma_e, noise)
+    u = const_offset_directions(h, scenario.sinr_target)
+    coupling = coupling_matrix(scenario, u)
     with pytest.raises(InfeasibleLoadingError):
         max_r_power_load(coupling, total_power=100.0)
 
-    c_kept, report = reschedule(
-        scenario_from_rows(h, sigma_e, noise, gammas), total_power=100.0, r_min=2.0)
+    c_kept, report = reschedule(scenario, total_power=100.0, r_min=2.0)
     retained = report.served_indices
     assert retained == [0, 2]
     assert report.rescheduled == [1]
     assert report.offsets[0] >= 2.0
     # the returned directions and coupling are those of the retained set
-    u_kept = const_offset_directions(h[retained], gammas[retained])
+    u_kept = const_offset_directions(h[retained], scenario.sinr_target[retained])
     assert np.array_equal(report.directions, u_kept)
     assert np.array_equal(c_kept.directions, u_kept)
-    fresh = coupling_matrix(h[retained], u_kept, gammas[retained], sigma_e[retained],
-                            noise[retained])
+    fresh = coupling_matrix(scenario.subset(retained), u_kept)
     assert np.array_equal(c_kept.a, fresh.a)
     assert np.array_equal(c_kept.noise, fresh.noise)
     assert np.array_equal(c_kept.g_tensor, fresh.g_tensor)
@@ -398,7 +381,7 @@ def test_reschedule_recovers_from_infeasible_loading():
 def test_power_saving_cap_re_solves_at_cap():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1), np.array([0.1]))
+    coupling = coupling_matrix(scenario_from_rows(h, noise=0.1, gamma=1.0), u)
     _, _, plain = max_r_power_load(coupling, total_power=1.0)
     report = power_saving_cap(coupling, plain, r_cap=5.0)
     assert abs(report.mu_f[0] - 5.0 * report.sigma_f[0]) < 1e-6 * report.mu_f[0]
@@ -409,7 +392,7 @@ def test_power_saving_cap_re_solves_at_cap():
 def test_power_saving_cap_keeps_solution_below_cap():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
-    coupling = coupling_matrix(h, u, np.ones(1), np.full(1, 0.1), np.array([0.1]))
+    coupling = coupling_matrix(scenario_from_rows(h, noise=0.1, gamma=1.0), u)
     _, _, plain = max_r_power_load(coupling, total_power=1.0)
     capped = power_saving_cap(coupling, plain, r_cap=10.0)
     assert np.max(np.abs(capped.powers - plain.powers)) < 1e-12
@@ -434,7 +417,7 @@ def test_perturbation_zero_on_symmetric_instance():
     h = orthonormal_rows(3, 4, seed=14)
     u = h.copy()
     gammas = np.full(3, 4.0)
-    coupling = coupling_matrix(h, u, gammas, np.full(3, 0.1), np.full(3, 0.3))
+    coupling = coupling_matrix(scenario_from_rows(h, noise=0.3, gamma=gammas), u)
     beta, r_star, report = max_r_power_load(coupling, total_power=30.0, tol=1e-12)
     perturbed = average_outage_perturbation(coupling, report)
     assert np.max(np.abs(perturbed.offsets - r_star)) < 1e-12
@@ -497,7 +480,7 @@ def test_report_for_loading_rejects_negative_powers():
 
 def test_design_report_weights():
     u = np.eye(2, dtype=complex)
-    coupling = coupling_matrix(u, u, np.ones(2), 0.1, np.ones(2))
+    coupling = coupling_matrix(scenario_from_rows(u, gamma=1.0), u)
     report = report_for_loading(coupling, [4.0, 9.0], 2.0)
     assert report.directions is coupling.directions
     assert np.allclose(report.weights(), np.diag([2.0, 3.0]))

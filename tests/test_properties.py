@@ -56,7 +56,7 @@ def max_r_powers(h, gammas, noise, sigma_e, mode, budget_factor=3.0,
     QoS power of this instance.
     """
     u = const_offset_directions(h, gammas)
-    coupling = coupling_matrix(h, u, gammas, sigma_e, noise, mode)
+    coupling = coupling_matrix(scenario_from_rows(h, sigma_e, noise, gammas), u, mode)
     if total_power is None:
         total_power = budget_factor * np.sum(coupling.a_inv @ noise)
     beta, _, _ = max_r_power_load(coupling, total_power)

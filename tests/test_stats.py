@@ -10,7 +10,7 @@ from offsetbf.directions import zf_directions
 from offsetbf.powerload import coupling_matrix, report_for_loading
 from offsetbf.stats import predicted_outage, r_from_delta
 
-from helpers import orthonormal_rows, sinr_values, standard_complex
+from helpers import orthonormal_rows, scenario_from_rows, sinr_values, standard_complex
 
 
 def random_beamformers(k, nt, seed):
@@ -45,7 +45,8 @@ def test_slack_sign_matches_sinr_margin():
     for trial in range(100):
         e = 0.3 * standard_complex(rng, (3, 4))
         h = h_est + e
-        design = report_for_loading(coupling_matrix(h, u, gammas, 0.0, noise), powers, 0.0)
+        scenario = scenario_from_rows(h, sigma_e=0.0, noise=noise, gamma=gammas)
+        design = report_for_loading(coupling_matrix(scenario, u), powers, 0.0)
         sinr = sinr_values(design, h, noise)
         assert np.array_equal(design.mu_f >= 0, sinr >= gammas)
 
@@ -59,11 +60,11 @@ def test_slack_moments_hand_values():
     h = np.eye(2, dtype=complex)
     beta = np.array([1.0, 1.0])
     noise = np.full(2, 0.1)
-    exact = coupling_matrix(h, u, np.ones(2), 0.0, noise, "exact")
+    exact = coupling_matrix(scenario_from_rows(h, 0.0, noise, gamma=1.0), u, "exact")
     assert exact.mu_f(beta)[0] == pytest.approx(0.9, rel=1e-12)
     assert exact.sigma_f(beta)[0] == 0.0
 
-    noisy = coupling_matrix(h, u, np.ones(2), 0.1, noise, "exact")
+    noisy = coupling_matrix(scenario_from_rows(h, 0.1, noise, gamma=1.0), u, "exact")
     assert noisy.sigma_f(beta)[0] ** 2 == pytest.approx(0.0202, rel=1e-12)
 
 
@@ -75,7 +76,7 @@ def test_slack_moments_monte_carlo_oracle():
     h_rows = np.vstack([h, standard_complex(rng, (2, nt))])
     gammas = np.full(3, 2.0)
     noise = np.full(3, 0.5)
-    coupling = coupling_matrix(h_rows, u, gammas, 0.1, noise, "exact")
+    coupling = coupling_matrix(scenario_from_rows(h_rows, 0.1, noise, gammas), u, "exact")
     mu = coupling.mu_f(powers)[0]
     sigma = coupling.sigma_f(powers)[0]
     samples = sample_slack(h, u, powers, 2.0, 0.5, 0,
@@ -89,14 +90,14 @@ def test_slack_moments_zero_powers():
     nt = 4
     u = orthonormal_rows(2, nt, seed=17)
     h = standard_complex(np.random.default_rng(18), (2, nt))
-    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1, np.full(2, 0.6), "exact")
+    coupling = coupling_matrix(scenario_from_rows(h, noise=0.6, gamma=2.0), u, "exact")
     assert coupling.mu_f(np.zeros(2))[0] == pytest.approx(-0.6, rel=1e-12)
     assert coupling.sigma_f(np.zeros(2))[0] == 0.0
 
 
 def test_slack_moments_single_user_hand_value():
     h = np.array([[1.0, 0.0]], dtype=complex)
-    coupling = coupling_matrix(h, h.copy(), np.ones(1), 0.1, np.ones(1), "exact")
+    coupling = coupling_matrix(scenario_from_rows(h, 0.1, gamma=1.0), h.copy(), "exact")
     assert coupling.sigma_f(np.array([1.0]))[0] ** 2 == pytest.approx(0.0201, rel=1e-12)
 
 
@@ -109,10 +110,9 @@ def test_simplified_variance_exact_on_orthogonal_directions():
     u = orthonormal_rows(3, nt, seed=19)
     h = standard_complex(np.random.default_rng(20), (3, nt))
     beta = np.array([1.0, 2.0, 0.5])
-    full = coupling_matrix(h, u, np.full(3, 2.0), 0.1, np.ones(3),
-                           "exact").sigma_f(beta) ** 2
-    approx = coupling_matrix(h, u, np.full(3, 2.0), 0.1, np.ones(3),
-                             "simplified").sigma_f(beta) ** 2
+    scenario = scenario_from_rows(h, 0.1, gamma=2.0)
+    full = coupling_matrix(scenario, u, "exact").sigma_f(beta) ** 2
+    approx = coupling_matrix(scenario, u, "simplified").sigma_f(beta) ** 2
     assert np.max(np.abs(approx - full) / full) < 1e-12
 
 
@@ -126,17 +126,16 @@ def test_simplified_variance_near_orthogonal_accuracy():
     h_rows = standard_complex(rng, (k, nt))
     u = zf_directions(h_rows)
     beta = rng.uniform(0.5, 1.5, size=k)
-    full = coupling_matrix(h_rows, u, np.full(k, 2.0), 0.1, np.ones(k),
-                           "exact").sigma_f(beta) ** 2
-    approx = coupling_matrix(h_rows, u, np.full(k, 2.0), 0.1, np.ones(k),
-                             "simplified").sigma_f(beta) ** 2
+    scenario = scenario_from_rows(h_rows, 0.1, gamma=2.0)
+    full = coupling_matrix(scenario, u, "exact").sigma_f(beta) ** 2
+    approx = coupling_matrix(scenario, u, "simplified").sigma_f(beta) ** 2
     assert np.all(np.abs(approx - full) < 0.05 * full)
 
 
 def test_simplified_variance_zero_powers():
     u = orthonormal_rows(2, 4, seed=22)
     h = standard_complex(np.random.default_rng(23), (2, 4))
-    coupling = coupling_matrix(h, u, np.full(2, 2.0), 0.1, np.ones(2), "simplified")
+    coupling = coupling_matrix(scenario_from_rows(h, 0.1, gamma=2.0), u, "simplified")
     assert np.array_equal(coupling.sigma_f(np.zeros(2)), np.zeros(2))
 
 
