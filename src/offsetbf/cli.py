@@ -88,11 +88,13 @@ class RunConfig:
                     _require_number(f"generate.{key}", value)
         for key in ("seed", "n_realizations", "n_trials"):
             _require_number(key, getattr(cfg, key), numbers.Integral)
-        optional = [key for key in ("r", "rzf_loading") if getattr(cfg, key) is not None]
+        optional = [key for key in ("r", "delta", "rzf_loading")
+                    if getattr(cfg, key) is not None]
         for key in ("total_power", "r_min", "r_cap", *optional):
             _require_number(key, getattr(cfg, key))
-        for value in cfg.r_grid or ():
-            _require_number("r_grid", value)
+        for key in ("r_grid", "delta_grid"):
+            for value in getattr(cfg, key) or ():
+                _require_number(key, value)
         if cfg.total_power <= 0:
             raise ValueError(f"total_power must be positive, got {cfg.total_power!r}")
         if cfg.r_cap <= 0:
@@ -194,17 +196,17 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
         return fixed_r_designer(name, scenario, cfg)(r)
 
     if name in ("maxr_reschedule", "maxr_powersave"):
-        coupling, report = powerload.reschedule(
+        _, report = powerload.reschedule(
             scenario, cfg.total_power, r_min=cfg.r_min, variance_mode=cfg.variance_mode)
         if name == "maxr_powersave":
-            report = powerload.power_saving_cap(coupling, report, r_cap=cfg.r_cap)
+            report = powerload.power_saving_cap(report, r_cap=cfg.r_cap)
         return report
 
     coupling = powerload.coupling_matrix(scenario, _directions(name, scenario, cfg),
                                          cfg.variance_mode)
     _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
     if name == "avg_outage" and np.isfinite(r_star):
-        report = powerload.average_outage_perturbation(coupling, report)
+        report = powerload.average_outage_perturbation(report)
     return report
 
 
@@ -252,16 +254,10 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     served = list(report.served_indices)
     estimates, stderrs = montecarlo.estimate_outage(
         [report], scenario.subset(served), cfg.n_trials, cfg.seed)
-    outage = {int(i): float(p) for i, p in zip(served, estimates[0])}
-    stderr = {int(i): float(s) for i, s in zip(served, stderrs[0])}
-    for i in report.rescheduled:
-        outage[int(i)] = 1.0
-        stderr[int(i)] = 0.0
-    extra = {
-        "n_trials": cfg.n_trials,
-        "outage": [outage[i] for i in sorted(outage)],
-        "stderr_outage": [stderr[i] for i in sorted(stderr)],
-    }
+    outage, stderr = np.ones(scenario.n_users), np.zeros(scenario.n_users)
+    outage[served], stderr[served] = estimates[0], stderrs[0]
+    extra = {"n_trials": cfg.n_trials, "outage": outage.tolist(),
+             "stderr_outage": stderr.tolist()}
     print(_write_report(cfg, cfg.algorithm, report, extra=extra))
     return 0
 

@@ -7,7 +7,8 @@ fixed-point power loading, the max-common-offset loading under a power
 budget, user rescheduling, the power-saving cap, and the average-outage
 perturbation of the offset coefficients. The CouplingMatrix carries the
 directions, the noise powers and the resolved variance mode, so the loaders
-take only the coupling; each returns a DesignReport, the one design value.
+take only the coupling. Each returns a DesignReport, the one design value: a
+loading of its coupling, from which the report derives its slack moments.
 """
 
 import functools
@@ -73,30 +74,48 @@ class CouplingMatrix:
 
 @dataclass
 class DesignReport:
-    """A design: unit-norm directions (rows) and their nonnegative power loading.
+    """A design: a nonnegative power loading of a coupling's directions.
 
-    offsets holds the per-user r_k actually enforced and mu_f, sigma_f the slack
-    moments of the CouplingMatrix at these powers; rescheduled lists the
-    dropped users by their original indices; served_indices maps report rows
-    back to the original user indices.
+    The report is built from the coupling, the powers and the per-user
+    offsets r_k actually enforced (a scalar broadcasts); it derives mu_f and
+    sigma_f, the slack moments of the coupling at these powers, their
+    predicted outage and the total power. A negative power raises
+    InfeasibleLoadingError. rescheduled lists the dropped users by their
+    original indices; served_indices maps report rows back to the original
+    user indices.
     """
 
-    directions: np.ndarray
+    coupling: CouplingMatrix = field(repr=False)
     powers: np.ndarray
     offsets: np.ndarray
-    mu_f: np.ndarray
-    sigma_f: np.ndarray
-    predicted_outage: np.ndarray
-    total_power: float
-    rescheduled: list
-    iterations_used: int
-    served_indices: list = None
-    variance_mode: str = "exact"
+    iterations_used: int = 1
     note: str = ""
+    rescheduled: list = field(default_factory=list)
+    served_indices: list = None
+    mu_f: np.ndarray = field(init=False)
+    sigma_f: np.ndarray = field(init=False)
+    predicted_outage: np.ndarray = field(init=False)
+    total_power: float = field(init=False)
 
     def __post_init__(self):
+        self.powers = np.asarray(self.powers, dtype=float)
+        if np.any(self.powers < 0):
+            raise InfeasibleLoadingError(
+                f"power loading fixed point has negative entries: {self.powers}",
+                powers=self.powers)
+        self.offsets = np.broadcast_to(np.asarray(self.offsets, dtype=float),
+                                       self.powers.shape).copy()
+        self.mu_f = self.coupling.mu_f(self.powers)
+        self.sigma_f = self.coupling.sigma_f(self.powers)
+        self.predicted_outage = predicted_outage(self.mu_f, self.sigma_f)
+        self.total_power = float(self.powers.sum())
         if self.served_indices is None:
             self.served_indices = list(range(len(self.powers)))
+
+    @property
+    def directions(self) -> np.ndarray:
+        """The coupling's unit-norm directions, one row per served user."""
+        return self.coupling.directions
 
     def weights(self) -> np.ndarray:
         """Beamformers w_k = sqrt(beta_k) u_k stacked as rows."""
@@ -128,7 +147,7 @@ class DesignReport:
         return {
             "total_power": float(self.total_power),
             "iterations_used": int(self.iterations_used),
-            "variance_mode": self.variance_mode,
+            "variance_mode": self.coupling.variance_mode,
             "rescheduled": [int(i) for i in self.rescheduled],
             "note": self.note,
             "users": users,
@@ -171,40 +190,18 @@ def coupling_matrix(scenario, directions: np.ndarray,
     gram = directions.conj() @ directions.T    # [j, l] = u_j^H u_l
     if variance_mode == "simplified":
         gram = np.diag(gram.diagonal())
-    gram_abs2 = np.abs(gram) ** 2
-    g_tensor = np.zeros((k, k, k))
-    for i in range(k):
-        s = -np.ones(k)
-        s[i] = 1.0 / gammas[i]
-        triple = np.real(cross[i][:, None] * gram * cross[i].conj()[None, :])
-        g_tensor[i] = np.outer(s, s) * (2.0 * sigma_e[i] ** 2 * triple
-                                        + sigma_e[i] ** 4 * gram_abs2)
+    s = -np.ones((k, k))                       # [i, j] = s_j for user i
+    s[np.diag_indices(k)] = 1.0 / gammas
+    triple = np.real(cross[:, :, None] * gram * cross.conj()[:, None, :])
+    # float_power rounds like the scalar power sigma_e_k ** p; on AVX-512 the
+    # vectorized ** can differ from it in the last bit
+    e2, e4 = (np.float_power(sigma_e, p)[:, None, None] for p in (2, 4))
+    g_tensor = s[:, :, None] * s[:, None, :] * (2.0 * e2 * triple
+                                                + e4 * np.abs(gram) ** 2)
 
     return CouplingMatrix(directions=directions, a=a, a_inv=a_inv,
                           noise=scenario.noise_power, variance_mode=variance_mode,
                           g_tensor=g_tensor)
-
-
-def report_for_loading(coupling: CouplingMatrix, beta, r_vec, iterations: int = 1,
-                       note: str = "") -> DesignReport:
-    """Report a loading of the coupling's directions: its slack moments,
-    predicted outage and total power.
-
-    Raises InfeasibleLoadingError when a power entry is negative.
-    """
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta < 0):
-        raise InfeasibleLoadingError(
-            f"power loading fixed point has negative entries: {beta}", powers=beta)
-    r_vec = np.broadcast_to(np.asarray(r_vec, dtype=float), beta.shape).copy()
-    mu_f = coupling.mu_f(beta)
-    sigma_f = coupling.sigma_f(beta)
-    return DesignReport(directions=coupling.directions, powers=beta, offsets=r_vec,
-                        mu_f=mu_f, sigma_f=sigma_f,
-                        predicted_outage=predicted_outage(mu_f, sigma_f),
-                        total_power=float(beta.sum()), rescheduled=[],
-                        iterations_used=iterations,
-                        variance_mode=coupling.variance_mode, note=note)
 
 
 def alg2_power_load(coupling: CouplingMatrix, r, tol: float = 1e-6,
@@ -238,7 +235,7 @@ def alg2_power_load(coupling: CouplingMatrix, r, tol: float = 1e-6,
         change = np.max(np.abs(beta_new - beta)) / scale
         beta = beta_new
         if change < tol:
-            return report_for_loading(coupling, beta, r_vec, iteration)
+            return DesignReport(coupling, beta, r_vec, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
@@ -273,9 +270,8 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
     beta = base.copy()
     sigma_f = coupling.sigma_f(beta)
     if not np.any(sigma_f > 0):
-        report = report_for_loading(coupling, beta, math.inf,
-                                    note="unbounded offset: zero slack variance")
-        return beta, math.inf, report
+        return beta, math.inf, DesignReport(coupling, beta, math.inf,
+                                            note="unbounded offset: zero slack variance")
 
     r = 0.0
     for iteration in range(1, max_iters + 1):
@@ -285,7 +281,7 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
         converged = abs(r_new - r) <= tol * max(abs(r_new), 1e-30)
         r = r_new
         if converged:
-            return beta, float(r), report_for_loading(coupling, beta, r, iteration)
+            return beta, float(r), DesignReport(coupling, beta, r, iteration)
     raise ConvergenceError(f"max-r alternation did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
@@ -337,16 +333,15 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
         dropped.append(retained.pop(worst))
 
 
-def power_saving_cap(coupling: CouplingMatrix, maxr_report: DesignReport,
-                     r_cap: float = 5.0) -> DesignReport:
-    """Cap the common offset: if the max-r report of this coupling exceeds r_cap,
-    re-solve the power minimization at r = r_cap, typically spending far less.
-    The capped report keeps the max-r report's dropped and served users."""
+def power_saving_cap(maxr_report: DesignReport, r_cap: float = 5.0) -> DesignReport:
+    """Cap the common offset: if the max-r report exceeds r_cap, re-solve the
+    power minimization on its coupling at r = r_cap, typically spending far
+    less. The capped report keeps the max-r report's dropped and served users."""
     if r_cap <= 0:
         raise ValueError("r_cap must be positive")
     r = maxr_report.offsets[0]
     if r > r_cap:
-        capped = alg2_power_load(coupling, r_cap)
+        capped = alg2_power_load(maxr_report.coupling, r_cap)
         capped.note = f"offset capped at {r_cap} (max-r solution reached {r:.4g})"
         capped.rescheduled = list(maxr_report.rescheduled)
         capped.served_indices = list(maxr_report.served_indices)
@@ -363,12 +358,11 @@ def fit_normal_cdf_quadratic():
     return float(a0), float(a1), float(a2)
 
 
-def average_outage_perturbation(coupling: CouplingMatrix,
-                                maxr_report: DesignReport) -> DesignReport:
+def average_outage_perturbation(maxr_report: DesignReport) -> DesignReport:
     """Per-user offset perturbations minimizing the average Gaussian outage.
 
-    Starting from the max-r report of this coupling (all users at a finite
-    common offset r_star, with slack deviations sigma_f),
+    Starting from a max-r report (all users at a finite common offset r_star,
+    with slack deviations sigma_f), on the report's own coupling,
     maximize sum_k q(r_star + delta_r_k) subject to power conservation
     1^T A^{-1} (sigma_f (.) delta_r) = 0, where q = a0 r^2 + a1 r + a2 is
     fit_normal_cdf_quadratic() (a0 < 0). With b = (1^T A^{-1}) (.) sigma_f
@@ -379,7 +373,7 @@ def average_outage_perturbation(coupling: CouplingMatrix,
 
     Returns the report of the refreshed powers at the offsets r_star + delta_r.
     """
-    sigma_f = maxr_report.sigma_f
+    coupling, sigma_f = maxr_report.coupling, maxr_report.sigma_f
     r_star = maxr_report.offsets[0]
     a0, a1, _ = fit_normal_cdf_quadratic()
 
@@ -392,6 +386,5 @@ def average_outage_perturbation(coupling: CouplingMatrix,
         delta_r = (-slope - zeta * b) / (2.0 * a0)
     r_vec = r_star + delta_r
     beta = coupling.a_inv @ coupling.noise + coupling.a_inv @ (sigma_f * r_vec)
-    return report_for_loading(
-        coupling, beta, r_vec, iterations=maxr_report.iterations_used,
-        note="per-user offsets perturbed to minimize average outage")
+    return DesignReport(coupling, beta, r_vec, maxr_report.iterations_used,
+                        note="per-user offsets perturbed to minimize average outage")

@@ -191,7 +191,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
     u_sym = const_offset_directions(h_sym, gammas)
     c_sym = coupling_matrix(scenario_from_rows(h_sym, sig, noise, gammas), u_sym)
     beta_sym, r_sym, rep_sym = max_r_power_load(c_sym, 10.0, tol=1e-12)
-    delta_sym = average_outage_perturbation(c_sym, rep_sym).offsets - r_sym
+    delta_sym = average_outage_perturbation(rep_sym).offsets - r_sym
     assert np.max(np.abs(delta_sym)) <= 1e-12
 
     checked = 0
@@ -217,7 +217,7 @@ def test_criterion_07_perturbation_conserves_power_and_lowers_outage():
         except DESIGN_ERRORS:
             continue
         checked += 1
-        perturbed = average_outage_perturbation(coupling, report)
+        perturbed = average_outage_perturbation(report)
         delta = perturbed.offsets - r_star
         assert abs(perturbed.powers.sum() - beta.sum()) <= 1e-9 * beta.sum()
         change = float(np.sum(ndtr(-(r_star + delta)))) - len(delta) * ndtr(-r_star)
@@ -334,8 +334,8 @@ def test_criterion_09_power_saving_spends_less_with_more_antennas():
         for nt in nt_grid:
             h = h_full[:, :nt]
             cell = Scenario(h_est=h, sigma_e=sig, noise_power=noise, sinr_target=gammas)
-            coupling, maxr_report = reschedule(cell, total_power=1.0, r_min=2.0)
-            capped = power_saving_cap(coupling, maxr_report, r_cap=5.0)
+            _, maxr_report = reschedule(cell, total_power=1.0, r_min=2.0)
+            capped = power_saving_cap(maxr_report, r_cap=5.0)
             means[nt].append(capped.powers.sum())
 
     curve = [float(np.mean(means[nt])) for nt in nt_grid]

@@ -134,6 +134,8 @@ def generate_with(**values):
     (generate_with(radius_km="0.5"), "generate.radius_km must be a finite number"),
     (generate_with(gamma_db=True), "generate.gamma_db must be a finite number"),
     (generate_with(sigma_e=[0.1]), "generate.sigma_e must be a finite number"),
+    ({"delta": "0.05"}, "delta must be a finite number, got '0.05'"),
+    ({"delta_grid": ["0.1", 0.2]}, "delta_grid must be a finite number, got '0.1'"),
 ])
 def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patch,
                                                           message):

@@ -11,7 +11,7 @@ from offsetbf.directions import const_offset_directions
 from offsetbf.errors import DegenerateChannelsError
 from offsetbf.montecarlo import (estimate_outage, sweep, sweep_to_csv,
                                  viability_check, SWEEP_CSV_COLUMNS)
-from offsetbf.powerload import alg2_power_load, coupling_matrix, report_for_loading
+from offsetbf.powerload import DesignReport, alg2_power_load, coupling_matrix
 
 from helpers import (estimate_outage_oracle, per_algorithm_sweep, scenario_from_rows,
                      standard_complex, unit_scale_scenario)
@@ -91,8 +91,8 @@ def test_estimate_outage_margins_drive_outage():
     scenario = unit_scale_scenario(seed=9)
     coupling = constant_offset_coupling(scenario)
     design = alg2_power_load(coupling, 2.0)
-    boosted = report_for_loading(coupling, design.powers * 50.0, 2.0)
-    starved = report_for_loading(coupling, design.powers * 1e-4, 2.0)
+    boosted = DesignReport(coupling, design.powers * 50.0, 2.0)
+    starved = DesignReport(coupling, design.powers * 1e-4, 2.0)
     outage_boosted, _ = outage_of(boosted, scenario, 200, base_seed=11)
     outage_starved, _ = outage_of(starved, scenario, 200, base_seed=11)
     assert np.all(outage_boosted == 0.0)
@@ -190,11 +190,11 @@ def test_viability_check_thresholds(monkeypatch):
     u = np.array([[1.0, 0.0]], dtype=complex)
     coupling = coupling_matrix(scenario_from_rows(u, 0.1, gamma=1.0), u)
     assert montecarlo.VIABLE_POWER_LIMIT_W == 100.0
-    assert viability_check(report_for_loading(coupling, [99.9], 0.0))
-    assert not viability_check(report_for_loading(coupling, [100.0], 0.0))
+    assert viability_check(DesignReport(coupling, [99.9], 0.0))
+    assert not viability_check(DesignReport(coupling, [100.0], 0.0))
     assert not viability_check(None)
     monkeypatch.setattr(montecarlo, "VIABLE_POWER_LIMIT_W", 50.0)
-    assert not viability_check(report_for_loading(coupling, [99.9], 0.0))
+    assert not viability_check(DesignReport(coupling, [99.9], 0.0))
 
 
 @pytest.fixture

@@ -9,10 +9,10 @@ from scipy.special import ndtr
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
-from offsetbf.powerload import (alg2_power_load, average_outage_perturbation,
-                                coupling_matrix, fit_normal_cdf_quadratic,
-                                max_r_power_load, power_saving_cap,
-                                report_for_loading, reschedule)
+from offsetbf.powerload import (DesignReport, alg2_power_load,
+                                average_outage_perturbation, coupling_matrix,
+                                fit_normal_cdf_quadratic, max_r_power_load,
+                                power_saving_cap, reschedule)
 
 from helpers import (dense_slack_moments, orthonormal_rows, scenario_from_rows,
                      sinr_values, standard_complex)
@@ -383,7 +383,7 @@ def test_power_saving_cap_re_solves_at_cap():
     u = h.copy()
     coupling = coupling_matrix(scenario_from_rows(h, noise=0.1, gamma=1.0), u)
     _, _, plain = max_r_power_load(coupling, total_power=1.0)
-    report = power_saving_cap(coupling, plain, r_cap=5.0)
+    report = power_saving_cap(plain, r_cap=5.0)
     assert abs(report.mu_f[0] - 5.0 * report.sigma_f[0]) < 1e-6 * report.mu_f[0]
     assert report.powers.sum() < 1.0
     assert "capped" in report.note
@@ -394,10 +394,10 @@ def test_power_saving_cap_keeps_solution_below_cap():
     u = h.copy()
     coupling = coupling_matrix(scenario_from_rows(h, noise=0.1, gamma=1.0), u)
     _, _, plain = max_r_power_load(coupling, total_power=1.0)
-    capped = power_saving_cap(coupling, plain, r_cap=10.0)
+    capped = power_saving_cap(plain, r_cap=10.0)
     assert np.max(np.abs(capped.powers - plain.powers)) < 1e-12
     with pytest.raises(ValueError):
-        power_saving_cap(coupling, plain, r_cap=0.0)
+        power_saving_cap(plain, r_cap=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def test_perturbation_zero_on_symmetric_instance():
     gammas = np.full(3, 4.0)
     coupling = coupling_matrix(scenario_from_rows(h, noise=0.3, gamma=gammas), u)
     beta, r_star, report = max_r_power_load(coupling, total_power=30.0, tol=1e-12)
-    perturbed = average_outage_perturbation(coupling, report)
+    perturbed = average_outage_perturbation(report)
     assert np.max(np.abs(perturbed.offsets - r_star)) < 1e-12
     assert np.max(np.abs(perturbed.powers - beta)) < 1e-9 * np.max(beta)
 
@@ -446,7 +446,7 @@ def test_perturbation_conserves_power_and_objective():
                                                     tol=1e-12)
             budget *= 2.0 / r_star
         assert r_star > 0
-        perturbed = average_outage_perturbation(coupling, report)
+        perturbed = average_outage_perturbation(report)
         delta_r = perturbed.offsets - r_star
         assert abs(perturbed.powers.sum() - beta.sum()) < 1e-9 * beta.sum()
         before = np.sum(surrogate_outage(np.full(3, r_star)))
@@ -461,27 +461,27 @@ def test_perturbation_conserves_power_and_objective():
 # reports
 # ---------------------------------------------------------------------------
 
-def test_report_for_loading_matches_alg2():
+def test_design_report_matches_alg2():
     _, _, _, coupling = random_instance(seed=16)
     report = alg2_power_load(coupling, r=2.0)
-    rebuilt = report_for_loading(coupling, report.powers, 2.0)
+    rebuilt = DesignReport(coupling, report.powers, 2.0)
     assert rebuilt.mu_f == pytest.approx(report.mu_f, rel=1e-12)
     assert rebuilt.sigma_f == pytest.approx(report.sigma_f, rel=1e-12)
     assert rebuilt.total_power == pytest.approx(report.total_power, rel=1e-12)
 
 
-def test_report_for_loading_rejects_negative_powers():
+def test_design_report_rejects_negative_powers():
     _, _, _, coupling = random_instance(seed=16)
     with pytest.raises(InfeasibleLoadingError,
                        match="power loading fixed point has negative entries") as excinfo:
-        report_for_loading(coupling, [1.0, -0.1, 2.0], 2.0)
+        DesignReport(coupling, [1.0, -0.1, 2.0], 2.0)
     assert np.array_equal(excinfo.value.powers, [1.0, -0.1, 2.0])
 
 
 def test_design_report_weights():
     u = np.eye(2, dtype=complex)
     coupling = coupling_matrix(scenario_from_rows(u, gamma=1.0), u)
-    report = report_for_loading(coupling, [4.0, 9.0], 2.0)
+    report = DesignReport(coupling, [4.0, 9.0], 2.0)
     assert report.directions is coupling.directions
     assert np.allclose(report.weights(), np.diag([2.0, 3.0]))
 

@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from offsetbf.channel import draw_errors
 from offsetbf.directions import zf_directions
-from offsetbf.powerload import coupling_matrix, report_for_loading
+from offsetbf.powerload import DesignReport, coupling_matrix
 from offsetbf.stats import predicted_outage, r_from_delta
 
 from helpers import orthonormal_rows, scenario_from_rows, sinr_values, standard_complex
@@ -46,7 +46,7 @@ def test_slack_sign_matches_sinr_margin():
         e = 0.3 * standard_complex(rng, (3, 4))
         h = h_est + e
         scenario = scenario_from_rows(h, sigma_e=0.0, noise=noise, gamma=gammas)
-        design = report_for_loading(coupling_matrix(scenario, u), powers, 0.0)
+        design = DesignReport(coupling_matrix(scenario, u), powers, 0.0)
         sinr = sinr_values(design, h, noise)
         assert np.array_equal(design.mu_f >= 0, sinr >= gammas)
 

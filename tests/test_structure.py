@@ -1,6 +1,7 @@
 """Structural guards over the package sources: imports stay at module level,
 the modules of offsetbf import each other without cycles, the power loaders
-take the noise and variance mode from the coupling only, and the trial count
+take the noise and variance mode from the coupling only, no power loader
+takes a coupling beside a report (a report carries its own), and the trial count
 and the reports keep the slots of montecarlo.estimate_outage,
 powerload.reschedule and powerload.max_r_power_load that the benchmark
 tracer reads."""
@@ -11,7 +12,7 @@ from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from offsetbf import montecarlo, powerload
-from offsetbf.powerload import DesignReport
+from offsetbf.powerload import CouplingMatrix, DesignReport
 
 from helpers import unit_scale_scenario
 
@@ -70,6 +71,15 @@ def test_only_coupling_builders_take_noise_or_variance_mode():
     takers = {name for name, fn in public if not name.startswith("_")
               and {"noise", "variance_mode"} & set(inspect.signature(fn).parameters)}
     assert takers == {"coupling_matrix", "reschedule"}
+
+
+def test_no_power_loader_takes_a_coupling_beside_a_report():
+    public = inspect.getmembers(powerload, lambda obj: inspect.isfunction(obj)
+                                and obj.__module__ == powerload.__name__)
+    pairs = {name for name, fn in public if not name.startswith("_")
+             and {CouplingMatrix, DesignReport} <= {
+                 param.annotation for param in inspect.signature(fn).parameters.values()}}
+    assert pairs == set()
 
 
 def test_estimate_outage_trial_count_is_third_parameter():
