@@ -6,7 +6,10 @@ and their conjugates), the constant-offset variant in the K-dimensional span
 of the channels, and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
 """
 
+import math
+
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import ConvergenceError, DegenerateChannelsError
 
@@ -97,38 +100,50 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     In the basis Q of _reduced_terms, M_k = c_k I + Q S_k Q^H and h_k = Q a_k,
     so the form is a_k^H (c_k I + S_k)^{-1} a_k. The shared part of S_k is
     rebuilt each sweep and updated as each nu_k changes. Cost: O(K^2 N_t) once,
-    then one m x m solve, O(m^3), per user step.
+    then per user step one m x m solve, O(m^3), plus O(m^2) to build c_k I + S_k
+    in place. The step calls the LAPACK gesv gufunc that np.linalg.solve wraps,
+    so it gives the same bits without the wrapper's per-call overhead, which is
+    larger than the solve itself at m <= 16. The gufunc fills a singular
+    system's solution with NaN instead of raising, so a NaN form is that error.
     """
     gammas = np.asarray(gammas, dtype=float)
     psi = _normalize_rows(np.asarray(psi, dtype=complex))
     coup = r * np.sqrt(2.0) * sigma_e
     # S_k = sum_j nu_j terms_j + coup nu_k (1 + 1/gamma_k) re_psi_k
     _, h_c, terms, re_psi = _reduced_terms(h_est, psi, coup)
-    eye = np.eye(h_c.shape[1])
+    m = h_c.shape[1]
+    matrix = np.empty((m, m), dtype=complex)
+    diagonal = matrix.reshape(-1)[::m + 1]
+    var_e, gamma_list = sigma_e ** 2, gammas.tolist()
     nu = nu_massive_approx(h_est, gammas)
 
-    for _ in range(max_iters):
-        total, nu_sum = np.einsum("j,jil->il", nu, terms), nu.sum()
-        max_rel = 0.0
-        for k in range(h_est.shape[0]):
-            c_k = 1.0 + sigma_e ** 2 * (nu_sum - nu[k]) - nu[k] * sigma_e ** 2 / gammas[k]
-            s_k = total + (coup * nu[k] * (1.0 + 1.0 / gammas[k])) * re_psi[k]
-            try:
-                x = np.linalg.solve(c_k * eye + s_k, h_c[k])
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("dual fixed point made the user matrix singular",
-                                       last_iterate=nu) from exc
-            val = np.vdot(h_c[k], x).real * (1.0 + 1.0 / gammas[k])
-            if val <= 0:
-                raise ConvergenceError("dual fixed point left the positive cone",
-                                       last_iterate=nu)
-            nu_new = 1.0 / val
-            max_rel = max(max_rel, abs(nu_new - nu[k]) / nu_new)
-            total += (nu_new - nu[k]) * terms[k]
-            nu_sum += nu_new - nu[k]
-            nu[k] = nu_new
-        if max_rel < tol:
-            return nu
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iters):
+            total, nu_sum = np.einsum("j,jil->il", nu, terms), float(nu.sum())
+            values = nu.tolist()
+            max_rel = 0.0
+            for k in range(len(values)):
+                nu_k, scale = values[k], 1.0 + 1.0 / gamma_list[k]
+                c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma_list[k]
+                np.multiply(coup * nu_k * scale, re_psi[k], out=matrix)
+                matrix += total
+                diagonal += c_k
+                x = _solve1(matrix, h_c[k], signature="DD->D")
+                val = np.vdot(h_c[k], x).real * scale
+                if math.isnan(val) or val <= 0:
+                    raise ConvergenceError(
+                        "dual fixed point made the user matrix singular" if math.isnan(val)
+                        else "dual fixed point left the positive cone",
+                        last_iterate=np.array(values))
+                nu_new = 1.0 / val
+                max_rel = max(max_rel, abs(nu_new - nu_k) / nu_new)
+                np.multiply(nu_new - nu_k, terms[k], out=matrix)
+                total += matrix
+                nu_sum += nu_new - nu_k
+                values[k] = nu_new
+            nu = np.array(values)
+            if max_rel < tol:
+                return nu
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 

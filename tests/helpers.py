@@ -3,6 +3,7 @@
 import numpy as np
 
 from offsetbf.channel import Scenario, draw_errors
+from offsetbf.directions import _normalize_rows, _reduced_terms, nu_massive_approx
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.montecarlo import (SINR_TOLERANCE, SweepPoint, _trial_seed,
@@ -39,6 +40,43 @@ def orthonormal_rows(k, nt, seed=0, norms=None):
 def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0):
     """Wrap explicit channel rows into a Scenario."""
     return Scenario(h_est=h_est, sigma_e=sigma_e, noise_power=noise, sinr_target=gamma)
+
+
+def solve_nu_oracle(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
+    """Oracle for directions.solve_nu: the same Gauss-Seidel sweep in the reduced
+    basis, with each user step a plain np.linalg.solve that raises LinAlgError on
+    a singular matrix. The arithmetic is the same, so nu, the error raised and
+    its last_iterate must match solve_nu bit for bit."""
+    gammas = np.asarray(gammas, dtype=float)
+    psi = _normalize_rows(np.asarray(psi, dtype=complex))
+    coup = r * np.sqrt(2.0) * sigma_e
+    _, h_c, terms, re_psi = _reduced_terms(h_est, psi, coup)
+    eye = np.eye(h_c.shape[1])
+    nu = nu_massive_approx(h_est, gammas)
+    for _ in range(max_iters):
+        total, nu_sum = np.einsum("j,jil->il", nu, terms), nu.sum()
+        max_rel = 0.0
+        for k in range(h_est.shape[0]):
+            c_k = 1.0 + sigma_e ** 2 * (nu_sum - nu[k]) - nu[k] * sigma_e ** 2 / gammas[k]
+            s_k = total + (coup * nu[k] * (1.0 + 1.0 / gammas[k])) * re_psi[k]
+            try:
+                x = np.linalg.solve(c_k * eye + s_k, h_c[k])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("dual fixed point made the user matrix singular",
+                                       last_iterate=nu) from exc
+            val = np.vdot(h_c[k], x).real * (1.0 + 1.0 / gammas[k])
+            if val <= 0:
+                raise ConvergenceError("dual fixed point left the positive cone",
+                                       last_iterate=nu)
+            nu_new = 1.0 / val
+            max_rel = max(max_rel, abs(nu_new - nu[k]) / nu_new)
+            total += (nu_new - nu[k]) * terms[k]
+            nu_sum += nu_new - nu[k]
+            nu[k] = nu_new
+        if max_rel < tol:
+            return nu
+    raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
+                           last_iterate=nu)
 
 
 def sinr_values(design, h_rows, noise):

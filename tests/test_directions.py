@@ -13,8 +13,10 @@ from offsetbf.directions import (alg1_directions, const_offset_directions,
                                  rzf_directions, solve_nu,
                                  solve_nu_constant_offset, zf_directions)
 from offsetbf.errors import ConvergenceError, DegenerateChannelsError
+from offsetbf.stats import r_from_delta
 
-from helpers import orthonormal_rows, sinr_values, standard_complex, unit_scale_scenario
+from helpers import (orthonormal_rows, sinr_values, solve_nu_oracle, standard_complex,
+                     unit_scale_scenario)
 
 
 def literal_dual_matrix(h_est, psi, nu, gammas, sigma_e, r, k):
@@ -294,6 +296,43 @@ def test_solve_nu_self_consistency():
         m = literal_dual_matrix(h, psi, nu, gammas, sigma_e, r, k)
         val = np.real(np.vdot(h[k], np.linalg.solve(m, h[k]))) * (1 + 1 / gammas[k])
         assert abs(1.0 / nu[k] - val) < 1e-8 * val
+
+
+def outcome(solver, *args):
+    """("ok", nu) or (message, last_iterate) of a dual solver call."""
+    try:
+        return "ok", solver(*args)
+    except ConvergenceError as exc:
+        return str(exc), exc.last_iterate
+
+
+@pytest.mark.parametrize("mode", ["gaussian", "cantelli"])
+@pytest.mark.parametrize("k,nt,radius_km", [
+    (3, 6, 3.2), (4, 8, 3.2), (6, 20, 3.2), (6, 40, 3.2), (8, 32, 0.5)])
+def test_solve_nu_is_bit_identical_to_the_solve_loop(k, nt, radius_km, mode):
+    # At 3.2 km many of these cells fail (left the positive cone, or no
+    # convergence in 500 sweeps), and their iterates are chaotic down to the
+    # last bit, so equal errors and last iterates show the same arithmetic.
+    r = r_from_delta(0.05, mode)
+    for seed in range(10):
+        scenario = generate_scenario(
+            CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km), seed)
+        args = (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]), r,
+                zf_directions(scenario.h_est))
+        ref_message, ref_nu = outcome(solve_nu_oracle, *args)
+        message, nu = outcome(solve_nu, *args)
+        assert message == ref_message, seed
+        assert nu.dtype == ref_nu.dtype and np.array_equal(nu, ref_nu), seed
+
+
+def test_solve_nu_singular_user_matrix_is_convergence_error():
+    # A real channel spans a 1-D space with its conjugate, so the second basis
+    # vector sees only c_k, which is exactly 0 at the start nu = gamma / alpha = 4.
+    h = np.array([[1.0, 0.0]])
+    with pytest.raises(ConvergenceError,
+                       match="dual fixed point made the user matrix singular") as excinfo:
+        solve_nu(h, np.array([4.0]), 1.0, 2.0, h)
+    assert np.array_equal(excinfo.value.last_iterate, [4.0])
 
 
 def test_solve_nu_constant_offset_singular_matrix_is_convergence_error():

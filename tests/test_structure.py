@@ -1,13 +1,16 @@
 """Structural guards over the package sources: imports stay at module level,
 the modules of offsetbf import each other without cycles, the power loaders
 take the noise and variance mode from the coupling only, no power loader
-takes a coupling beside a report (a report carries its own), and the trial count
+takes a coupling beside a report (a report carries its own), the trial count
 and the reports keep the slots of montecarlo.estimate_outage,
 powerload.reschedule and powerload.max_r_power_load that the benchmark
-tracer reads."""
+tracer reads, and the package does not load scipy.linalg."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -95,3 +98,17 @@ def test_reschedule_and_max_r_reports_keep_their_slots():
     assert isinstance(rescheduled[1], DesignReport)
     coupling = rescheduled[0]
     assert isinstance(powerload.max_r_power_load(coupling, 50.0)[2], DesignReport)
+
+
+def test_cli_and_montecarlo_do_not_load_scipy_linalg():
+    """scipy.linalg.lapack.zgesv would do alg1's per-user solve as fast as
+    numpy's gesv gufunc and with the same bits, but importing scipy.linalg
+    raised the alg1_cells benchmark's peak RSS from 60.7 to 68.2 MB (+12%,
+    beyond its 10% bound) and added about 55 ms of import to every process.
+    The package imports only scipy.special."""
+    probe = ("import sys, offsetbf.cli, offsetbf.montecarlo; "
+             "print('scipy.linalg' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    assert result.stdout.strip() == "False"
