@@ -9,6 +9,9 @@ of the channels, and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
 import math
 
 import numpy as np
+# A private name, but it is the gesv gufunc that np.linalg.solve itself calls,
+# under this name and module in numpy 1.x and 2.x alike. tests/test_directions.py
+# checks solve_nu against an np.linalg.solve loop bit for bit.
 from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .errors import ConvergenceError, DegenerateChannelsError
@@ -117,33 +120,35 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     var_e, gamma_list = sigma_e ** 2, gammas.tolist()
     nu = nu_massive_approx(h_est, gammas)
 
-    with np.errstate(invalid="ignore"):
-        for _ in range(max_iters):
-            total, nu_sum = np.einsum("j,jil->il", nu, terms), float(nu.sum())
-            values = nu.tolist()
-            max_rel = 0.0
-            for k in range(len(values)):
-                nu_k, scale = values[k], 1.0 + 1.0 / gamma_list[k]
-                c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma_list[k]
-                np.multiply(coup * nu_k * scale, re_psi[k], out=matrix)
-                matrix += total
-                diagonal += c_k
+    for _ in range(max_iters):
+        total, nu_sum = np.einsum("j,jil->il", nu, terms), float(nu.sum())
+        values = nu.tolist()
+        max_rel = 0.0
+        for k in range(len(values)):
+            nu_k, scale = values[k], 1.0 + 1.0 / gamma_list[k]
+            c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma_list[k]
+            np.multiply(coup * nu_k * scale, re_psi[k], out=matrix)
+            matrix += total
+            diagonal += c_k
+            # the floating-point flags np.linalg.solve ignores; it raises on
+            # invalid, which the gufunc sets with a singular matrix
+            with np.errstate(all="ignore"):
                 x = _solve1(matrix, h_c[k], signature="DD->D")
-                val = np.vdot(h_c[k], x).real * scale
-                if math.isnan(val) or val <= 0:
-                    raise ConvergenceError(
-                        "dual fixed point made the user matrix singular" if math.isnan(val)
-                        else "dual fixed point left the positive cone",
-                        last_iterate=np.array(values))
-                nu_new = 1.0 / val
-                max_rel = max(max_rel, abs(nu_new - nu_k) / nu_new)
-                np.multiply(nu_new - nu_k, terms[k], out=matrix)
-                total += matrix
-                nu_sum += nu_new - nu_k
-                values[k] = nu_new
-            nu = np.array(values)
-            if max_rel < tol:
-                return nu
+            val = np.vdot(h_c[k], x).real * scale
+            if math.isnan(val) or val <= 0:
+                raise ConvergenceError(
+                    "dual fixed point made the user matrix singular" if math.isnan(val)
+                    else "dual fixed point left the positive cone",
+                    last_iterate=np.array(values))
+            nu_new = 1.0 / val
+            max_rel = max(max_rel, abs(nu_new - nu_k) / nu_new)
+            np.multiply(nu_new - nu_k, terms[k], out=matrix)
+            total += matrix
+            nu_sum += nu_new - nu_k
+            values[k] = nu_new
+        nu = np.array(values)
+        if max_rel < tol:
+            return nu
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 

@@ -59,14 +59,6 @@ def _trial_seed(base_seed, user_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(user_index,))
 
 
-def _outages(h, w_conj, to_margin, threshold):
-    """Per design, how many of the channel rows h leave the user in outage:
-    rows whose SINR margin, to_margin applied to the squared real and
-    imaginary parts of h @ w_conj, is below threshold."""
-    margins = to_margin @ np.square((h @ w_conj).view(float)).T
-    return np.count_nonzero(margins < threshold, axis=1)
-
-
 def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
     """Per-design, per-user outage estimates and binomial standard errors.
 
@@ -74,11 +66,9 @@ def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
     errors are drawn once from CN(0, sigma_e^2 I); every design is scored on
     those draws, with h = h_est + e, by the sign of user k's SINR margin
     |h^H w_k|^2 - g (sum_{j!=k} |h^H w_j|^2 + sigma_k^2), g being the target
-    less SINR_TOLERANCE. A user with sigma_e = 0 sees h = h_est in every
-    trial, so it is scored once and draws nothing. Per-user substreams are
-    derived from base_seed, so estimates are reproducible, trial counts extend
-    prefixes, and a design's estimate does not depend on which other designs
-    share the call.
+    less SINR_TOLERANCE. Per-user substreams are derived from base_seed, so
+    estimates are reproducible, trial counts extend prefixes, and a design's
+    estimate does not depend on which other designs share the call.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -93,23 +83,20 @@ def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
     w_conj = np.array(weights, dtype=complex).reshape(-1, scenario.n_antennas).conj().T
     counts = np.zeros((len(weights), n_users), dtype=np.int64)
     for k in range(n_users):
+        rng = np.random.default_rng(_trial_seed(base_seed, k))
         target = scenario.sinr_target[k] * (1.0 - SINR_TOLERANCE)
         # margin row d sums the squared real and imaginary parts of design d's
         # K products, weighted 1 for user k and -target for the others
         weight = np.full((n_users, 2), -target)
         weight[k] = 1.0
         to_margin = np.kron(np.eye(len(weights)), weight.reshape(1, -1))
-        threshold = target * scenario.noise_power[k]
-        if scenario.sigma_e[k] == 0:
-            counts[:, k] = n_trials * _outages(scenario.h_est[k:k + 1], w_conj,
-                                               to_margin, threshold)
-            continue
-        rng = np.random.default_rng(_trial_seed(base_seed, k))
         for start in range(0, n_trials, TRIAL_BLOCK):
             h = draw_errors(scenario.sigma_e[k], scenario.n_antennas,
                             min(TRIAL_BLOCK, n_trials - start), rng)
             h += scenario.h_est[k]
-            counts[:, k] += _outages(h, w_conj, to_margin, threshold)
+            margins = to_margin @ np.square((h @ w_conj).view(float)).T
+            counts[:, k] += np.count_nonzero(
+                margins < target * scenario.noise_power[k], axis=1)
     estimates = counts / n_trials
     return estimates, np.sqrt(estimates * (1.0 - estimates) / n_trials)
 

@@ -1,5 +1,7 @@
 """Tests for the beamforming direction solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,9 +330,11 @@ def test_solve_nu_is_bit_identical_to_the_solve_loop(k, nt, radius_km, mode):
 def test_solve_nu_singular_user_matrix_is_convergence_error():
     # A real channel spans a 1-D space with its conjugate, so the second basis
     # vector sees only c_k, which is exactly 0 at the start nu = gamma / alpha = 4.
+    # The singular solve raises only the package's error, no RuntimeWarning.
     h = np.array([[1.0, 0.0]])
-    with pytest.raises(ConvergenceError,
-                       match="dual fixed point made the user matrix singular") as excinfo:
+    with warnings.catch_warnings(), pytest.raises(
+            ConvergenceError, match="dual fixed point made the user matrix singular") as excinfo:
+        warnings.simplefilter("error")
         solve_nu(h, np.array([4.0]), 1.0, 2.0, h)
     assert np.array_equal(excinfo.value.last_iterate, [4.0])
 

@@ -142,26 +142,6 @@ def test_estimate_outage_matches_single_design_oracle(n_trials, n_designs):
         assert np.all((est[:, [0, 2, 3]] > 0.0) & (est[:, [0, 2, 3]] < 1.0))
 
 
-@pytest.mark.parametrize("noise", [1.0, 100.0])
-def test_estimate_outage_draws_nothing_for_an_error_free_user(monkeypatch, noise):
-    # User 1 has sigma_e = 0, so every trial sees h_est: it is scored once.
-    # At noise 100 it is in outage in every trial.
-    scenario = mixed_scenario()
-    designs = [design_for(scenario, 0.5), design_for(scenario, 2.0)]
-    scenario.noise_power[1] = noise
-    sigmas = []
-    draw = montecarlo.draw_errors
-
-    def spying_draw(sigma_e, *args):
-        sigmas.append(sigma_e)
-        return draw(sigma_e, *args)
-
-    monkeypatch.setattr(montecarlo, "draw_errors", spying_draw)
-    est = assert_matches_oracle(designs, scenario, 2 * B + 3, 7)
-    assert set(sigmas) == {0.1, 0.15, 0.12}
-    assert np.all(est[:, 1] == (0.0 if noise == 1.0 else 1.0))
-
-
 def test_estimate_outage_matches_oracle_on_a_subset_of_users():
     scenario = mixed_scenario()
     served = scenario.subset([3, 0, 2])
