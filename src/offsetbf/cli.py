@@ -204,8 +204,8 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
 
     coupling = powerload.coupling_matrix(scenario, _directions(name, scenario, cfg),
                                          cfg.variance_mode)
-    _, r_star, report = powerload.max_r_power_load(coupling, cfg.total_power)
-    if name == "avg_outage" and np.isfinite(r_star):
+    _, _, report = powerload.max_r_power_load(coupling, cfg.total_power)
+    if name == "avg_outage":
         report = powerload.average_outage_perturbation(report)
     return report
 

@@ -2,13 +2,14 @@
 
 With directions fixed, the offset constraints mu_f_k = r_k sigma_f_k become
 A beta = sigma^2 + sigma_f (.) r for a K x K coupling matrix A, with sigma_f
-depending on beta through a quadratic form. This module provides the
-fixed-point power loading, the max-common-offset loading under a power
-budget, user rescheduling, the power-saving cap, and the average-outage
-perturbation of the offset coefficients. The CouplingMatrix carries the
-directions, the noise powers and the resolved variance mode, so the loaders
-take only the coupling. Each returns a DesignReport, the one design value: a
-loading of its coupling, from which the report derives its slack moments.
+depending on beta through a quadratic form. This module provides the power
+loading at given offsets and the max-common-offset loading under a power
+budget, one Newton loop for both, user rescheduling, the power-saving cap,
+and the average-outage perturbation of the offset coefficients. The
+CouplingMatrix carries the directions, the noise powers and the resolved
+variance mode, so the loaders take only the coupling. Each returns a
+DesignReport, the one design value: a loading of its coupling, from which
+the report derives its slack moments.
 """
 
 import functools
@@ -204,86 +205,83 @@ def coupling_matrix(scenario, directions: np.ndarray,
                           g_tensor=g_tensor)
 
 
-def alg2_power_load(coupling: CouplingMatrix, r, tol: float = 1e-6,
-                    max_iters: int = 50) -> DesignReport:
-    """Solve A beta = sigma^2 + sigma_f(beta) (.) r for the power loading.
-
-    The fixed point makes every offset constraint hold with equality,
-    mu_f_k = r_k sigma_f_k. It is found by Newton's method on the residual
-    F(beta) = A beta - sigma^2 - r (.) sigma_f(beta), which converges in a
-    handful of steps. Iteration starts from the r-independent loading
-    beta_0 = A^{-1} sigma^2, so designs with zero error variance finish in a
-    single iteration.
-
-    Raises InfeasibleLoadingError when the fixed point has a negative power
-    entry, and ConvergenceError when max_iters is hit.
-    """
-    r_vec = np.broadcast_to(np.asarray(r, dtype=float), coupling.noise.shape).copy()
-
-    beta = coupling.a_inv @ coupling.noise
+def _newton_load(coupling: CouplingMatrix, beta, r, tol, max_iters, total_power=None):
+    """Newton's method from beta on F = A beta - sigma^2 - r (.) sigma_f(beta)
+    with J = A - r (.) d sigma_f / d beta, r given per user. A total_power makes
+    the common r unknown too: the budget row 1^T beta - Pt joins F and borders
+    J as [[J, -sigma_f], [1^T, 0]]. Stops when the relative steps of beta and r
+    are below tol, and returns the DesignReport of that loading."""
+    tiny = np.finfo(float).tiny
     for iteration in range(1, max_iters + 1):
         sigma_f = coupling.sigma_f(beta)
-        residual = coupling.mu_f(beta) - r_vec * sigma_f
-        jac = coupling.a - r_vec[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
+        residual = coupling.mu_f(beta) - r * sigma_f
+        jac = coupling.a - r[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
+        if total_power is not None:
+            residual = np.append(residual, beta.sum() - total_power)
+            jac = np.block([[jac, -sigma_f[:, None]], [np.ones((1, len(beta))), 0.0]])
         try:
             step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("power loading Jacobian is singular",
                                    last_iterate=beta) from exc
-        beta_new = beta + step
-        scale = max(np.max(np.abs(beta_new)), np.finfo(float).tiny)
-        change = np.max(np.abs(beta_new - beta)) / scale
+        beta_new = beta + step[:len(beta)]
+        change = np.max(np.abs(beta_new - beta)) / max(np.max(np.abs(beta_new)), tiny)
         beta = beta_new
+        if total_power is not None:
+            r = r + step[-1]
+            change = max(change, abs(step[-1]) / max(abs(r[0]), tiny))
         if change < tol:
-            return DesignReport(coupling, beta, r_vec, iteration)
+            return DesignReport(coupling, beta, r, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
 
 
+def alg2_power_load(coupling: CouplingMatrix, r, tol: float = 1e-6,
+                    max_iters: int = 50) -> DesignReport:
+    """Solve A beta = sigma^2 + sigma_f(beta) (.) r for the power loading.
+
+    The fixed point makes every offset constraint hold with equality,
+    mu_f_k = r_k sigma_f_k. Newton's method finds it in a handful of steps from
+    beta_0 = A^{-1} sigma^2, the answer when error variances are zero. Raises
+    InfeasibleLoadingError when the fixed point has a negative power entry,
+    and ConvergenceError when max_iters is hit.
+    """
+    r_vec = np.broadcast_to(np.asarray(r, dtype=float), coupling.noise.shape).copy()
+    return _newton_load(coupling, coupling.a_inv @ coupling.noise, r_vec, tol, max_iters)
+
+
 def max_r_power_load(coupling: CouplingMatrix, total_power: float,
-                     tol: float = 1e-9, max_iters: int = 200):
+                     tol: float = 1e-6, max_iters: int = 50):
     """Maximize the common offset r under the power budget sum(beta) <= Pt.
 
-    Alternates the closed form r = (Pt - 1^T A^{-1} sigma^2) / (1^T A^{-1} sigma_f)
-    with the linear power update, so every iterate spends the budget exactly.
-    Negative r is a valid outcome (outage probability above one half under the
-    Gaussian approximation). When all error variances are zero the offset is
-    unbounded: the report carries r = inf and the plain QoS loading.
+    Newton's method on (beta, r) solves mu_f = r sigma_f with the budget row
+    1^T beta = Pt. With beta_0 = A^{-1} sigma^2 and the closed form
+    r(beta) = (Pt - 1^T beta_0) / (1^T A^{-1} sigma_f(beta)), it starts from
+    beta_1 = beta_0 + r(beta_0) A^{-1} sigma_f(beta_0) and r(beta_1): r(beta_0)
+    is far too large, as sigma_f(beta_0) is at noise scale. With positive noise
+    and beta_0 >= 0 the Z-matrix A is an M-matrix, so A^{-1} >= 0 and
+    1^T A^{-1} sigma_f > 0 once any sigma_f_k > 0. r < 0 is a valid outcome
+    (outage above one half under the Gaussian approximation). With zero error
+    variances r is unbounded: the report carries r = inf and beta_0.
 
-    With positive noise and a nonnegative QoS loading the Z-matrix A is an
-    M-matrix, so A^{-1} >= 0 and the offset is always fundable:
-    1^T A^{-1} sigma_f > 0 once any sigma_f_k > 0.
-
-    Raises InfeasibleLoadingError when the zero-offset QoS loading A^{-1} sigma^2
-    already has negative entries (no offset is achievable for the given set) or
-    when the max-r loading has a negative entry.
-
-    Returns (beta, r, DesignReport).
+    Raises InfeasibleLoadingError when beta_0 has negative entries (no offset
+    is achievable for the given set) or the max-r loading has one, and
+    ConvergenceError when max_iters is hit. Returns (beta, r, DesignReport).
     """
     base = coupling.a_inv @ coupling.noise
     if np.any(base < 0):
         raise InfeasibleLoadingError(
             f"zero-offset QoS loading has negative entries: {base}", powers=base)
+    sigma_f = coupling.sigma_f(base)
+    if not np.any(sigma_f > 0):
+        return base, math.inf, DesignReport(coupling, base, math.inf,
+                                            note="unbounded offset: zero slack variance")
     colsums = coupling.a_inv.sum(axis=0)       # 1^T A^{-1}
     budget = total_power - base.sum()
-
-    beta = base.copy()
-    sigma_f = coupling.sigma_f(beta)
-    if not np.any(sigma_f > 0):
-        return beta, math.inf, DesignReport(coupling, beta, math.inf,
-                                            note="unbounded offset: zero slack variance")
-
-    r = 0.0
-    for iteration in range(1, max_iters + 1):
-        r_new = budget / (colsums @ sigma_f)
-        beta = base + r_new * (coupling.a_inv @ sigma_f)
-        sigma_f = coupling.sigma_f(beta)
-        converged = abs(r_new - r) <= tol * max(abs(r_new), 1e-30)
-        r = r_new
-        if converged:
-            return beta, float(r), DesignReport(coupling, beta, r, iteration)
-    raise ConvergenceError(f"max-r alternation did not converge in {max_iters} iterations",
-                           last_iterate=beta)
+    beta = base + budget / (colsums @ sigma_f) * (coupling.a_inv @ sigma_f)
+    r = np.full(len(base), budget / (colsums @ coupling.sigma_f(beta)))
+    report = _newton_load(coupling, beta, r, tol, max_iters, total_power)
+    return report.powers, float(report.offsets[0]), report
 
 
 def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=None):
@@ -361,29 +359,30 @@ def fit_normal_cdf_quadratic():
 def average_outage_perturbation(maxr_report: DesignReport) -> DesignReport:
     """Per-user offset perturbations minimizing the average Gaussian outage.
 
-    Starting from a max-r report (all users at a finite common offset r_star,
-    with slack deviations sigma_f), on the report's own coupling,
+    Starting from a max-r report (all users at a common offset r_star, with
+    slack deviations sigma_f), on the report's own coupling,
     maximize sum_k q(r_star + delta_r_k) subject to power conservation
     1^T A^{-1} (sigma_f (.) delta_r) = 0, where q = a0 r^2 + a1 r + a2 is
     fit_normal_cdf_quadratic() (a0 < 0). With b = (1^T A^{-1}) (.) sigma_f
     the stationarity conditions give
         zeta = -(2 a0 r* + a1) (b^T 1) / (b^T b),
         delta_r = (-(2 a0 r* + a1) 1 - zeta b) / (2 a0),
-    and the powers are refreshed once with sigma_f held fixed.
+    and the powers are refreshed once with sigma_f held fixed. A finite r_star
+    has some sigma_f_k > 0, and A^{-1} >= 0 is nonsingular, so b != 0.
 
-    Returns the report of the refreshed powers at the offsets r_star + delta_r.
+    Returns the report of the refreshed powers at the offsets r_star + delta_r;
+    a max-r report with r_star = inf comes back unchanged.
     """
     coupling, sigma_f = maxr_report.coupling, maxr_report.sigma_f
     r_star = maxr_report.offsets[0]
+    if not math.isfinite(r_star):
+        return maxr_report
     a0, a1, _ = fit_normal_cdf_quadratic()
 
     b = coupling.a_inv.sum(axis=0) * sigma_f
-    if not np.any(np.abs(b) > 0):
-        delta_r = np.zeros_like(sigma_f)
-    else:
-        slope = 2.0 * a0 * r_star + a1
-        zeta = -slope * b.sum() / (b @ b)
-        delta_r = (-slope - zeta * b) / (2.0 * a0)
+    slope = 2.0 * a0 * r_star + a1
+    zeta = -slope * b.sum() / (b @ b)
+    delta_r = (-slope - zeta * b) / (2.0 * a0)
     r_vec = r_star + delta_r
     beta = coupling.a_inv @ coupling.noise + coupling.a_inv @ (sigma_f * r_vec)
     return DesignReport(coupling, beta, r_vec, maxr_report.iterations_used,

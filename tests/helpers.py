@@ -79,6 +79,31 @@ def solve_nu_oracle(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
                            last_iterate=nu)
 
 
+def max_r_alternation_oracle(coupling, total_power, tol=1e-9, max_iters=200):
+    """Oracle for powerload.max_r_power_load: alternate the closed form
+    r = (Pt - 1^T A^{-1} sigma^2) / (1^T A^{-1} sigma_f) with the linear power
+    update beta = A^{-1} (sigma^2 + r sigma_f) until r changes by less than tol
+    relative. Linear convergence, but each iterate spends the budget exactly.
+    A^{-1} sigma^2 must be nonnegative with some sigma_f_k > 0 there.
+
+    Returns (beta, r, iterations)."""
+    base = coupling.a_inv @ coupling.noise
+    colsums = coupling.a_inv.sum(axis=0)
+    budget = total_power - base.sum()
+    beta, r = base.copy(), 0.0
+    sigma_f = coupling.sigma_f(beta)
+    for iteration in range(1, max_iters + 1):
+        r_new = budget / (colsums @ sigma_f)
+        beta = base + r_new * (coupling.a_inv @ sigma_f)
+        sigma_f = coupling.sigma_f(beta)
+        converged = abs(r_new - r) <= tol * max(abs(r_new), 1e-30)
+        r = r_new
+        if converged:
+            return beta, float(r), iteration
+    raise ConvergenceError(f"max-r alternation did not converge in {max_iters} iterations",
+                           last_iterate=beta)
+
+
 def sinr_values(design, h_rows, noise):
     """SINR of each user for channels h_rows (K, N_t) and the given design."""
     w = design.weights()

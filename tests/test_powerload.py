@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from offsetbf.channel import CellConfig, generate_scenario
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
-from offsetbf.powerload import (DesignReport, alg2_power_load,
+from offsetbf.powerload import (CouplingMatrix, DesignReport, alg2_power_load,
                                 average_outage_perturbation, coupling_matrix,
                                 fit_normal_cdf_quadratic, max_r_power_load,
                                 power_saving_cap, reschedule)
 
-from helpers import (dense_slack_moments, orthonormal_rows, scenario_from_rows,
-                     sinr_values, standard_complex)
+from helpers import (dense_slack_moments, max_r_alternation_oracle, orthonormal_rows,
+                     scenario_from_rows, sinr_values, standard_complex)
 
 
 def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0, noise=1.0):
@@ -246,6 +247,8 @@ def test_max_r_zero_uncertainty_sentinel():
     assert math.isinf(r)
     assert "unbounded offset" in report.note
     assert np.max(np.abs(beta - coupling.a_inv @ noise)) < 1e-12
+    # no outage to trade: the perturbation returns the unbounded report as it is
+    assert average_outage_perturbation(report) is report
 
 
 def test_coupling_matrix_rejects_non_unit_directions():
@@ -255,19 +258,55 @@ def test_coupling_matrix_rejects_non_unit_directions():
 
 
 def test_max_r_convergence_error_carries_last_iterate():
-    # One alternation step cannot meet a 1e-15 tolerance from the r = 0 start;
-    # the last iterate still spends the budget exactly and is the power update
-    # of that step.
+    # One Newton step cannot meet the default tolerance; the budget row is
+    # linear, so the last iterate still spends the budget exactly.
     _, _, _, coupling = random_instance(seed=11)
-    with pytest.raises(ConvergenceError, match="max-r alternation did not converge"
+    with pytest.raises(ConvergenceError, match="power loading did not converge"
                        " in 1 iterations") as excinfo:
-        max_r_power_load(coupling, total_power=20.0, tol=1e-15, max_iters=1)
-    beta = excinfo.value.last_iterate
-    base = coupling.a_inv @ coupling.noise
-    sigma_f = coupling.sigma_f(base)
-    r = (20.0 - base.sum()) / (coupling.a_inv.sum(axis=0) @ sigma_f)
-    assert beta.sum() == pytest.approx(20.0, rel=1e-12)
-    assert np.max(np.abs(beta - (base + r * coupling.a_inv @ sigma_f))) < 1e-12 * beta.sum()
+        max_r_power_load(coupling, total_power=20.0, max_iters=1)
+    assert excinfo.value.last_iterate.sum() == pytest.approx(20.0, rel=1e-12)
+
+
+def test_max_r_matches_alternation_oracle():
+    for seed in range(5):
+        _, _, _, coupling = random_instance(seed=seed + 30)
+        for total_power in (5.0, 20.0, 100.0):
+            beta, r, report = max_r_power_load(coupling, total_power)
+            beta_o, r_o, _ = max_r_alternation_oracle(coupling, total_power, tol=1e-15,
+                                                      max_iters=100_000)
+            assert np.max(np.abs(beta - beta_o)) <= 1e-12 * np.max(np.abs(beta_o))
+            assert r == pytest.approx(r_o, rel=1e-12)
+            assert report.iterations_used <= 6
+
+
+@pytest.mark.parametrize("mode", ["exact", "simplified"])
+def test_max_r_meets_offset_equalities(mode):
+    checked = 0
+    for seed in range(4):
+        scenario = generate_scenario(CellConfig(n_users=6, n_antennas=40), seed)
+        u = const_offset_directions(scenario.h_est, scenario.sinr_target)
+        coupling = coupling_matrix(scenario, u, mode)
+        for total_power in (0.1, 1.0, 10.0):
+            try:
+                _, r, report = max_r_power_load(coupling, total_power)
+            except InfeasibleLoadingError:
+                continue
+            assert np.max(np.abs(report.mu_f - r * report.sigma_f)
+                          / np.abs(r * report.sigma_f)) < 1e-10
+            checked += 1
+    assert checked >= 6
+
+
+def test_singular_jacobian_is_convergence_error():
+    # With no slack variance the Jacobian is A = [[1, 1], [1, 1]], singular at
+    # the start a_inv @ noise = [1, 1] (a_inv is set by hand, not A's inverse).
+    coupling = CouplingMatrix(directions=np.eye(2, dtype=complex),
+                              a=np.ones((2, 2)), a_inv=np.eye(2), noise=np.ones(2),
+                              variance_mode="exact", g_tensor=np.zeros((2, 2, 2)))
+    with pytest.raises(ConvergenceError,
+                       match="power loading Jacobian is singular") as excinfo:
+        alg2_power_load(coupling, 1.0)
+    assert np.array_equal(excinfo.value.last_iterate, [1.0, 1.0])
 
 
 def test_max_r_monotone_in_budget():
