@@ -8,6 +8,7 @@ program. Modules:
 
 channel     scenario generation, the CN(0, sigma_e^2 I) error model, serialization
 stats       offset-outage conversions
+lapack      numpy.linalg's LAPACK gufuncs without its per-call wrappers
 directions  beamforming direction solvers (dual fixed point, baselines)
 powerload   slack moments and power loading for fixed directions (QoS, max-r,
             perturbation), and the design report

@@ -54,12 +54,12 @@ class Scenario:
             if value.ndim and value.shape != (self.n_users,):
                 raise ValueError(f"{name} has {value.size} entries for "
                                  f"{self.n_users} users")
-            value = np.broadcast_to(value, (self.n_users,)).copy()
+            value = np.full(self.n_users, value)
             ok = (value >= 0 if bound == "nonnegative" else value > 0) & (value < np.inf)
-            if not np.all(ok):
+            if not ok.all():
                 raise ValueError(f"{name} must be finite and {bound}, got {value[~ok][0]}")
             setattr(self, name, value)
-        if not np.all(np.isfinite(self.h_est)):
+        if not np.isfinite(self.h_est).all():
             raise ValueError("h_est must be finite")
 
     @property

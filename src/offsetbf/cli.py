@@ -17,7 +17,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
 ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
 
 GENERATE_KEYS = tuple(f.name for f in fields(CellConfig)) + ("seed",)
+CSV_FIELDS = ("index", "beta", "r", "mu_f", "sigma_f", "predicted_outage", "dropped")
 
 
 def _require_number(name, value, kind=numbers.Real):
@@ -217,21 +218,16 @@ def _csv_path(out_path: str) -> str:
 
 
 def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
-    doc = {
-        "config": asdict(cfg),
-        "algorithm": name,
-        "report": report.to_dict(),
-    }
-    if extra:
-        doc.update(extra)
+    """Write the JSON report, serialized in one piece, and its per-user CSV."""
+    doc = {"config": {key: getattr(cfg, key) for key in CONFIG_KEYS},
+           "algorithm": name, "report": report.to_dict(), **(extra or {})}
     with open(cfg.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(json.dumps(doc, indent=2))
     with open(_csv_path(cfg.out), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["index", "beta", "r", "mu_f",
-                                                "sigma_f", "predicted_outage",
-                                                "dropped"])
-        writer.writeheader()
-        writer.writerows(doc["report"]["users"])
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
+        writer.writerows([user[key] for key in CSV_FIELDS]
+                         for user in doc["report"]["users"])
     return cfg.out
 
 

@@ -9,11 +9,8 @@ of the channels, and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
 import math
 
 import numpy as np
-# A private name, but it is the gesv gufunc that np.linalg.solve itself calls,
-# under this name and module in numpy 1.x and 2.x alike. tests/test_directions.py
-# checks solve_nu against an np.linalg.solve loop bit for bit.
-from numpy.linalg._umath_linalg import solve1 as _solve1
 
+from . import lapack
 from .errors import ConvergenceError, DegenerateChannelsError
 
 COND_LIMIT = 1e12
@@ -29,9 +26,10 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
 def _phase_align(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Rotate u so that h^H u is real and nonnegative, and renormalize."""
     c = np.vdot(h, u)
-    if np.abs(c) > 0:
-        u = u * (c.conjugate() / np.abs(c))
-    return u / np.linalg.norm(u)
+    size = np.abs(c)        # not abs(c), which rounds differently
+    if size > 0:
+        u = u * (c.conjugate() / size)
+    return u / np.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))   # np.linalg.norm(u)
 
 
 def zf_directions(h_est: np.ndarray) -> np.ndarray:
@@ -68,7 +66,7 @@ def rzf_directions(h_est: np.ndarray, loading: float) -> np.ndarray:
 def nu_massive_approx(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Massive-MISO approximation nu_k = gamma_k / ||h_est_k||^2."""
     alphas = np.sum(np.abs(h_est) ** 2, axis=1)
-    if np.any(alphas == 0):
+    if (alphas == 0).any():
         raise ValueError("zero-norm channel estimate")
     return np.asarray(gammas, dtype=float) / alphas
 
@@ -108,6 +106,8 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     so it gives the same bits without the wrapper's per-call overhead, which is
     larger than the solve itself at m <= 16. The gufunc fills a singular
     system's solution with NaN instead of raising, so a NaN form is that error.
+    A sweep's steps share one np.errstate(all="ignore"), so an overflow in a
+    sweep also ends in that error, without a RuntimeWarning.
     """
     gammas = np.asarray(gammas, dtype=float)
     psi = _normalize_rows(np.asarray(psi, dtype=complex))
@@ -117,35 +117,33 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     m = h_c.shape[1]
     matrix = np.empty((m, m), dtype=complex)
     diagonal = matrix.reshape(-1)[::m + 1]
-    var_e, gamma_list = sigma_e ** 2, gammas.tolist()
+    var_e = sigma_e ** 2
+    users = list(zip(gammas.tolist(), h_c, re_psi, terms))
     nu = nu_massive_approx(h_est, gammas)
 
     for _ in range(max_iters):
         total, nu_sum = np.einsum("j,jil->il", nu, terms), float(nu.sum())
         values = nu.tolist()
         max_rel = 0.0
-        for k in range(len(values)):
-            nu_k, scale = values[k], 1.0 + 1.0 / gamma_list[k]
-            c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma_list[k]
-            np.multiply(coup * nu_k * scale, re_psi[k], out=matrix)
-            matrix += total
-            diagonal += c_k
-            # the floating-point flags np.linalg.solve ignores; it raises on
-            # invalid, which the gufunc sets with a singular matrix
-            with np.errstate(all="ignore"):
-                x = _solve1(matrix, h_c[k], signature="DD->D")
-            val = np.vdot(h_c[k], x).real * scale
-            if math.isnan(val) or val <= 0:
-                raise ConvergenceError(
-                    "dual fixed point made the user matrix singular" if math.isnan(val)
-                    else "dual fixed point left the positive cone",
-                    last_iterate=np.array(values))
-            nu_new = 1.0 / val
-            max_rel = max(max_rel, abs(nu_new - nu_k) / nu_new)
-            np.multiply(nu_new - nu_k, terms[k], out=matrix)
-            total += matrix
-            nu_sum += nu_new - nu_k
-            values[k] = nu_new
+        with np.errstate(all="ignore"):
+            for k, (gamma, h_k, re_psi_k, terms_k) in enumerate(users):
+                nu_k, scale = values[k], 1.0 + 1.0 / gamma
+                c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma
+                np.multiply(coup * nu_k * scale, re_psi_k, out=matrix)
+                matrix += total
+                diagonal += c_k
+                val = np.vdot(h_k, lapack.solve1(matrix, h_k)).real * scale
+                if math.isnan(val) or val <= 0:
+                    raise ConvergenceError(
+                        "dual fixed point made the user matrix singular" if math.isnan(val)
+                        else "dual fixed point left the positive cone",
+                        last_iterate=np.array(values))
+                nu_new = 1.0 / val
+                max_rel = max(max_rel, abs(nu_new - nu_k) / nu_new)
+                np.multiply(nu_new - nu_k, terms_k, out=matrix)
+                total += matrix
+                nu_sum += nu_new - nu_k
+                values[k] = nu_new
         nu = np.array(values)
         if max_rel < tol:
             return nu
@@ -202,25 +200,26 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
     solver stops when a step's largest relative change is below tol;
     max_iters counts steps, Newton or plain. About five steps, ten K x K
     solves, reach tol where the plain sweep alone takes about ninety.
+    A singular J or candidate matrix fills the candidate's f with NaN, which
+    rejects it. I + GN is nonsingular for nu > 0 (GN is similar to
+    N^1/2 G N^1/2 >= 0), but 1 + nu_k |h_k|^2 rounds to nu_k |h_k|^2 past 2^53,
+    and I + GN can then be singular: "made the shared matrix singular".
     """
     gammas = np.asarray(gammas, dtype=float)
     scale = 1.0 + 1.0 / gammas
     gram = h_est.conj() @ h_est.T          # [i, j] = h_i^H h_j
     eye = np.eye(h_est.shape[0])
 
-    def evaluate(nu):
-        """X = (I + G N)^{-1} G and v(nu) = (1 + 1/gamma) diag X."""
-        x = np.linalg.solve(eye + gram * nu, gram)
-        return x, np.real(np.diagonal(x)) * scale
-
     def checked(nu):
-        """evaluate(nu), raising the solver's errors, and f(nu)."""
+        """X = (I + G N)^{-1} G, v(nu) = (1 + 1/gamma) diag X and f(nu), raising
+        the solver's errors."""
         try:
-            x, v = evaluate(nu)
+            x = lapack.checked(lapack.solve, eye + gram * nu, gram)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("dual fixed point made the shared matrix singular",
                                    last_iterate=nu) from exc
-        if np.any(v <= 0):
+        v = np.real(np.diagonal(x)) * scale
+        if (v <= 0).any():
             raise ConvergenceError("dual fixed point left the positive cone",
                                    last_iterate=nu)
         return x, v, np.log(nu * v)
@@ -230,15 +229,13 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
     for _ in range(max_iters):
         jac = eye - (scale / v)[:, None] * np.real(x * x.T) * nu
         with np.errstate(all="ignore"):
-            try:
-                trial = nu * np.exp(-np.linalg.solve(jac, f))
-                x_t, v_t = evaluate(trial)
-                f_t = np.log(trial * v_t)
-                newton = bool(np.all(np.isfinite(f_t)) and f_t @ f_t < f @ f)
-            except np.linalg.LinAlgError:
-                newton = False
+            trial = nu * np.exp(-lapack.solve1(jac, f))
+            x_t = lapack.solve(eye + gram * trial, gram)
+            v_t = np.real(np.diagonal(x_t)) * scale
+            f_t = np.log(trial * v_t)
+            newton = bool(np.isfinite(f_t).all() and f_t @ f_t < f @ f)
         nu_new = trial if newton else 1.0 / v
-        max_rel = np.max(np.abs(nu_new - nu) / nu_new)
+        max_rel = (np.abs(nu_new - nu) / nu_new).max()
         nu = nu_new
         if max_rel < tol:
             return nu
@@ -264,7 +261,7 @@ def directions_constant_offset(nu: np.ndarray, h_est: np.ndarray,
     total = (coords * nu) @ coords.conj().T
     outers = np.einsum("ik,jk->kij", coords, coords.conj())
     small = (nu / gammas + nu)[:, None, None] * outers - total
-    _, vecs = np.linalg.eigh(small)
+    _, vecs = lapack.checked(lapack.eigh_lo, small)
     u_rows = vecs[:, :, -1] @ basis.T      # row k is (Q y_k)^T
     return np.array([_phase_align(u, h) for u, h in zip(u_rows, h_est)])
 

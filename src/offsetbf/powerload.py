@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from . import lapack
 from .directions import const_offset_directions
 from .errors import ConvergenceError, DegenerateChannelsError, InfeasibleLoadingError
 from .stats import predicted_outage
@@ -60,14 +61,13 @@ class CouplingMatrix:
 
     def sigma_f(self, beta: np.ndarray) -> np.ndarray:
         var = np.einsum("kjl,j,l->k", self.g_tensor, beta, beta)
-        return np.sqrt(np.clip(var, 0.0, None))
+        return np.sqrt(np.maximum(var, 0.0))
 
     def sigma_f_gradient(self, beta: np.ndarray, sigma_f: np.ndarray) -> np.ndarray:
-        """Rows d sigma_f_k / d beta; zero rows where sigma_f_k = 0."""
-        safe = np.where(sigma_f > 0, sigma_f, 1.0)
-        grad = np.einsum("kjl,l->kj", self.g_tensor, beta) / safe[:, None]
-        grad[sigma_f == 0] = 0.0
-        return grad
+        """Rows d sigma_f_k / d beta; zero rows where sigma_f_k is not positive."""
+        return np.divide(np.einsum("kjl,l->kj", self.g_tensor, beta), sigma_f[:, None],
+                         out=np.zeros((len(sigma_f), len(beta))),
+                         where=(sigma_f > 0)[:, None])
 
     def mu_f(self, beta: np.ndarray) -> np.ndarray:
         return self.a @ beta - self.noise
@@ -100,12 +100,11 @@ class DesignReport:
 
     def __post_init__(self):
         self.powers = np.asarray(self.powers, dtype=float)
-        if np.any(self.powers < 0):
+        if (self.powers < 0).any():
             raise InfeasibleLoadingError(
                 f"power loading fixed point has negative entries: {self.powers}",
                 powers=self.powers)
-        self.offsets = np.broadcast_to(np.asarray(self.offsets, dtype=float),
-                                       self.powers.shape).copy()
+        self.offsets = np.full(self.powers.shape, self.offsets, dtype=float)
         self.mu_f = self.coupling.mu_f(self.powers)
         self.sigma_f = self.coupling.sigma_f(self.powers)
         self.predicted_outage = predicted_outage(self.mu_f, self.sigma_f)
@@ -172,7 +171,7 @@ def coupling_matrix(scenario, directions: np.ndarray,
         raise ValueError(f"directions have shape {directions.shape}, the scenario "
                          f"needs {h_est.shape}")
     norms = np.linalg.norm(directions, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if (np.abs(norms - 1.0) > 1e-9).any():
         raise ValueError(f"directions must be unit norm, got norms {norms}")
     if variance_mode is None:
         variance_mode = "exact" if n_antennas <= SIMPLIFIED_ABOVE_NT else "simplified"
@@ -184,7 +183,7 @@ def coupling_matrix(scenario, directions: np.ndarray,
     a = -(habs2 + sigma_e[:, None] ** 2)
     a[np.diag_indices(k)] = (habs2.diagonal() + sigma_e ** 2) / gammas
     try:
-        a_inv = np.linalg.inv(a)
+        a_inv = lapack.checked(lapack.inv, a)
     except np.linalg.LinAlgError as exc:
         raise DegenerateChannelsError(f"coupling matrix is singular: {exc}") from exc
 
@@ -211,21 +210,24 @@ def _newton_load(coupling: CouplingMatrix, beta, r, tol, max_iters, total_power=
     the common r unknown too: the budget row 1^T beta - Pt joins F and borders
     J as [[J, -sigma_f], [1^T, 0]]. Stops when the relative steps of beta and r
     are below tol, and returns the DesignReport of that loading."""
-    tiny = np.finfo(float).tiny
+    tiny, k = np.finfo(float).tiny, len(beta)
+    size = k if total_power is None else k + 1
+    jac, residual = np.empty((size, size)), np.empty(size)
+    jac[k:, :k], jac[k:, k:] = 1.0, 0.0        # the budget row, when there is one
     for iteration in range(1, max_iters + 1):
         sigma_f = coupling.sigma_f(beta)
-        residual = coupling.mu_f(beta) - r * sigma_f
-        jac = coupling.a - r[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
+        residual[:k] = coupling.mu_f(beta) - r * sigma_f
+        jac[:k, :k] = coupling.a - r[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
         if total_power is not None:
-            residual = np.append(residual, beta.sum() - total_power)
-            jac = np.block([[jac, -sigma_f[:, None]], [np.ones((1, len(beta))), 0.0]])
+            residual[k] = beta.sum() - total_power
+            jac[:k, k] = -sigma_f
         try:
-            step = np.linalg.solve(jac, -residual)
+            step = lapack.checked(lapack.solve1, jac, -residual)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("power loading Jacobian is singular",
                                    last_iterate=beta) from exc
-        beta_new = beta + step[:len(beta)]
-        change = np.max(np.abs(beta_new - beta)) / max(np.max(np.abs(beta_new)), tiny)
+        beta_new = beta + step[:k]
+        change = np.abs(beta_new - beta).max() / max(np.abs(beta_new).max(), tiny)
         beta = beta_new
         if total_power is not None:
             r = r + step[-1]
@@ -269,11 +271,11 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
     ConvergenceError when max_iters is hit. Returns (beta, r, DesignReport).
     """
     base = coupling.a_inv @ coupling.noise
-    if np.any(base < 0):
+    if (base < 0).any():
         raise InfeasibleLoadingError(
             f"zero-offset QoS loading has negative entries: {base}", powers=base)
     sigma_f = coupling.sigma_f(base)
-    if not np.any(sigma_f > 0):
+    if not (sigma_f > 0).any():
         return base, math.inf, DesignReport(coupling, base, math.inf,
                                             note="unbounded offset: zero slack variance")
     colsums = coupling.a_inv.sum(axis=0)       # 1^T A^{-1}

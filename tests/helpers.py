@@ -8,6 +8,7 @@ from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.montecarlo import (SINR_TOLERANCE, SweepPoint, _trial_seed,
                                  viability_check)
+from offsetbf.powerload import DesignReport
 
 
 def standard_complex(rng, shape):
@@ -77,6 +78,89 @@ def solve_nu_oracle(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
             return nu
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
+
+
+def solve_nu_constant_offset_oracle(h_est, gammas, tol=1e-10, max_iters=500):
+    """Oracle for directions.solve_nu_constant_offset: the same log-Newton steps
+    with np.linalg.solve, whose LinAlgError on a singular matrix rejects the
+    Newton candidate or ends the solve. nu, the error raised and its
+    last_iterate must match solve_nu_constant_offset bit for bit."""
+    gammas = np.asarray(gammas, dtype=float)
+    scale = 1.0 + 1.0 / gammas
+    gram = h_est.conj() @ h_est.T
+    eye = np.eye(h_est.shape[0])
+
+    def evaluate(nu):
+        x = np.linalg.solve(eye + gram * nu, gram)
+        return x, np.real(np.diagonal(x)) * scale
+
+    def checked(nu):
+        try:
+            x, v = evaluate(nu)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("dual fixed point made the shared matrix singular",
+                                   last_iterate=nu) from exc
+        if np.any(v <= 0):
+            raise ConvergenceError("dual fixed point left the positive cone",
+                                   last_iterate=nu)
+        return x, v, np.log(nu * v)
+
+    nu = nu_massive_approx(h_est, gammas)
+    x, v, f = checked(nu)
+    for _ in range(max_iters):
+        jac = eye - (scale / v)[:, None] * np.real(x * x.T) * nu
+        with np.errstate(all="ignore"):
+            try:
+                trial = nu * np.exp(-np.linalg.solve(jac, f))
+                x_t, v_t = evaluate(trial)
+                f_t = np.log(trial * v_t)
+                newton = bool(np.all(np.isfinite(f_t)) and f_t @ f_t < f @ f)
+            except np.linalg.LinAlgError:
+                newton = False
+        nu_new = trial if newton else 1.0 / v
+        max_rel = np.max(np.abs(nu_new - nu) / nu_new)
+        nu = nu_new
+        if max_rel < tol:
+            return nu
+        x, v, f = (x_t, v_t, f_t) if newton else checked(nu)
+    raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
+                           last_iterate=nu)
+
+
+def newton_load_oracle(coupling, beta, r, tol, max_iters, total_power=None):
+    """Oracle for powerload._newton_load, with the same signature: each step
+    takes sigma_f with np.clip, divides the gradient by a np.where-guarded
+    sigma_f and zeroes its rows where sigma_f = 0, builds the residual with
+    np.append and the bordered Jacobian with np.block, and solves with
+    np.linalg.solve. The loadings, r, the error raised and its last_iterate
+    must match _newton_load bit for bit."""
+    tiny = np.finfo(float).tiny
+    for iteration in range(1, max_iters + 1):
+        var = np.einsum("kjl,j,l->k", coupling.g_tensor, beta, beta)
+        sigma_f = np.sqrt(np.clip(var, 0.0, None))
+        safe = np.where(sigma_f > 0, sigma_f, 1.0)
+        grad = np.einsum("kjl,l->kj", coupling.g_tensor, beta) / safe[:, None]
+        grad[sigma_f == 0] = 0.0
+        residual = coupling.mu_f(beta) - r * sigma_f
+        jac = coupling.a - r[:, None] * grad
+        if total_power is not None:
+            residual = np.append(residual, beta.sum() - total_power)
+            jac = np.block([[jac, -sigma_f[:, None]], [np.ones((1, len(beta))), 0.0]])
+        try:
+            step = np.linalg.solve(jac, -residual)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("power loading Jacobian is singular",
+                                   last_iterate=beta) from exc
+        beta_new = beta + step[:len(beta)]
+        change = np.max(np.abs(beta_new - beta)) / max(np.max(np.abs(beta_new)), tiny)
+        beta = beta_new
+        if total_power is not None:
+            r = r + step[-1]
+            change = max(change, abs(step[-1]) / max(abs(r[0]), tiny))
+        if change < tol:
+            return DesignReport(coupling, beta, r, iteration)
+    raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
+                           last_iterate=beta)
 
 
 def max_r_alternation_oracle(coupling, total_power, tol=1e-9, max_iters=200):

@@ -2,7 +2,9 @@
 
 import argparse
 import csv
+import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -515,6 +517,53 @@ def test_alg1_design_failures_exit_2(tmp_path, capsys, n_users, n_antennas,
     assert code == 2
     assert out == ""
     assert err == f"design failed: {cause}\n"
+
+
+def reference_report_files(cfg, name, report, extra=None):
+    """The JSON and CSV texts as asdict, json.dump and csv.DictWriter wrote them."""
+    doc = {"config": asdict(cfg), "algorithm": name, "report": report.to_dict()}
+    if extra:
+        doc.update(extra)
+    csv_text = io.StringIO(newline="")
+    writer = csv.DictWriter(csv_text, fieldnames=["index", "beta", "r", "mu_f", "sigma_f",
+                                                  "predicted_outage", "dropped"])
+    writer.writeheader()
+    writer.writerows(doc["report"]["users"])
+    return json.dumps(doc, indent=2), csv_text.getvalue()
+
+
+@pytest.mark.parametrize("command,doc,out_name,csv_name", [
+    ("design", {"generate": dict(GENERATE_BLOCK), "algorithm": "const_offset", "r": 2.0,
+                "r_grid": [1.0, 2.5], "algorithms": ["const_offset"]},
+     "design.json", "design.csv"),
+    ("montecarlo", {"algorithm": "maxr_reschedule", "total_power": 50.0,
+                    "n_trials": 200}, "mc_report", "mc_report.csv"),
+])
+def test_report_files_keep_their_bytes(tmp_path, capsys, monkeypatch, command, doc,
+                                       out_name, csv_name):
+    # The montecarlo case has the extra keys and a dropped user, whose None
+    # fields are empty in the CSV, and an --out without .json.
+    if "generate" not in doc:
+        doc = {"scenario_file": duplicate_scenario_file(tmp_path), **doc}
+    calls = []
+    write_report = cli._write_report
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return write_report(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_report", recording)
+    out = tmp_path / out_name
+    code, stdout, _ = run_cli(capsys, [command, "--config", write_config(tmp_path, doc),
+                                       "--out", str(out)])
+    assert code == 0 and stdout == f"{out}\n"
+    (args, kwargs), = calls
+    want_json, want_csv = reference_report_files(*args, **kwargs)
+    assert out.read_bytes() == want_json.encode()
+    assert (tmp_path / csv_name).read_bytes() == want_csv.encode()
+    if command == "montecarlo":
+        assert kwargs["extra"]["n_trials"] == 200
+        assert ",0.0,,,,1.0,True\r\n" in want_csv     # the dropped user
 
 
 # ---------------------------------------------------------------------------

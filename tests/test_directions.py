@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from offsetbf import cli
 from offsetbf.channel import CellConfig, generate_scenario
-from offsetbf.directions import (alg1_directions, const_offset_directions,
+from offsetbf.directions import (_phase_align, alg1_directions, const_offset_directions,
                                  directions_constant_offset, directions_from_nu,
                                  mrt_directions, nu_massive_approx,
                                  rzf_directions, solve_nu,
@@ -17,8 +17,10 @@ from offsetbf.directions import (alg1_directions, const_offset_directions,
 from offsetbf.errors import ConvergenceError, DegenerateChannelsError
 from offsetbf.stats import r_from_delta
 
-from helpers import (orthonormal_rows, sinr_values, solve_nu_oracle, standard_complex,
-                     unit_scale_scenario)
+from offsetbf import lapack
+
+from helpers import (orthonormal_rows, sinr_values, solve_nu_constant_offset_oracle,
+                     solve_nu_oracle, standard_complex, unit_scale_scenario)
 
 
 def literal_dual_matrix(h_est, psi, nu, gammas, sigma_e, r, k):
@@ -337,6 +339,91 @@ def test_solve_nu_singular_user_matrix_is_convergence_error():
         warnings.simplefilter("error")
         solve_nu(h, np.array([4.0]), 1.0, 2.0, h)
     assert np.array_equal(excinfo.value.last_iterate, [4.0])
+
+
+@pytest.mark.parametrize("k,nt,radius_km", [
+    (3, 6, 3.2), (4, 8, 3.2), (6, 20, 3.2), (6, 40, 3.2), (4, 8, 0.5), (6, 20, 0.5),
+    (8, 32, 0.5)])
+def test_solve_nu_constant_offset_is_bit_identical_to_the_solve_loop(k, nt, radius_km):
+    for seed in range(10):
+        scenario = generate_scenario(
+            CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km), seed)
+        args = (scenario.h_est, scenario.sinr_target)
+        ref_message, ref_nu = outcome(solve_nu_constant_offset_oracle, *args)
+        message, nu = outcome(solve_nu_constant_offset, *args)
+        assert message == ref_message, seed
+        assert nu.dtype == ref_nu.dtype and np.array_equal(nu, ref_nu), seed
+
+
+def test_solve_nu_constant_offset_edge_cases_are_bit_identical_to_the_solve_loop():
+    # Near-duplicate channels that run out of steps; twin channels whose shared
+    # matrix is singular (next test); and near-twin real channels at gamma 1e12,
+    # where the oracle's np.linalg.solve raises on 17 singular Newton candidates
+    # and the plain steps still converge.
+    rng = np.random.default_rng(13)
+    h = standard_complex(rng, (3, 4))
+    h[1] = h[0] + 1e-6 * h[2]
+    cases = ((h, np.full(3, 4.0)),
+             (np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex), np.full(2, 1e17)),
+             (np.array([[1.0, 0.0], [1.0, 1e-4]], dtype=complex), np.full(2, 1e12)))
+    messages = []
+    for args in cases:
+        ref_message, ref_nu = outcome(solve_nu_constant_offset_oracle, *args)
+        message, nu = outcome(solve_nu_constant_offset, *args)
+        assert message == ref_message and np.array_equal(nu, ref_nu)
+        messages.append(message)
+    assert messages == ["nu fixed point did not converge in 500 sweeps",
+                        "dual fixed point made the shared matrix singular", "ok"]
+
+
+def test_solve_nu_constant_offset_singular_shared_matrix():
+    # Twin channels with gamma = 1e17 start at nu = gamma, where 1 + gamma
+    # rounds to gamma: I + G N is [[1e17, 1e17], [1e17, 1e17]] in floating point.
+    h = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    with warnings.catch_warnings(), pytest.raises(
+            ConvergenceError, match="dual fixed point made the shared matrix singular") as excinfo:
+        warnings.simplefilter("error")
+        solve_nu_constant_offset(h, np.full(2, 1e17))
+    assert np.array_equal(excinfo.value.last_iterate, [1e17, 1e17])
+
+
+def test_phase_align_is_bit_identical_to_the_numpy_norm_form():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        u, h = standard_complex(rng, (2, 6))
+        c = np.vdot(h, u)
+        want = u * (c.conjugate() / np.abs(c))
+        assert np.array_equal(_phase_align(u, h), want / np.linalg.norm(want))
+
+
+def test_lapack_gufuncs_match_numpy_linalg():
+    rng = np.random.default_rng(5)
+    a = standard_complex(rng, (5, 5))
+    b = standard_complex(rng, (5, 3))
+    hermitian = a + a.conj().T
+    assert np.array_equal(lapack.checked(lapack.solve, a, b), np.linalg.solve(a, b))
+    assert np.array_equal(lapack.checked(lapack.solve1, a.real, b[:, 0].real),
+                          np.linalg.solve(a.real, b[:, 0].real))
+    assert np.array_equal(lapack.checked(lapack.inv, a.real), np.linalg.inv(a.real))
+    for got, want in zip(lapack.checked(lapack.eigh_lo, hermitian),
+                         np.linalg.eigh(hermitian)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_lapack_checked_raises_numpy_linalg_error_on_a_singular_matrix():
+    singular = np.ones((2, 2))
+    with pytest.raises(np.linalg.LinAlgError) as want:
+        np.linalg.inv(singular)
+    for gufunc, operands in ((lapack.inv, ()), (lapack.solve1, (np.ones(2),)),
+                             (lapack.solve, (np.eye(2),))):
+        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError) as got:
+            warnings.simplefilter("error")
+            lapack.checked(gufunc, singular, *operands)
+        assert str(got.value) == str(want.value) == "Singular matrix"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            assert np.isnan(lapack.solve1(singular, np.ones(2))).all()
 
 
 def test_solve_nu_constant_offset_singular_matrix_is_convergence_error():

@@ -1,11 +1,13 @@
 """Tests for the power loading algorithms and offset perturbation."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from offsetbf import powerload
 from offsetbf.channel import CellConfig, generate_scenario
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
@@ -15,8 +17,8 @@ from offsetbf.powerload import (CouplingMatrix, DesignReport, alg2_power_load,
                                 fit_normal_cdf_quadratic, max_r_power_load,
                                 power_saving_cap, reschedule)
 
-from helpers import (dense_slack_moments, max_r_alternation_oracle, orthonormal_rows,
-                     scenario_from_rows, sinr_values, standard_complex)
+from helpers import (dense_slack_moments, max_r_alternation_oracle, newton_load_oracle,
+                     orthonormal_rows, scenario_from_rows, sinr_values, standard_complex)
 
 
 def random_instance(k=3, nt=4, seed=0, sigma_e=0.1, gamma=4.0, noise=1.0):
@@ -307,6 +309,80 @@ def test_singular_jacobian_is_convergence_error():
                        match="power loading Jacobian is singular") as excinfo:
         alg2_power_load(coupling, 1.0)
     assert np.array_equal(excinfo.value.last_iterate, [1.0, 1.0])
+
+
+def load_outcome(load):
+    """("ok", powers, offsets, iterations) or (error class, message, last_iterate)."""
+    try:
+        report = load()
+    except (ConvergenceError, InfeasibleLoadingError) as exc:
+        last = getattr(exc, "last_iterate", None)
+        return type(exc).__name__, str(exc), exc.powers if last is None else last
+    return "ok", report.powers, report.offsets, report.iterations_used
+
+
+def assert_loads_match_the_oracle(monkeypatch, loads):
+    """Each load's outcome with powerload._newton_load, then with the
+    np.block/np.linalg.solve oracle in its place, equal bit for bit."""
+    outcomes = [load_outcome(load) for load in loads]
+    with monkeypatch.context() as patch:
+        patch.setattr(powerload, "_newton_load", newton_load_oracle)
+        expected = [load_outcome(load) for load in loads]
+    for (kind, *got), (want_kind, *want) in zip(outcomes, expected):
+        assert kind == want_kind
+        if kind != "ok":
+            assert got.pop(0) == want.pop(0)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    return [kind for kind, *_ in outcomes]
+
+
+@pytest.mark.parametrize("radius_km", [0.5, 3.2])
+@pytest.mark.parametrize("k,nt", [(3, 6), (4, 8), (6, 20), (6, 40)])
+def test_newton_load_is_bit_identical_to_the_block_solve_loop(monkeypatch, k, nt,
+                                                              radius_km):
+    # alg2 at three offsets, max-r at three budgets, on both variance modes
+    kinds = set()
+    for seed in range(8):
+        scenario = generate_scenario(
+            CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km), seed)
+        try:
+            coupling = coupling_matrix(
+                scenario, const_offset_directions(scenario.h_est, scenario.sinr_target))
+        except ConvergenceError:
+            continue
+        loads = [functools.partial(alg2_power_load, coupling, r) for r in (1.0, 2.0, 3.0)]
+        loads += [lambda pt=pt: max_r_power_load(coupling, pt)[2] for pt in (0.1, 1.0, 10.0)]
+        kinds.update(assert_loads_match_the_oracle(monkeypatch, loads))
+    assert "ok" in kinds
+
+
+def test_newton_load_with_an_error_free_user_is_bit_identical(monkeypatch):
+    # user 1 has sigma_f = 0 at every loading, so its gradient row is zero
+    for seed in range(5):
+        h = standard_complex(np.random.default_rng(seed), (3, 4))
+        scenario = scenario_from_rows(h, np.array([0.1, 0.0, 0.2]), 1.0, np.full(3, 4.0))
+        coupling = coupling_matrix(scenario, const_offset_directions(h, np.full(3, 4.0)))
+        loads = [functools.partial(alg2_power_load, coupling, r) for r in (1.0, 2.0, 3.0)]
+        loads += [lambda pt=pt: max_r_power_load(coupling, pt)[2] for pt in (5.0, 20.0)]
+        assert "ok" in assert_loads_match_the_oracle(monkeypatch, loads)
+
+
+def test_max_r_below_the_qos_budget_is_bit_identical_to_the_block_solve_loop(monkeypatch):
+    # 4x8 cells at 3.2 km with budgets of 1e-14 to 1e-11 W: most cannot fund
+    # zero offsets, so the loads end in negative powers or in no convergence.
+    kinds = []
+    for seed in range(30):
+        scenario = generate_scenario(CellConfig(n_users=4, n_antennas=8), seed)
+        try:
+            coupling = coupling_matrix(
+                scenario, const_offset_directions(scenario.h_est, scenario.sinr_target))
+        except ConvergenceError:
+            continue
+        loads = [lambda pt=pt: max_r_power_load(coupling, pt)[2]
+                 for pt in (1e-14, 1e-13, 1e-12, 1e-11)]
+        kinds += assert_loads_match_the_oracle(monkeypatch, loads)
+    assert {"ok", "ConvergenceError", "InfeasibleLoadingError"} <= set(kinds)
 
 
 def test_max_r_monotone_in_budget():

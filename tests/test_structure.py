@@ -4,7 +4,8 @@ take the noise and variance mode from the coupling only, no power loader
 takes a coupling beside a report (a report carries its own), the trial count
 and the reports keep the slots of montecarlo.estimate_outage,
 powerload.reschedule and powerload.max_r_power_load that the benchmark
-tracer reads, and the package does not load scipy.linalg."""
+tracer reads, the package does not load scipy.linalg, and only the lapack
+module reaches numpy.linalg's private gufunc module."""
 
 import ast
 import inspect
@@ -112,3 +113,22 @@ def test_cli_and_montecarlo_do_not_load_scipy_linalg():
                             text=True, check=True,
                             env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
     assert result.stdout.strip() == "False"
+
+
+def test_only_the_lapack_module_imports_numpy_private_linalg_gufuncs():
+    """lapack.py states once why numpy.linalg._umath_linalg is safe to use; every
+    other module reaches the gufuncs through it."""
+    importers = set()
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any("_umath_linalg" in part for part in names):
+                importers.add(name)
+    assert importers == {"lapack"}
