@@ -299,6 +299,10 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
     is unservable at any offset, so a user is dropped by the diagonal
     approximation of A^{-1} sigma^2 (gamma_k sigma_k^2 over the beam gain, or
     over the channel norm when no directions exist) and the loop continues.
+    Once one user is left, its error reaches the caller. With finite inputs
+    that do not overflow, a single user's chain does not fail: A is the
+    positive scalar (|h^H u|^2 + sigma_e^2) / gamma and max-r puts the whole
+    budget on the user.
 
     Returns (coupling, DesignReport), both of the retained set; the report
     lists the dropped and served users by their original indices.

@@ -44,10 +44,11 @@ def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0):
 
 
 def solve_nu_oracle(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
-    """Oracle for directions.solve_nu: the same Gauss-Seidel sweep in the reduced
-    basis, with each user step a plain np.linalg.solve that raises LinAlgError on
-    a singular matrix. The arithmetic is the same, so nu, the error raised and
-    its last_iterate must match solve_nu bit for bit."""
+    """Oracle for directions.solve_nu's sweep: the same Gauss-Seidel sweep in the
+    reduced basis, with each user step a plain np.linalg.solve that raises
+    LinAlgError on a singular matrix, and no Newton polish. The arithmetic is the
+    same, so on a cell whose sweep never gets below directions.NEWTON_FROM the
+    error raised and its last_iterate must match solve_nu bit for bit."""
     gammas = np.asarray(gammas, dtype=float)
     psi = _normalize_rows(np.asarray(psi, dtype=complex))
     coup = r * np.sqrt(2.0) * sigma_e

@@ -231,6 +231,12 @@ def test_config_rejects_unknown_algorithm(tmp_path, capsys):
     assert "config error" in err
 
 
+def test_run_algorithm_rejects_an_unknown_id():
+    # A config's ids are checked on loading; run_algorithm checks its own.
+    with pytest.raises(ValueError, match="unknown algorithm 'socp'"):
+        cli.run_algorithm("socp", unit_scale_scenario(seed=3), cli.RunConfig(r=2.0))
+
+
 def test_config_rejects_unknown_variance_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, {"generate": {}, "variance_mode": "fast"})
     assert run_cli(capsys, ["design", "--config", cfg])[0] == 1

@@ -493,6 +493,26 @@ def test_reschedule_recovers_from_infeasible_loading():
     assert np.array_equal(c_kept.g_tensor, fresh.g_tensor)
 
 
+@pytest.mark.parametrize("stage,error", [
+    ("const_offset_directions", ConvergenceError("nu fixed point did not converge")),
+    ("max_r_power_load", InfeasibleLoadingError("no offset for this set"))])
+def test_reschedule_re_raises_once_one_user_is_left(monkeypatch, stage, error):
+    # With finite inputs a single user's directions, coupling and max-r loading
+    # do not fail, so the stage is made to fail on every set: the first failure
+    # drops a user, the second, with one user left, reaches the caller.
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(stage)
+        raise error
+
+    monkeypatch.setattr(powerload, stage, failing)
+    h = standard_complex(np.random.default_rng(22), (2, 4))
+    with pytest.raises(type(error), match=str(error)):
+        reschedule(scenario_from_rows(h, gamma=4.0), total_power=100.0)
+    assert len(calls) == 2
+
+
 def test_power_saving_cap_re_solves_at_cap():
     h = np.array([[1.0, 0.0]], dtype=complex)
     u = h.copy()
