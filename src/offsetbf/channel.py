@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# sigma_e^4 enters the slack variance, and it overflows from 2^256 up
+SIGMA_E_LIMIT = 2.0 ** 256
+
 
 def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
     """Draw CN(0, I) samples of the given shape.
@@ -59,6 +62,9 @@ class Scenario:
             if not ok.all():
                 raise ValueError(f"{name} must be finite and {bound}, got {value[~ok][0]}")
             setattr(self, name, value)
+        if (self.sigma_e >= SIGMA_E_LIMIT).any():
+            raise ValueError(f"sigma_e must be below {SIGMA_E_LIMIT:.4g}, where sigma_e^4 "
+                             f"overflows, got {self.sigma_e.max():g}")
         if not np.isfinite(self.h_est).all():
             raise ValueError("h_est must be finite")
 

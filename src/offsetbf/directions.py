@@ -2,8 +2,9 @@
 
 Baseline ZF / MRT / RZF directions, the iterative closed-form robust design
 (dual fixed point plus per-user eigen equation, in the span of the channels
-and their conjugates), the constant-offset variant in the K-dimensional span
-of the channels, and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
+and their conjugates), the constant-offset design (dual fixed point in the
+channels' span, then M^{-1} h_k in closed form, with no eigendecomposition),
+and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
 """
 
 import math
@@ -326,33 +327,26 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
                            last_iterate=nu)
 
 
-def directions_constant_offset(nu: np.ndarray, h_est: np.ndarray,
-                               gammas: np.ndarray) -> np.ndarray:
-    """Principal eigenvectors of B_k = (nu_k/gamma_k) h_k h_k^H - sum_{j!=k} nu_j h_j h_j^H.
-
-    B_k lives in the users' span: with the reduced QR factorization
-    h_est^T = Q R, B_k = Q (R D_k R^H) Q^H, where D_k = diag(-nu) with entry
-    (k, k) set to nu_k / gamma_k. One batched eigh over the K small Hermitian
-    matrices R D_k R^H gives the top eigenvectors y_k, and u_k = Q y_k, with
-    phase fixed so that h_k^H u_k >= 0. The QR costs O(K^2 N_t) and the eigh
-    O(K^4).
+def directions_constant_offset(nu: np.ndarray, h_est: np.ndarray) -> np.ndarray:
+    """Principal eigenvectors u_k of B_k = (nu_k/gamma_k) h_k h_k^H - sum_{j!=k} nu_j h_j h_j^H
+    at solve_nu_constant_offset's fixed point nu, in closed form: u_k = M^{-1} h_k,
+    normalized, with M = I + sum_j nu_j h_j h_j^H. B_k = I - M + s_k h_k h_k^H
+    with s_k = nu_k (1 + 1/gamma_k), and s_k h_k^H M^{-1} h_k = 1 at the fixed
+    point, so B_k maps M^{-1} h_k to itself. M >= I, so by Cauchy interlacing
+    every other eigenvalue of B_k, a rank-one update of I - M <= 0, is <= 0.
+    h_k^H M^{-1} h_k > 0 leaves no phase to fix. By the push-through identity,
+    with G = [h_i^H h_j] and N = diag(nu), row k of (I + G^T N)^{-1} h_est is
+    (M^{-1} h_k)^T: one K x K solve after the O(K^2 N_t) Gram matrix.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    basis, coords = np.linalg.qr(h_est.T)  # column k of coords is h_k in basis
-    # small[k] = R diag(-nu) R^H + (nu_k/gamma_k + nu_k) c_k c_k^H, c_k = R[:, k]
-    total = (coords * nu) @ coords.conj().T
-    outers = np.einsum("ik,jk->kij", coords, coords.conj())
-    small = (nu / gammas + nu)[:, None, None] * outers - total
-    _, vecs = lapack.checked(lapack.eigh_lo, small)
-    u_rows = vecs[:, :, -1] @ basis.T      # row k is (Q y_k)^T
-    return np.array([_phase_align(u, h) for u, h in zip(u_rows, h_est)])
+    gram_t = h_est @ h_est.conj().T        # [i, j] = h_j^H h_i
+    return _normalize_rows(lapack.checked(lapack.solve, np.eye(len(nu)) + gram_t * nu, h_est))
 
 
 def const_offset_directions(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Constant-offset directions for estimated channels h_est (K, N_t):
-    the dual fixed point, then the principal eigenvectors."""
+    the dual fixed point, then the principal eigenvectors in closed form."""
     nu = solve_nu_constant_offset(h_est, gammas)
-    return directions_constant_offset(nu, h_est, gammas)
+    return directions_constant_offset(nu, h_est)
 
 
 def alg1_directions(h_est: np.ndarray, gammas: np.ndarray, sigma_e: np.ndarray,

@@ -127,7 +127,7 @@ def test_criterion_04_orthogonal_channels_recover_matched_filtering():
     alphas = np.sum(np.abs(h) ** 2, axis=1)
     nu = solve_nu_constant_offset(h, gammas)
     assert np.max(np.abs(nu - gammas / alphas) / (gammas / alphas)) <= 1e-8
-    u = directions_constant_offset(nu, h, gammas)
+    u = directions_constant_offset(nu, h)
     mrt = mrt_directions(h)
     overlap = np.abs(np.einsum("ki,ki->k", u.conj(), mrt))
     assert np.max(np.abs(overlap - 1.0)) <= 1e-8

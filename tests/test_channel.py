@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetbf.channel import (CellConfig, Scenario, _standard_complex, draw_errors,
-                              generate_scenario, load_scenario, save_scenario,
+from offsetbf.channel import (SIGMA_E_LIMIT, CellConfig, Scenario, _standard_complex,
+                              draw_errors, generate_scenario, load_scenario, save_scenario,
                               scenario_from_dict, scenario_to_dict)
 from offsetbf.cli import RunConfig, run_algorithm
 
@@ -81,6 +81,16 @@ def test_scenario_sigma_e_validation():
         with pytest.raises(ValueError, match="sigma_e must be finite and nonnegative"):
             _scenario(sigma_e=bad)
     assert np.array_equal(_scenario(sigma_e=0).sigma_e, np.zeros(3))
+
+
+def test_scenario_rejects_sigma_e_whose_fourth_power_overflows():
+    # the slack variance holds sigma_e^4, which overflows from 2^256 up
+    below = np.nextafter(2.0 ** 256, 0.0)
+    assert np.isfinite(_scenario(sigma_e=below).sigma_e ** 4).all()
+    for bad in (2.0 ** 256, 1e160, [0.1, 1e160, 0.2]):
+        with pytest.raises(ValueError, match=r"sigma_e must be below 1\.158e\+77, where "
+                                             r"sigma_e\^4 overflows, got 1"):
+            _scenario(sigma_e=bad)
 
 
 def test_scenario_rejects_non_finite_fields():
@@ -230,8 +240,8 @@ def scenarios(draw):
     h_est = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     return Scenario(
         h_est=h_est.reshape(k, nt),
-        sigma_e=draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
-                              min_size=k, max_size=k)),
+        sigma_e=draw(st.lists(st.floats(min_value=0.0, max_value=SIGMA_E_LIMIT,
+                                        exclude_max=True), min_size=k, max_size=k)),
         noise_power=draw(st.lists(positive, min_size=k, max_size=k)),
         sinr_target=draw(st.lists(positive, min_size=k, max_size=k)),
     )

@@ -208,6 +208,29 @@ def test_config_rejects_non_finite_scenario_sigma_e(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command,algorithm", [("maxr", "maxr_reschedule"),
+                                               ("design", "zf")])
+def test_config_rejects_scenario_sigma_e_whose_fourth_power_overflows(
+        tmp_path, capsys, command, algorithm):
+    # (1e160)^4 overflows, which the chain cannot handle (maxr_reschedule would
+    # write NaN powers), so loading the scenario must stop both commands
+    path = tmp_path / "scenario.json"
+    doc = scenario_to_dict(scenario_from_rows(standard_complex(
+        np.random.default_rng(0), (2, 4))))
+    for user in doc["users"]:
+        user["sigma_e"] = 1e160
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, {"scenario_file": str(path), "algorithm": algorithm,
+                                  "r": 2.0, "total_power": 50.0, "out": str(out)})
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg])
+    assert code == 1
+    assert err == ("config error: sigma_e must be below 1.158e+77, where sigma_e^4 "
+                   "overflows, got 1e+160\n")
+    assert stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scenario.json"]
+
+
 def test_config_requires_exactly_one_scenario_source(tmp_path, capsys):
     scenario = unit_scenario_file(tmp_path)
     both = write_config(tmp_path, {"scenario_file": scenario, "generate": {}},

@@ -481,14 +481,10 @@ def test_lapack_gufuncs_match_numpy_linalg():
     rng = np.random.default_rng(5)
     a = standard_complex(rng, (5, 5))
     b = standard_complex(rng, (5, 3))
-    hermitian = a + a.conj().T
     assert np.array_equal(lapack.checked(lapack.solve, a, b), np.linalg.solve(a, b))
     assert np.array_equal(lapack.checked(lapack.solve1, a.real, b[:, 0].real),
                           np.linalg.solve(a.real, b[:, 0].real))
     assert np.array_equal(lapack.checked(lapack.inv, a.real), np.linalg.inv(a.real))
-    for got, want in zip(lapack.checked(lapack.eigh_lo, hermitian),
-                         np.linalg.eigh(hermitian)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_lapack_checked_raises_numpy_linalg_error_on_a_singular_matrix():
@@ -507,16 +503,18 @@ def test_lapack_checked_raises_numpy_linalg_error_on_a_singular_matrix():
             assert np.isnan(lapack.solve1(singular, np.ones(2))).all()
 
 
-def test_solve_nu_constant_offset_singular_matrix_is_convergence_error():
-    # Near-duplicate channels push the dual weights until the shared matrix
-    # is numerically singular; the failure must surface as the package's
+def test_solve_nu_constant_offset_near_duplicate_channels_do_not_converge():
+    # Near-duplicate channels (Gram condition number 4e16) need huge dual
+    # weights, and in floating point they grow without settling: user 1's
+    # passes 1e20 in the 500 steps. The failure must surface as the package's
     # convergence error (with the last iterate attached), never a raw
     # linear-algebra exception.
     rng = np.random.default_rng(13)
     h = standard_complex(rng, (3, 4))
     h[1] = h[0] + 1e-6 * h[2]
     gammas = np.full(3, 4.0)
-    with pytest.raises(ConvergenceError) as excinfo:
+    with pytest.raises(ConvergenceError,
+                       match="nu fixed point did not converge in 500 sweeps") as excinfo:
         solve_nu_constant_offset(h, gammas)
     assert excinfo.value.last_iterate.shape == (3,)
 
@@ -592,7 +590,7 @@ def test_constant_offset_chain_matches_dense_oracle(k, nt):
     nu = solve_nu_constant_offset(h, gammas)
     assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-12
     u_ref = dense_directions_constant_offset(nu_ref, h, gammas)
-    u = directions_constant_offset(nu, h, gammas)
+    u = directions_constant_offset(nu, h)
     assert np.max(np.abs(u - u_ref)) < 1e-10
     assert np.array_equal(const_offset_directions(h, gammas), u)
 
@@ -710,7 +708,7 @@ def test_directions_constant_offset_orthogonal():
     h = orthonormal_rows(3, 4, seed=12, norms=[1.0, 2.0, 0.5])
     gammas = np.array([4.0, 4.0, 4.0])
     nu = solve_nu_constant_offset(h, gammas)
-    u = directions_constant_offset(nu, h, gammas)
+    u = directions_constant_offset(nu, h)
     expected = h / np.linalg.norm(h, axis=1)[:, None]
     for k in range(3):
         assert abs(abs(np.vdot(u[k], expected[k])) - 1.0) < 1e-9
@@ -721,7 +719,7 @@ def test_directions_constant_offset_eigen_residual():
     h = standard_complex(rng, (3, 4))
     gammas = np.array([4.0, 2.0, 3.0])
     nu = solve_nu_constant_offset(h, gammas)
-    u = directions_constant_offset(nu, h, gammas)
+    u = directions_constant_offset(nu, h)
     for k in range(3):
         b = nu[k] / gammas[k] * np.outer(h[k], h[k].conj())
         for j in range(3):
@@ -736,7 +734,7 @@ def test_directions_constant_offset_tilts_from_interferer():
     h = np.array([[1.0, 0.0], [np.cos(theta), np.sin(theta)]], dtype=complex)
     gammas = np.array([4.0, 4.0])
     nu = solve_nu_constant_offset(h, gammas)
-    u = directions_constant_offset(nu, h, gammas)
+    u = directions_constant_offset(nu, h)
     mrt = mrt_directions(h)
     for k, j in ((0, 1), (1, 0)):
         assert abs(np.vdot(h[j], u[k])) < abs(np.vdot(h[j], mrt[k]))

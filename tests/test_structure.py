@@ -4,8 +4,9 @@ take the noise and variance mode from the coupling only, no power loader
 takes a coupling beside a report (a report carries its own), the trial count
 and the reports keep the slots of montecarlo.estimate_outage,
 powerload.reschedule and powerload.max_r_power_load that the benchmark
-tracer reads, the package does not load scipy.linalg, and only the lapack
-module reaches numpy.linalg's private gufunc module."""
+tracer reads, the package does not load scipy.linalg, only the lapack
+module reaches numpy.linalg's private gufunc module, and every gufunc it
+exports has a caller."""
 
 import ast
 import inspect
@@ -132,3 +133,16 @@ def test_only_the_lapack_module_imports_numpy_private_linalg_gufuncs():
             if any("_umath_linalg" in part for part in names):
                 importers.add(name)
     assert importers == {"lapack"}
+
+
+def test_every_lapack_gufunc_has_a_caller_in_the_package():
+    """offsetbf.lapack re-exports only gufuncs that another module calls as
+    lapack.<name>, so a solver that stops using one takes its import along."""
+    exported = {alias.name for node in ast.walk(MODULES["lapack"])
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg._umath_linalg"
+                for alias in node.names}
+    used = {node.attr for name, tree in MODULES.items() if name != "lapack"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "lapack"}
+    assert exported and exported <= used
