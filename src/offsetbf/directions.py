@@ -4,7 +4,8 @@ Baseline ZF / MRT / RZF directions, the iterative closed-form robust design
 (dual fixed point plus per-user eigen equation, in the span of the channels
 and their conjugates), the constant-offset design (dual fixed point in the
 channels' span, then M^{-1} h_k in closed form, with no eigendecomposition),
-and the massive-MISO approximation nu_k ~= gamma_k / alpha_k.
+and the massive-MISO approximation nu_k ~= gamma_k / alpha_k. Both duals are
+solved by one safeguarded Newton engine in log nu, _dual_fixed_point.
 """
 
 import math
@@ -95,7 +96,7 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
              psi: np.ndarray, tol: float = 1e-10, max_iters: int = 500, *,
              _reduced=None) -> np.ndarray:
     """Dual fixed point with common offset r: Gauss-Seidel sweeps into the
-    basin, then Newton's method in log nu.
+    basin, then Newton's method in log nu (_dual_fixed_point).
 
     nu_k^{-1} = h_k^H M_k^{-1} h_k (1 + 1/gamma_k), with coup = r sqrt(2) sigma_e and
       M_k = (1 + sigma_e^2 sum_{j!=k} nu_j - nu_k sigma_e^2 / gamma_k) I
@@ -105,36 +106,34 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     e.g. ZF), starting at nu_k = gamma_k / alpha_k.
 
     In the basis Q of _reduced_terms, M_k = c_k I + Q S_k Q^H and h_k = Q a_k,
-    so the form is a_k^H (c_k I + S_k)^{-1} a_k. The shared part of S_k is
-    rebuilt each sweep and updated as each nu_k changes. Cost: O(K^2 N_t) once,
-    then per user step one m x m solve, O(m^3), plus O(m^2) to build c_k I + S_k
-    in place. The step calls the LAPACK gesv gufunc that np.linalg.solve wraps,
-    so it gives the same bits without the wrapper's per-call overhead, which is
-    larger than the solve itself at m <= 16. The gufunc fills a singular
-    system's solution with NaN instead of raising, so a NaN form is that error.
-    A sweep's steps share one np.errstate(all="ignore"), so an overflow in a
-    sweep also ends in that error, without a RuntimeWarning.
+    so the form is a_k^H (c_k I + S_k)^{-1} a_k. The plain step is a sweep: the
+    shared part of S_k is rebuilt each sweep and updated as each nu_k changes.
+    Cost: O(K^2 N_t) once, then per user step one m x m solve, O(m^3), plus
+    O(m^2) to build c_k I + S_k in place. The step calls the LAPACK gesv gufunc
+    that np.linalg.solve wraps, so it gives the same bits without the wrapper's
+    per-call overhead, which is larger than the solve itself at m <= 16. The
+    gufunc fills a singular system's solution with NaN instead of raising, so a
+    NaN form is that error. _dual_fixed_point runs under np.errstate(all="ignore"),
+    so an overflow in a sweep also ends in that error, without a RuntimeWarning.
 
     The sweep converges only linearly, in about a hundred sweeps. So once a
-    sweep's largest relative step is below NEWTON_FROM, _newton_nu finishes
-    with Newton's method on f = log nu + log v, where, with X_k = c_k I + S_k,
+    sweep's largest relative step is below NEWTON_FROM, Newton's method on
+    f = log nu + log v finishes, where, with X_k = c_k I + S_k,
     x_k = X_k^{-1} a_k, w_k^H = a_k^H X_k^{-1} and s_k = 1 + 1/gamma_k,
     v_k = s_k Re(a_k^H x_k) is 1/nu_k's right-hand side. As
-    d(a^H X^{-1} a) = -w^H dX x,
-      dv_k/dnu_j = -s_k Re(w_k^H (terms_j + sigma_e^2 I) x_k)                  j != k
-      dv_k/dnu_k = -s_k Re(w_k^H (terms_k + coup s_k re_psi_k - sigma_e^2/gamma_k I) x_k)
-    and J = I + diag(1/v) (dv/dnu) diag(nu); a step nu exp(-J^{-1} f) costs
-    one batched inverse of the K m x m matrices X_k and O(K^2 m^2) einsums.
-    About 20 sweeps and 3 Newton steps replace about 100 sweeps. The
-    element-wise Re{psi h^H} term gives the map more than one fixed point, and
-    Newton started at nu_0 lands on other ones, so it starts only from a sweep
-    iterate already close to the sweep's own. With the threshold at 1e-2, two
-    generated cells that the sweep never solves, not even in 20 000 sweeps,
-    became successes; at 1e-3 every changed outcome was a cell that the sweep
-    solves given more sweeps. A rejected Newton step hands back to the sweep,
-    so a cell whose sweep never gets below NEWTON_FROM keeps the plain sweep's
-    iterates and errors bit for bit. max_iters counts sweeps and Newton steps.
-    _reduced is _reduced_terms(h_est, psi, coup) when the caller has built it.
+    d(a^H X^{-1} a) = -w^H dX x, the slope S = -dv/dnu / s_k has
+      S_kj = Re(w_k^H (terms_j + sigma_e^2 I) x_k)                            j != k
+      S_kk = Re(w_k^H (terms_k + coup s_k re_psi_k - sigma_e^2/gamma_k I) x_k)
+    and an evaluation costs one batched inverse of the K m x m matrices X_k,
+    its slope O(K^2 m^2) einsums. About 20 sweeps and 3 Newton steps replace
+    about 100 sweeps. The element-wise Re{psi h^H} term gives the map more than
+    one fixed point, and Newton started at nu_0 lands on other ones, so it
+    starts only from a sweep iterate already close to the sweep's own. With the
+    threshold at 1e-2, two generated cells that the sweep never solves, not
+    even in 20 000 sweeps, became successes; at 1e-3 every changed outcome was
+    a cell that the sweep solves given more sweeps. A cell whose sweep never
+    gets below NEWTON_FROM keeps the plain sweep's iterates and errors bit for
+    bit. _reduced is _reduced_terms(h_est, psi, coup) when the caller has built it.
     """
     gammas = np.asarray(gammas, dtype=float)
     coup = r * np.sqrt(2.0) * sigma_e
@@ -143,63 +142,35 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
                                   coup)
     # S_k = sum_j nu_j terms_j + coup nu_k (1 + 1/gamma_k) re_psi_k
     _, h_c, terms, re_psi = _reduced
-    m = h_c.shape[1]
-    matrix = np.empty((m, m), dtype=complex)
-    diagonal = matrix.reshape(-1)[::m + 1]
+    k_users, m = re_psi.shape[:2]
     var_e = sigma_e ** 2
+    scale = 1.0 + 1.0 / gammas
     users = list(zip(gammas.tolist(), h_c, re_psi, terms))
-    nu = nu_massive_approx(h_est, gammas)
+    jac_diagonal = np.arange(k_users)
 
-    steps = 0
-    while steps < max_iters:
-        steps += 1
+    def sweep(nu):
+        matrix = np.empty((m, m), dtype=complex)
+        diagonal = matrix.reshape(-1)[::m + 1]
         total, nu_sum = np.einsum("j,jil->il", nu, terms), float(nu.sum())
         values = nu.tolist()
-        max_rel = 0.0
-        with np.errstate(all="ignore"):
-            for k, (gamma, h_k, re_psi_k, terms_k) in enumerate(users):
-                nu_k, scale = values[k], 1.0 + 1.0 / gamma
-                c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma
-                np.multiply(coup * nu_k * scale, re_psi_k, out=matrix)
-                matrix += total
-                diagonal += c_k
-                val = np.vdot(h_k, lapack.solve1(matrix, h_k)).real * scale
-                if math.isnan(val) or val <= 0:
-                    raise ConvergenceError(
-                        "dual fixed point made the user matrix singular" if math.isnan(val)
-                        else "dual fixed point left the positive cone",
-                        last_iterate=np.array(values))
-                nu_new = 1.0 / val
-                max_rel = max(max_rel, abs(nu_new - nu_k) / nu_new)
-                np.multiply(nu_new - nu_k, terms_k, out=matrix)
-                total += matrix
-                nu_sum += nu_new - nu_k
-                values[k] = nu_new
-        nu = np.array(values)
-        if max_rel < tol:
-            return nu
-        if max_rel < NEWTON_FROM:
-            nu, newton_steps, done = _newton_nu(nu, max_iters - steps, h_c, terms, re_psi,
-                                                gammas, var_e, coup, tol)
-            steps += newton_steps
-            if done:
-                return nu
-    raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
-                           last_iterate=nu)
-
-
-def _newton_nu(nu, budget, h_c, terms, re_psi, gammas, var_e, coup, tol):
-    """Up to `budget` Newton steps of solve_nu's dual (see there) from the sweep
-    iterate nu; returns (nu, steps taken, converged). A candidate is taken when
-    it lowers ||f||^2, or when its relative step is already below tol, since
-    at rounding level ||f||^2 need not fall. Otherwise, also when a singular
-    X_k or J or a v_k <= 0 makes f non-finite, the call returns the last taken
-    iterate, unconverged, for the sweep to go on from.
-    """
-    k_users, m = re_psi.shape[:2]
-    scale = 1.0 + 1.0 / gammas
-    eye = np.eye(k_users)
-    jac_diagonal = np.arange(k_users)
+        for k, (gamma, h_k, re_psi_k, terms_k) in enumerate(users):
+            nu_k, scale_k = values[k], 1.0 + 1.0 / gamma
+            c_k = 1.0 + var_e * (nu_sum - nu_k) - nu_k * var_e / gamma
+            np.multiply(coup * nu_k * scale_k, re_psi_k, out=matrix)
+            matrix += total
+            diagonal += c_k
+            val = np.vdot(h_k, lapack.solve1(matrix, h_k)).real * scale_k
+            if math.isnan(val) or val <= 0:
+                raise ConvergenceError(
+                    "dual fixed point made the user matrix singular" if math.isnan(val)
+                    else "dual fixed point left the positive cone",
+                    last_iterate=np.array(values))
+            nu_new = 1.0 / val
+            np.multiply(nu_new - nu_k, terms_k, out=matrix)
+            total += matrix
+            nu_sum += nu_new - nu_k
+            values[k] = nu_new
+        return np.array(values)
 
     def evaluate(nu):
         mats = np.einsum("j,jil->il", nu, terms) + (coup * nu * scale)[:, None, None] * re_psi
@@ -209,25 +180,63 @@ def _newton_nu(nu, budget, h_c, terms, re_psi, gammas, var_e, coup, tol):
         x = np.einsum("kil,kl->ki", inverse, h_c)
         w = np.einsum("ki,kil->kl", h_c.conj(), inverse)      # rows w_k^H
         v = scale * np.einsum("ki,ki->k", h_c.conj(), x).real
-        return (x, w, v), np.log(nu * v)
 
-    with np.errstate(all="ignore"):
-        (x, w, v), f = evaluate(nu)
-        for step in range(1, budget + 1):
+        def slope():
             wx = np.einsum("ki,ki->k", w, x).real
-            minus_dv = np.einsum("ki,jil,kl->kj", w, terms, x).real + var_e * wx[:, None]
-            minus_dv[jac_diagonal, jac_diagonal] += scale * (
+            s = np.einsum("ki,jil,kl->kj", w, terms, x).real + var_e * wx[:, None]
+            s[jac_diagonal, jac_diagonal] += scale * (
                 coup * np.einsum("ki,kil,kl->k", w, re_psi, x).real - var_e * wx)
-            jac = eye - (scale / v)[:, None] * minus_dv * nu
-            trial = nu * np.exp(-lapack.solve1(jac, f))
-            state, f_trial = evaluate(trial)
-            max_rel = (np.abs(trial - nu) / trial).max()
-            if not (np.isfinite(f_trial).all() and (f_trial @ f_trial < f @ f or max_rel < tol)):
-                return nu, step, False
-            nu, (x, w, v), f = trial, state, f_trial
+            return s
+        return v, slope, np.log(nu * v)
+
+    return _dual_fixed_point(sweep, evaluate, nu_massive_approx(h_est, gammas), scale,
+                             NEWTON_FROM, tol, max_iters)
+
+
+def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_iters):
+    """The fixed point nu = 1/v(nu) of a dual, from nu: plain steps until one
+    moves no entry by more than newton_from relative, then Newton's method on
+    f = log nu + log v in log nu.
+
+    evaluate(nu) returns (v, slope, f) with f = log(nu v) and slope() the
+    K x K matrix S of -dv/dnu / scale, built only when a step needs it, so that
+    the Jacobian of f is J = I - diag(scale / v) S diag(nu). plain_step(nu)
+    returns the next plain iterate and raises the dual's own errors. A Newton
+    candidate nu exp(-J^{-1} f) is taken when its f is finite and it either
+    lowers ||f||^2 or moves by less than tol, since at rounding level ||f||^2
+    need not fall; otherwise, also when a singular matrix or a v <= 0 makes f
+    non-finite, the next step is plain, and Newton is tried again after it if
+    that plain step moved by at most newton_from. newton_from = inf starts with
+    Newton at nu itself. The solve stops when a step's largest relative change
+    is below tol; max_iters counts Newton candidates and plain steps alike.
+    Both steps run under np.errstate(all="ignore"): a step's overflow or
+    singular gufunc shows as a non-finite value, not a RuntimeWarning.
+    """
+    eye = np.eye(len(nu))
+    newton, state = newton_from == math.inf, None
+    with np.errstate(all="ignore"):
+        for _ in range(max_iters):
+            if newton:
+                v, slope, f = state or evaluate(nu)
+                jac = eye - (scale / v)[:, None] * slope() * nu
+                trial = nu * np.exp(-lapack.solve1(jac, f))
+                state = evaluate(trial)
+                max_rel = (np.abs(trial - nu) / trial).max()
+                f_trial = state[2]
+                newton = bool(np.isfinite(f_trial).all()
+                              and (f_trial @ f_trial < f @ f or max_rel < tol))
+                if not newton:
+                    state = None
+                    continue
+                nu = trial
+            else:
+                nu_new = plain_step(nu)
+                max_rel = (np.abs(nu_new - nu) / nu_new).max()
+                nu, newton = nu_new, max_rel <= newton_from
             if max_rel < tol:
-                return nu, step, True
-    return nu, budget, False
+                return nu
+    raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
+                           last_iterate=nu)
 
 
 def directions_from_nu(nu: np.ndarray, psi: np.ndarray, h_est: np.ndarray,
@@ -273,29 +282,22 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
     Gram matrix.
 
     The map nu -> 1/v(nu) is a standard interference function (Yates 1995), so
-    its fixed point is unique. Starting at nu_k = gamma_k / alpha_k, each step
-    solves f(nu) = log nu + log v(nu) = 0 by Newton's method in log nu. Since
-    dX_kk/dnu_j = -X_kj X_jk, its Jacobian is
-      J = I - diag((1 + 1/gamma) / v) Re(X o X^T) diag(nu).
-    The Newton candidate nu exp(-J^{-1} f) is taken when it reduces ||f||^2;
-    otherwise (also when J or the candidate's matrix is singular, or v leaves
-    the positive cone there) the step is the plain sweep nu = 1/v(nu). The
-    solver stops when a step's largest relative change is below tol;
-    max_iters counts steps, Newton or plain. About five steps, ten K x K
-    solves, reach tol where the plain sweep alone takes about ninety.
-    A singular J or candidate matrix fills the candidate's f with NaN, which
-    rejects it. I + GN is nonsingular for nu > 0 (GN is similar to
-    N^1/2 G N^1/2 >= 0), but 1 + nu_k |h_k|^2 rounds to nu_k |h_k|^2 past 2^53,
-    and I + GN can then be singular: "made the shared matrix singular".
+    its fixed point is unique, and _dual_fixed_point runs Newton's method in
+    log nu from nu_k = gamma_k / alpha_k, with the plain step nu = 1/v(nu) as
+    its safeguard. Since dX_kk/dnu_j = -X_kj X_jk, the slope is
+    S = Re(X o X^T). About five steps, ten K x K solves, reach tol where the
+    plain step alone takes about ninety. I + GN is nonsingular for nu > 0 (GN
+    is similar to N^1/2 G N^1/2 >= 0), but 1 + nu_k |h_k|^2 rounds to
+    nu_k |h_k|^2 past 2^53, and I + GN can then be singular: the plain step
+    raises "made the shared matrix singular" there, and "left the positive
+    cone" where a rounded X_kk <= 0.
     """
     gammas = np.asarray(gammas, dtype=float)
     scale = 1.0 + 1.0 / gammas
     gram = h_est.conj() @ h_est.T          # [i, j] = h_i^H h_j
     eye = np.eye(h_est.shape[0])
 
-    def checked(nu):
-        """X = (I + G N)^{-1} G, v(nu) = (1 + 1/gamma) diag X and f(nu), raising
-        the solver's errors."""
+    def plain_step(nu):
         try:
             x = lapack.checked(lapack.solve, eye + gram * nu, gram)
         except np.linalg.LinAlgError as exc:
@@ -305,26 +307,15 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
         if (v <= 0).any():
             raise ConvergenceError("dual fixed point left the positive cone",
                                    last_iterate=nu)
-        return x, v, np.log(nu * v)
+        return 1.0 / v
 
-    nu = nu_massive_approx(h_est, gammas)
-    x, v, f = checked(nu)
-    for _ in range(max_iters):
-        jac = eye - (scale / v)[:, None] * np.real(x * x.T) * nu
-        with np.errstate(all="ignore"):
-            trial = nu * np.exp(-lapack.solve1(jac, f))
-            x_t = lapack.solve(eye + gram * trial, gram)
-            v_t = np.real(np.diagonal(x_t)) * scale
-            f_t = np.log(trial * v_t)
-            newton = bool(np.isfinite(f_t).all() and f_t @ f_t < f @ f)
-        nu_new = trial if newton else 1.0 / v
-        max_rel = (np.abs(nu_new - nu) / nu_new).max()
-        nu = nu_new
-        if max_rel < tol:
-            return nu
-        x, v, f = (x_t, v_t, f_t) if newton else checked(nu)
-    raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
-                           last_iterate=nu)
+    def evaluate(nu):
+        x = lapack.solve(eye + gram * nu, gram)
+        v = np.real(np.diagonal(x)) * scale
+        return v, lambda: np.real(x * x.T), np.log(nu * v)
+
+    return _dual_fixed_point(plain_step, evaluate, nu_massive_approx(h_est, gammas), scale,
+                             math.inf, tol, max_iters)
 
 
 def directions_constant_offset(nu: np.ndarray, h_est: np.ndarray) -> np.ndarray:

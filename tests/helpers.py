@@ -82,10 +82,13 @@ def solve_nu_oracle(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
 
 
 def solve_nu_constant_offset_oracle(h_est, gammas, tol=1e-10, max_iters=500):
-    """Oracle for directions.solve_nu_constant_offset: the same log-Newton steps
-    with np.linalg.solve, whose LinAlgError on a singular matrix rejects the
-    Newton candidate or ends the solve. nu, the error raised and its
-    last_iterate must match solve_nu_constant_offset bit for bit."""
+    """Oracle for directions.solve_nu_constant_offset: log-Newton steps from
+    nu_0 with np.linalg.solve. A candidate is taken when its f is finite and
+    it lowers ||f||^2 or moves by less than tol; otherwise, also when
+    np.linalg.solve raises LinAlgError on a singular matrix, the next step is
+    the plain nu = 1/v(nu), which ends the solve with the solver's errors.
+    Candidates and plain steps count alike against max_iters. nu, the error
+    raised and its last_iterate must match solve_nu_constant_offset bit for bit."""
     gammas = np.asarray(gammas, dtype=float)
     scale = 1.0 + 1.0 / gammas
     gram = h_est.conj() @ h_est.T
@@ -95,35 +98,39 @@ def solve_nu_constant_offset_oracle(h_est, gammas, tol=1e-10, max_iters=500):
         x = np.linalg.solve(eye + gram * nu, gram)
         return x, np.real(np.diagonal(x)) * scale
 
-    def checked(nu):
-        try:
-            x, v = evaluate(nu)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("dual fixed point made the shared matrix singular",
-                                   last_iterate=nu) from exc
-        if np.any(v <= 0):
-            raise ConvergenceError("dual fixed point left the positive cone",
-                                   last_iterate=nu)
-        return x, v, np.log(nu * v)
-
     nu = nu_massive_approx(h_est, gammas)
-    x, v, f = checked(nu)
+    newton = True
     for _ in range(max_iters):
-        jac = eye - (scale / v)[:, None] * np.real(x * x.T) * nu
-        with np.errstate(all="ignore"):
+        if newton:
+            with np.errstate(all="ignore"):
+                try:
+                    x, v = evaluate(nu)
+                    f = np.log(nu * v)
+                    jac = eye - (scale / v)[:, None] * np.real(x * x.T) * nu
+                    trial = nu * np.exp(-np.linalg.solve(jac, f))
+                    f_t = np.log(trial * evaluate(trial)[1])
+                    max_rel = np.max(np.abs(trial - nu) / trial)
+                    newton = bool(np.all(np.isfinite(f_t))
+                                  and (f_t @ f_t < f @ f or max_rel < tol))
+                except np.linalg.LinAlgError:
+                    newton = False
+            if not newton:
+                continue
+            nu = trial
+        else:
             try:
-                trial = nu * np.exp(-np.linalg.solve(jac, f))
-                x_t, v_t = evaluate(trial)
-                f_t = np.log(trial * v_t)
-                newton = bool(np.all(np.isfinite(f_t)) and f_t @ f_t < f @ f)
-            except np.linalg.LinAlgError:
-                newton = False
-        nu_new = trial if newton else 1.0 / v
-        max_rel = np.max(np.abs(nu_new - nu) / nu_new)
-        nu = nu_new
+                _, v = evaluate(nu)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("dual fixed point made the shared matrix singular",
+                                       last_iterate=nu) from exc
+            if np.any(v <= 0):
+                raise ConvergenceError("dual fixed point left the positive cone",
+                                       last_iterate=nu)
+            nu_new = 1.0 / v
+            max_rel = np.max(np.abs(nu_new - nu) / nu_new)
+            nu, newton = nu_new, True
         if max_rel < tol:
             return nu
-        x, v, f = (x_t, v_t, f_t) if newton else checked(nu)
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 

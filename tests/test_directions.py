@@ -281,13 +281,13 @@ def test_solve_nu_constant_offset_is_a_fixed_point(k, extra, seed):
 
 
 def test_solve_nu_matches_constant_offset_when_degenerate():
-    rng = np.random.default_rng(7)
-    h = standard_complex(rng, (3, 4))
-    gammas = np.array([4.0, 4.0, 4.0])
-    psi = zf_directions(h)
-    nu = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi, tol=1e-14)
-    nu_const = solve_nu_constant_offset(h, gammas)
-    assert np.max(np.abs(nu - nu_const)) < 1e-12 * np.max(nu_const)
+    # At sigma_e = 0, coup = 0, c_k = 1 and the terms are h_j h_j^H, so alg1's
+    # dual has the constant-offset fixed point.
+    for k, nt in ((3, 6), (6, 20)):
+        for seed in range(10):
+            h, gammas = alg1_dual_args(k, nt, seed)[:2]
+            nu = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=zf_directions(h), tol=1e-14)
+            assert relative_gap(nu, solve_nu_constant_offset(h, gammas)) < 1e-12, (k, nt, seed)
 
 
 def test_solve_nu_self_consistency():
@@ -347,21 +347,33 @@ def test_solve_nu_is_bit_identical_to_the_solve_loop(k, nt, radius_km, mode):
             assert relative_gap(nu, solve_nu_oracle(*args, max_iters=20000)) < 1e-8, seed
 
 
-def counted_solve_nu(monkeypatch, *args, **kwargs):
-    """solve_nu(*args, **kwargs) and its (sweeps, Newton steps): every sweep
-    makes one complex user solve per user, every Newton step one real K x K
-    solve, both through lapack.solve1."""
-    counts = {True: 0, False: 0}
-    solve1 = lapack.solve1
+def counted_dual(monkeypatch, solver, *args, **kwargs):
+    """solver(*args, **kwargs) and its (plain steps, Newton steps): an alg1
+    sweep makes one complex user solve per user through lapack.solve1, a
+    constant-offset plain step one lapack.checked solve, and a Newton step of
+    either dual one real K x K lapack.solve1."""
+    counts = {True: 0, False: 0, "checked": 0}
+    solve1, checked = lapack.solve1, lapack.checked
 
     def counting(a, b):
         counts[np.iscomplexobj(a)] += 1
         return solve1(a, b)
 
+    def counting_checked(*operands):
+        counts["checked"] += 1
+        return checked(*operands)
+
     monkeypatch.setattr(lapack, "solve1", counting)
-    nu = solve_nu(*args, **kwargs)
+    monkeypatch.setattr(lapack, "checked", counting_checked)
+    nu = solver(*args, **kwargs)
     monkeypatch.setattr(lapack, "solve1", solve1)
-    return nu, counts[True] / len(nu), counts[False]
+    monkeypatch.setattr(lapack, "checked", checked)
+    return nu, counts[True] / len(nu) + counts["checked"], counts[False]
+
+
+def counted_solve_nu(monkeypatch, *args, **kwargs):
+    """solve_nu(*args, **kwargs) and its (sweeps, Newton steps)."""
+    return counted_dual(monkeypatch, solve_nu, *args, **kwargs)
 
 
 def alg1_dual_args(k, nt, seed, radius_km=0.5):
@@ -371,26 +383,55 @@ def alg1_dual_args(k, nt, seed, radius_km=0.5):
             r_from_delta(0.05, "gaussian"), zf_directions(scenario.h_est))
 
 
-def test_solve_nu_max_iters_counts_newton_steps(monkeypatch):
-    args = alg1_dual_args(6, 20, seed=0)
-    nu, sweeps, newton = counted_solve_nu(monkeypatch, *args)
-    assert sweeps == int(sweeps) and newton >= 2
-    budget = int(sweeps) + newton
-    assert np.array_equal(solve_nu(*args, max_iters=budget), nu)
+def dual_call(dual, k, nt, seed):
+    """(solver, args) of the alg1 or constant-offset dual on one generated cell."""
+    args = alg1_dual_args(k, nt, seed)
+    return (solve_nu, args) if dual == "alg1" else (solve_nu_constant_offset, args[:2])
+
+
+def plain_nu_constant_offset(h_est, gammas, tol=1e-10, max_iters=500):
+    """The plain iteration nu = 1/v(nu) of the constant-offset dual in the
+    users' span, with np.linalg.solve and no Newton step."""
+    scale = 1.0 + 1.0 / gammas
+    gram = h_est.conj() @ h_est.T
+    nu = nu_massive_approx(h_est, gammas)
+    for _ in range(max_iters):
+        x = np.linalg.solve(np.eye(len(nu)) + gram * nu, gram)
+        nu_new = 1.0 / (np.real(np.diagonal(x)) * scale)
+        max_rel = np.max(np.abs(nu_new - nu) / nu_new)
+        nu = nu_new
+        if max_rel < tol:
+            return nu
+    raise ConvergenceError("nu fixed point did not converge", last_iterate=nu)
+
+
+@pytest.mark.parametrize("dual", ["alg1", "constant_offset"])
+def test_solve_nu_max_iters_counts_newton_steps(monkeypatch, dual):
+    solver, args = dual_call(dual, 6, 20, seed=0)
+    nu, plain, newton = counted_dual(monkeypatch, solver, *args)
+    assert plain == int(plain) and newton >= 2
+    budget = int(plain) + newton
+    assert np.array_equal(solver(*args, max_iters=budget), nu)
     with pytest.raises(ConvergenceError,
                        match=f"did not converge in {budget - 1} sweeps") as excinfo:
-        solve_nu(*args, max_iters=budget - 1)
+        solver(*args, max_iters=budget - 1)
     # one Newton step short: the last iterate is the previous Newton iterate
     assert 0 < relative_gap(excinfo.value.last_iterate, nu) < 1e-9
 
 
-def test_solve_nu_rejected_newton_steps_hand_back_to_the_sweep(monkeypatch):
-    # Singular user matrices make every Newton candidate non-finite, so each is
-    # rejected; the sweep goes on from its own iterate and ends where the plain
-    # sweep ends, bit for bit.
-    args = alg1_dual_args(6, 20, seed=0)
-    monkeypatch.setattr(lapack, "inv", lambda a: np.full_like(a, np.nan))
-    assert np.array_equal(solve_nu(*args), solve_nu_oracle(*args))
+@pytest.mark.parametrize("dual", ["alg1", "constant_offset"])
+def test_solve_nu_rejected_newton_steps_hand_back_to_the_sweep(monkeypatch, dual):
+    # NaN user matrix inverses (alg1) or Jacobian solves (constant offset) make
+    # every Newton candidate non-finite, so each is rejected; the plain steps
+    # go on from their own iterates and end where the plain iteration ends,
+    # bit for bit.
+    solver, args = dual_call(dual, 6, 20, seed=0)
+    if dual == "alg1":
+        monkeypatch.setattr(lapack, "inv", lambda a: np.full_like(a, np.nan))
+        assert np.array_equal(solver(*args), solve_nu_oracle(*args))
+    else:
+        monkeypatch.setattr(lapack, "solve1", lambda a, b: np.full_like(b, np.nan))
+        assert np.array_equal(solver(*args), plain_nu_constant_offset(*args))
 
 
 # (mean, max) sweeps per call over seeds 0-9 of 0.5 km cells at delta 0.05
