@@ -5,7 +5,10 @@ Baseline ZF / MRT / RZF directions, the iterative closed-form robust design
 and their conjugates), the constant-offset design (dual fixed point in the
 channels' span, then M^{-1} h_k in closed form, with no eigendecomposition),
 and the massive-MISO approximation nu_k ~= gamma_k / alpha_k. Both duals are
-solved by one safeguarded Newton engine in log nu, _dual_fixed_point.
+solved by one safeguarded Newton engine in log nu, _dual_fixed_point. alg1's
+dual is the constant-offset dual at sigma_e = 0, so it is solved by
+continuation: Newton from the constant-offset fixed point, with the
+Gauss-Seidel sweep from nu_k = gamma_k / alpha_k only as its fallback.
 """
 
 import math
@@ -16,8 +19,8 @@ from . import lapack
 from .errors import ConvergenceError, DegenerateChannelsError
 
 COND_LIMIT = 1e12
-# solve_nu hands its Gauss-Seidel sweep to Newton once a sweep's largest relative
-# step is below this (see its docstring for why not earlier)
+# solve_nu's fallback hands its Gauss-Seidel sweep to Newton once a sweep's
+# largest relative step is below this (see its docstring for why not earlier)
 NEWTON_FROM = 1e-3
 
 
@@ -95,45 +98,54 @@ def _reduced_terms(h_est: np.ndarray, psi: np.ndarray, coup: float):
 def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
              psi: np.ndarray, tol: float = 1e-10, max_iters: int = 500, *,
              _reduced=None) -> np.ndarray:
-    """Dual fixed point with common offset r: Gauss-Seidel sweeps into the
-    basin, then Newton's method in log nu (_dual_fixed_point).
+    """Dual fixed point with common offset r, by continuation from sigma_e = 0:
+    Newton's method in log nu (_dual_fixed_point) from the constant-offset
+    fixed point, and Gauss-Seidel sweeps into Newton's basin only as fallback.
 
     nu_k^{-1} = h_k^H M_k^{-1} h_k (1 + 1/gamma_k), with coup = r sqrt(2) sigma_e and
       M_k = (1 + sigma_e^2 sum_{j!=k} nu_j - nu_k sigma_e^2 / gamma_k) I
             + sum_j nu_j h_j h_j^H + (coup nu_k / gamma_k) Re{psi_k h_k^H}
             - coup sum_{j!=k} nu_j Re{psi_j h_j^H}
     for the current nu and proxy directions psi (unit rows in the channels' span,
-    e.g. ZF), starting at nu_k = gamma_k / alpha_k.
+    e.g. ZF).
 
     In the basis Q of _reduced_terms, M_k = c_k I + Q S_k Q^H and h_k = Q a_k,
-    so the form is a_k^H (c_k I + S_k)^{-1} a_k. The plain step is a sweep: the
-    shared part of S_k is rebuilt each sweep and updated as each nu_k changes.
-    Cost: O(K^2 N_t) once, then per user step one m x m solve, O(m^3), plus
-    O(m^2) to build c_k I + S_k in place. The step calls the LAPACK gesv gufunc
-    that np.linalg.solve wraps, so it gives the same bits without the wrapper's
-    per-call overhead, which is larger than the solve itself at m <= 16. The
-    gufunc fills a singular system's solution with NaN instead of raising, so a
-    NaN form is that error. _dual_fixed_point runs under np.errstate(all="ignore"),
-    so an overflow in a sweep also ends in that error, without a RuntimeWarning.
-
-    The sweep converges only linearly, in about a hundred sweeps. So once a
-    sweep's largest relative step is below NEWTON_FROM, Newton's method on
-    f = log nu + log v finishes, where, with X_k = c_k I + S_k,
-    x_k = X_k^{-1} a_k, w_k^H = a_k^H X_k^{-1} and s_k = 1 + 1/gamma_k,
-    v_k = s_k Re(a_k^H x_k) is 1/nu_k's right-hand side. As
-    d(a^H X^{-1} a) = -w^H dX x, the slope S = -dv/dnu / s_k has
+    so the form is a_k^H (c_k I + S_k)^{-1} a_k. Newton's method works on
+    f = log nu + log v where, with X_k = c_k I + S_k, x_k = X_k^{-1} a_k,
+    w_k^H = a_k^H X_k^{-1} and s_k = 1 + 1/gamma_k, v_k = s_k Re(a_k^H x_k) is
+    1/nu_k's right-hand side. As d(a^H X^{-1} a) = -w^H dX x, the slope
+    S = -dv/dnu / s_k has
       S_kj = Re(w_k^H (terms_j + sigma_e^2 I) x_k)                            j != k
       S_kk = Re(w_k^H (terms_k + coup s_k re_psi_k - sigma_e^2/gamma_k I) x_k)
     and an evaluation costs one batched inverse of the K m x m matrices X_k,
-    its slope O(K^2 m^2) einsums. About 20 sweeps and 3 Newton steps replace
-    about 100 sweeps. The element-wise Re{psi h^H} term gives the map more than
-    one fixed point, and Newton started at nu_0 lands on other ones, so it
-    starts only from a sweep iterate already close to the sweep's own. With the
-    threshold at 1e-2, two generated cells that the sweep never solves, not
-    even in 20 000 sweeps, became successes; at 1e-3 every changed outcome was
-    a cell that the sweep solves given more sweeps. A cell whose sweep never
-    gets below NEWTON_FROM keeps the plain sweep's iterates and errors bit for
-    bit. _reduced is _reduced_terms(h_est, psi, coup) when the caller has built it.
+    its slope O(K^2 m^2) einsums, after O(K^2 N_t) once for the basis.
+
+    At sigma_e = 0 the map is the constant-offset dual's, so that fixed point,
+    solve_nu_constant_offset (called by its public name so that a trace shows
+    it), starts Newton inside the basin: on 0.5 km cells about five
+    evaluations and no sweep. This attempt has no plain step: a rejected
+    candidate, like any ConvergenceError of the constant-offset dual, ends it.
+    The element-wise Re{psi h^H} term gives the map more than one fixed
+    point, and Newton from outside the basin lands on other ones, so then the
+    sweep path runs from nu_k = gamma_k / alpha_k with its own max_iters:
+    Gauss-Seidel sweeps until one's largest relative step is below
+    NEWTON_FROM, then Newton, which hands a rejected candidate back to the
+    sweep. A cell the continuation does not solve keeps that path's iterates,
+    errors and messages bit for bit.
+
+    A sweep rebuilds the shared part of S_k and updates it as each nu_k
+    changes: per user step one m x m solve, O(m^3), plus O(m^2) to build
+    c_k I + S_k in place, through the LAPACK gesv gufunc that np.linalg.solve
+    wraps: the same bits without the wrapper's per-call overhead, which is
+    larger than the solve itself at m <= 16. The gufunc fills a singular
+    system's solution with NaN instead of raising, so a NaN form is that
+    error; under _dual_fixed_point's np.errstate(all="ignore") an overflow in
+    a sweep ends the same way, without a RuntimeWarning. The sweep converges
+    only linearly, so Newton takes over once it is close: with the threshold
+    at 1e-2, two generated cells that the sweep never solves, not even in
+    20 000 sweeps, became successes; at 1e-3 every changed outcome was a cell
+    that the sweep solves given more sweeps. _reduced is
+    _reduced_terms(h_est, psi, coup) when the caller has built it.
     """
     gammas = np.asarray(gammas, dtype=float)
     coup = r * np.sqrt(2.0) * sigma_e
@@ -189,6 +201,11 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
             return s
         return v, slope, np.log(nu * v)
 
+    try:
+        return _dual_fixed_point(None, evaluate, solve_nu_constant_offset(h_est, gammas),
+                                 scale, math.inf, tol, max_iters)
+    except ConvergenceError:
+        pass
     return _dual_fixed_point(sweep, evaluate, nu_massive_approx(h_est, gammas), scale,
                              NEWTON_FROM, tol, max_iters)
 
@@ -207,8 +224,10 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
     need not fall; otherwise, also when a singular matrix or a v <= 0 makes f
     non-finite, the next step is plain, and Newton is tried again after it if
     that plain step moved by at most newton_from. newton_from = inf starts with
-    Newton at nu itself. The solve stops when a step's largest relative change
-    is below tol; max_iters counts Newton candidates and plain steps alike.
+    Newton at nu itself; with plain_step None as well, a rejected candidate
+    ends the solve with ConvergenceError. The solve stops when a step's
+    largest relative change is below tol; max_iters counts Newton candidates
+    and plain steps alike.
     Both steps run under np.errstate(all="ignore"): a step's overflow or
     singular gufunc shows as a non-finite value, not a RuntimeWarning.
     """
@@ -226,6 +245,9 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
                 newton = bool(np.isfinite(f_trial).all()
                               and (f_trial @ f_trial < f @ f or max_rel < tol))
                 if not newton:
+                    if plain_step is None:
+                        raise ConvergenceError("Newton candidate rejected with no plain step",
+                                               last_iterate=nu)
                     state = None
                     continue
                 nu = trial

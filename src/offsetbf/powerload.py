@@ -209,31 +209,40 @@ def _newton_load(coupling: CouplingMatrix, beta, r, tol, max_iters, total_power=
     with J = A - r (.) d sigma_f / d beta, r given per user. A total_power makes
     the common r unknown too: the budget row 1^T beta - Pt joins F and borders
     J as [[J, -sigma_f], [1^T, 0]]. Stops when the relative steps of beta and r
-    are below tol, and returns the DesignReport of that loading."""
+    are below tol, and returns the DesignReport of that loading. The loop runs
+    under np.errstate(all="ignore"): a step that leaves the float range, as
+    when sigma_f^2 overflows at sigma_e near its 2^256 bound, raises
+    ConvergenceError saying so, not a RuntimeWarning. A non-finite residual or
+    Jacobian gives such a step, and the check costs nothing on finite steps,
+    where testing the residual itself would cost each iteration an isfinite."""
     tiny, k = np.finfo(float).tiny, len(beta)
     size = k if total_power is None else k + 1
     jac, residual = np.empty((size, size)), np.empty(size)
     jac[k:, :k], jac[k:, k:] = 1.0, 0.0        # the budget row, when there is one
-    for iteration in range(1, max_iters + 1):
-        sigma_f = coupling.sigma_f(beta)
-        residual[:k] = coupling.mu_f(beta) - r * sigma_f
-        jac[:k, :k] = coupling.a - r[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
-        if total_power is not None:
-            residual[k] = beta.sum() - total_power
-            jac[:k, k] = -sigma_f
-        try:
-            step = lapack.checked(lapack.solve1, jac, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("power loading Jacobian is singular",
-                                   last_iterate=beta) from exc
-        beta_new = beta + step[:k]
-        change = np.abs(beta_new - beta).max() / max(np.abs(beta_new).max(), tiny)
-        beta = beta_new
-        if total_power is not None:
-            r = r + step[-1]
-            change = max(change, abs(step[-1]) / max(abs(r[0]), tiny))
-        if change < tol:
-            return DesignReport(coupling, beta, r, iteration)
+    with np.errstate(all="ignore"):
+        for iteration in range(1, max_iters + 1):
+            sigma_f = coupling.sigma_f(beta)
+            residual[:k] = coupling.mu_f(beta) - r * sigma_f
+            jac[:k, :k] = coupling.a - r[:, None] * coupling.sigma_f_gradient(beta, sigma_f)
+            if total_power is not None:
+                residual[k] = beta.sum() - total_power
+                jac[:k, k] = -sigma_f
+            try:
+                step = lapack.checked(lapack.solve1, jac, -residual)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("power loading Jacobian is singular",
+                                       last_iterate=beta) from exc
+            beta_new = beta + step[:k]
+            change = np.abs(beta_new - beta).max() / max(np.abs(beta_new).max(), tiny)
+            if change != change:        # NaN: beta_new is not finite
+                raise ConvergenceError("power loading left the float range: its Newton "
+                                       "step is not finite", last_iterate=beta)
+            beta = beta_new
+            if total_power is not None:
+                r = r + step[-1]
+                change = max(change, abs(step[-1]) / max(abs(r[0]), tiny))
+            if change < tol:
+                return DesignReport(coupling, beta, r, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
 

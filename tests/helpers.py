@@ -139,34 +139,39 @@ def newton_load_oracle(coupling, beta, r, tol, max_iters, total_power=None):
     """Oracle for powerload._newton_load, with the same signature: each step
     takes sigma_f with np.clip, divides the gradient by a np.where-guarded
     sigma_f and zeroes its rows where sigma_f = 0, builds the residual with
-    np.append and the bordered Jacobian with np.block, and solves with
-    np.linalg.solve. The loadings, r, the error raised and its last_iterate
-    must match _newton_load bit for bit."""
+    np.append and the bordered Jacobian with np.block, solves with
+    np.linalg.solve, and stops at a non-finite beta, all under
+    np.errstate(all="ignore"). The loadings, r, the error raised and its
+    last_iterate must match _newton_load bit for bit."""
     tiny = np.finfo(float).tiny
-    for iteration in range(1, max_iters + 1):
-        var = np.einsum("kjl,j,l->k", coupling.g_tensor, beta, beta)
-        sigma_f = np.sqrt(np.clip(var, 0.0, None))
-        safe = np.where(sigma_f > 0, sigma_f, 1.0)
-        grad = np.einsum("kjl,l->kj", coupling.g_tensor, beta) / safe[:, None]
-        grad[sigma_f == 0] = 0.0
-        residual = coupling.mu_f(beta) - r * sigma_f
-        jac = coupling.a - r[:, None] * grad
-        if total_power is not None:
-            residual = np.append(residual, beta.sum() - total_power)
-            jac = np.block([[jac, -sigma_f[:, None]], [np.ones((1, len(beta))), 0.0]])
-        try:
-            step = np.linalg.solve(jac, -residual)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("power loading Jacobian is singular",
-                                   last_iterate=beta) from exc
-        beta_new = beta + step[:len(beta)]
-        change = np.max(np.abs(beta_new - beta)) / max(np.max(np.abs(beta_new)), tiny)
-        beta = beta_new
-        if total_power is not None:
-            r = r + step[-1]
-            change = max(change, abs(step[-1]) / max(abs(r[0]), tiny))
-        if change < tol:
-            return DesignReport(coupling, beta, r, iteration)
+    with np.errstate(all="ignore"):
+        for iteration in range(1, max_iters + 1):
+            var = np.einsum("kjl,j,l->k", coupling.g_tensor, beta, beta)
+            sigma_f = np.sqrt(np.clip(var, 0.0, None))
+            safe = np.where(sigma_f > 0, sigma_f, 1.0)
+            grad = np.einsum("kjl,l->kj", coupling.g_tensor, beta) / safe[:, None]
+            grad[sigma_f == 0] = 0.0
+            residual = coupling.mu_f(beta) - r * sigma_f
+            jac = coupling.a - r[:, None] * grad
+            if total_power is not None:
+                residual = np.append(residual, beta.sum() - total_power)
+                jac = np.block([[jac, -sigma_f[:, None]], [np.ones((1, len(beta))), 0.0]])
+            try:
+                step = np.linalg.solve(jac, -residual)
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError("power loading Jacobian is singular",
+                                       last_iterate=beta) from exc
+            beta_new = beta + step[:len(beta)]
+            if not np.all(np.isfinite(beta_new)):
+                raise ConvergenceError("power loading left the float range: its Newton "
+                                       "step is not finite", last_iterate=beta)
+            change = np.max(np.abs(beta_new - beta)) / max(np.max(np.abs(beta_new)), tiny)
+            beta = beta_new
+            if total_power is not None:
+                r = r + step[-1]
+                change = max(change, abs(step[-1]) / max(abs(r[0]), tiny))
+            if change < tol:
+                return DesignReport(coupling, beta, r, iteration)
     raise ConvergenceError(f"power loading did not converge in {max_iters} iterations",
                            last_iterate=beta)
 

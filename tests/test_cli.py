@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -229,6 +230,33 @@ def test_config_rejects_scenario_sigma_e_whose_fourth_power_overflows(
                    "overflows, got 1e+160\n")
     assert stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "scenario.json"]
+
+
+@pytest.mark.parametrize("command,algorithm,cause", [
+    ("maxr", "maxr_reschedule",
+     "power loading left the float range: its Newton step is not finite"),
+    ("design", "zf", "power loading did not converge in 50 iterations"),
+])
+def test_sigma_e_just_below_its_bound_is_a_failed_design(tmp_path, capsys, command,
+                                                         algorithm, cause):
+    # sigma_e = 1e77 passes Scenario's bound. maxr_reschedule's last user then
+    # overflows sigma_f^2 at the max-r start, which the loader names; zf's
+    # loading stays finite but has no fixed point (A^{-1} sigma^2 < 0), and
+    # its Newton steps cycle. Both exit 2 with no RuntimeWarning on stderr.
+    path = tmp_path / "scenario.json"
+    doc = scenario_to_dict(scenario_from_rows(standard_complex(
+        np.random.default_rng(0), (2, 4))))
+    for user in doc["users"]:
+        user["sigma_e"] = 1e77
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, {"scenario_file": str(path), "algorithm": algorithm,
+                                  "r": 2.0, "total_power": 50.0, "out": str(out)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, stdout, err) == (2, "", f"design failed: {cause}\n")
+    assert not out.exists()
 
 
 def test_config_requires_exactly_one_scenario_source(tmp_path, capsys):

@@ -321,12 +321,13 @@ def relative_gap(nu, ref):
 def test_solve_nu_is_bit_identical_to_the_solve_loop(k, nt, radius_km, mode):
     # At 3.2 km many of these cells fail (left the positive cone, or no
     # convergence in 500 sweeps), and their iterates are chaotic down to the
-    # last bit. A cell whose sweep never gets below NEWTON_FROM never takes a
-    # Newton step, so equal errors and last iterates show the same arithmetic.
-    # A cell that gets there is polished by Newton: if it converges, it must
-    # be at least as close as the oracle to the oracle's tol-1e-15 run, and if
-    # the oracle ran out of sweeps, the oracle must reach the same nu given
-    # 20 000 sweeps.
+    # last bit. On none of them does the continuation from the constant-offset
+    # fixed point converge, so the sweep path runs; a cell whose sweep never
+    # gets below NEWTON_FROM never takes a Newton step, and equal errors and
+    # last iterates show the same arithmetic. Every other cell ends in Newton:
+    # if it converges, it must be at least as close as the oracle to the
+    # oracle's tol-1e-15 run, and if the oracle ran out of sweeps, the oracle
+    # must reach the same nu given 20 000 sweeps.
     r = r_from_delta(0.05, mode)
     for seed in range(10):
         scenario = generate_scenario(
@@ -347,33 +348,49 @@ def test_solve_nu_is_bit_identical_to_the_solve_loop(k, nt, radius_km, mode):
             assert relative_gap(nu, solve_nu_oracle(*args, max_iters=20000)) < 1e-8, seed
 
 
-def counted_dual(monkeypatch, solver, *args, **kwargs):
-    """solver(*args, **kwargs) and its (plain steps, Newton steps): an alg1
-    sweep makes one complex user solve per user through lapack.solve1, a
-    constant-offset plain step one lapack.checked solve, and a Newton step of
-    either dual one real K x K lapack.solve1."""
-    counts = {True: 0, False: 0, "checked": 0}
-    solve1, checked = lapack.solve1, lapack.checked
+def counted_calls(monkeypatch, solver, *args, **kwargs):
+    """solver(*args, **kwargs) and the lapack calls it made: complex and real
+    lapack.solve1, lapack.checked and lapack.inv. An alg1 sweep makes one
+    complex user solve per user, a constant-offset plain step one
+    lapack.checked solve, a Newton step of either dual one real K x K
+    lapack.solve1, and an evaluation of alg1's v one lapack.inv."""
+    counts = {"complex": 0, "real": 0, "checked": 0, "inv": 0}
+    solve1, checked, inv = lapack.solve1, lapack.checked, lapack.inv
 
     def counting(a, b):
-        counts[np.iscomplexobj(a)] += 1
+        counts["complex" if np.iscomplexobj(a) else "real"] += 1
         return solve1(a, b)
 
     def counting_checked(*operands):
         counts["checked"] += 1
         return checked(*operands)
 
+    def counting_inv(a):
+        counts["inv"] += 1
+        return inv(a)
+
     monkeypatch.setattr(lapack, "solve1", counting)
     monkeypatch.setattr(lapack, "checked", counting_checked)
+    monkeypatch.setattr(lapack, "inv", counting_inv)
     nu = solver(*args, **kwargs)
     monkeypatch.setattr(lapack, "solve1", solve1)
     monkeypatch.setattr(lapack, "checked", checked)
-    return nu, counts[True] / len(nu) + counts["checked"], counts[False]
+    monkeypatch.setattr(lapack, "inv", inv)
+    return nu, counts
+
+
+def counted_constant_offset(monkeypatch, *args, **kwargs):
+    """solve_nu_constant_offset(*args, **kwargs) and its (plain steps, Newton steps)."""
+    nu, counts = counted_calls(monkeypatch, solve_nu_constant_offset, *args, **kwargs)
+    return nu, counts["checked"], counts["real"]
 
 
 def counted_solve_nu(monkeypatch, *args, **kwargs):
-    """solve_nu(*args, **kwargs) and its (sweeps, Newton steps)."""
-    return counted_dual(monkeypatch, solve_nu, *args, **kwargs)
+    """solve_nu(*args, **kwargs) and its (sweeps, evaluations of alg1's v). A
+    call that the continuation solves makes no sweep, one evaluation at the
+    constant-offset start and one per Newton candidate."""
+    nu, counts = counted_calls(monkeypatch, solve_nu, *args, **kwargs)
+    return nu, counts["complex"] / len(nu), counts["inv"]
 
 
 def alg1_dual_args(k, nt, seed, radius_km=0.5):
@@ -408,23 +425,39 @@ def plain_nu_constant_offset(h_est, gammas, tol=1e-10, max_iters=500):
 @pytest.mark.parametrize("dual", ["alg1", "constant_offset"])
 def test_solve_nu_max_iters_counts_newton_steps(monkeypatch, dual):
     solver, args = dual_call(dual, 6, 20, seed=0)
-    nu, plain, newton = counted_dual(monkeypatch, solver, *args)
-    assert plain == int(plain) and newton >= 2
-    budget = int(plain) + newton
-    assert np.array_equal(solver(*args, max_iters=budget), nu)
-    with pytest.raises(ConvergenceError,
-                       match=f"did not converge in {budget - 1} sweeps") as excinfo:
-        solver(*args, max_iters=budget - 1)
-    # one Newton step short: the last iterate is the previous Newton iterate
-    assert 0 < relative_gap(excinfo.value.last_iterate, nu) < 1e-9
+    if dual == "alg1":
+        # Each attempt has its own max_iters: the continuation's Newton steps
+        # (its constant-offset start keeps that solver's default budget), and
+        # then, when they run out, the sweep path's steps from nu_0, which
+        # stops where the plain sweep stops after max_iters sweeps.
+        nu, sweeps, evaluations = counted_solve_nu(monkeypatch, *args)
+        budget = evaluations - 1
+        assert sweeps == 0 and budget >= 2
+        assert np.array_equal(solver(*args, max_iters=budget), nu)
+        with pytest.raises(ConvergenceError,
+                           match=f"did not converge in {budget - 1} sweeps") as excinfo:
+            solver(*args, max_iters=budget - 1)
+        with pytest.raises(ConvergenceError) as sweep_path:
+            solve_nu_oracle(*args, max_iters=budget - 1)
+        assert np.array_equal(excinfo.value.last_iterate, sweep_path.value.last_iterate)
+    else:
+        nu, plain, newton = counted_constant_offset(monkeypatch, *args)
+        assert newton >= 2
+        budget = plain + newton
+        assert np.array_equal(solver(*args, max_iters=budget), nu)
+        with pytest.raises(ConvergenceError,
+                           match=f"did not converge in {budget - 1} sweeps") as excinfo:
+            solver(*args, max_iters=budget - 1)
+        # one Newton step short: the last iterate is the previous Newton iterate
+        assert 0 < relative_gap(excinfo.value.last_iterate, nu) < 1e-9
 
 
 @pytest.mark.parametrize("dual", ["alg1", "constant_offset"])
 def test_solve_nu_rejected_newton_steps_hand_back_to_the_sweep(monkeypatch, dual):
     # NaN user matrix inverses (alg1) or Jacobian solves (constant offset) make
-    # every Newton candidate non-finite, so each is rejected; the plain steps
-    # go on from their own iterates and end where the plain iteration ends,
-    # bit for bit.
+    # every Newton candidate non-finite, so each is rejected; for alg1 that
+    # ends the continuation at its first candidate. The plain steps go on from
+    # their own iterates and end where the plain iteration ends, bit for bit.
     solver, args = dual_call(dual, 6, 20, seed=0)
     if dual == "alg1":
         monkeypatch.setattr(lapack, "inv", lambda a: np.full_like(a, np.nan))
@@ -434,21 +467,64 @@ def test_solve_nu_rejected_newton_steps_hand_back_to_the_sweep(monkeypatch, dual
         assert np.array_equal(solver(*args), plain_nu_constant_offset(*args))
 
 
-# (mean, max) sweeps per call over seeds 0-9 of 0.5 km cells at delta 0.05
-# (Gaussian r), as alg1_cells draws them. Measured: mean 24.1, 20.5 and 20.1
-# sweeps, at most 31, 22 and 22, and 3 Newton steps in every call; the plain
-# sweep alone takes 105.7, 96.6 and 96.7 sweeps on the same cells.
-STEP_BOUNDS = {(4, 8): (30, 40), (6, 20): (26, 28), (8, 32): (25, 28)}
+# (mode, K, N_t, seed) of generated 3.2 km cells at delta 0.05 that the
+# continuation solves and whose sweep never gets below NEWTON_FROM: there the
+# sweep leaves the positive cone or runs out of sweeps (all five such cells
+# of the 1260-design alg1 grid in CHANGES.md).
+SWEEP_ONLY_FAILURES = [("gaussian", 3, 4, 19), ("gaussian", 3, 6, 21),
+                       ("gaussian", 4, 8, 17), ("cantelli", 3, 6, 18),
+                       ("cantelli", 6, 40, 16)]
 
 
-@pytest.mark.parametrize("k,nt", sorted(STEP_BOUNDS))
+@pytest.mark.parametrize("mode,k,nt,seed", SWEEP_ONLY_FAILURES)
+def test_solve_nu_falls_back_to_the_sweep_when_the_constant_offset_dual_fails(
+        monkeypatch, mode, k, nt, seed):
+    scenario = generate_scenario(CellConfig(n_users=k, n_antennas=nt, radius_km=3.2), seed)
+    args = (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]),
+            r_from_delta(0.05, mode), zf_directions(scenario.h_est))
+    assert outcome(solve_nu, *args)[0] == "ok"
+    ref_message, ref_nu = outcome(solve_nu_oracle, *args)
+    assert ref_message != "ok"
+
+    def no_start(h_est, gammas):
+        raise ConvergenceError("forced", last_iterate=nu_massive_approx(h_est, gammas))
+
+    monkeypatch.setattr(directions, "solve_nu_constant_offset", no_start)
+    message, nu = outcome(solve_nu, *args)
+    assert message == ref_message
+    assert nu.dtype == ref_nu.dtype and np.array_equal(nu, ref_nu)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(2, 8), extra=st.integers(0, 24), seed=st.integers(0, 10 ** 6),
+       mode=st.sampled_from(["gaussian", "cantelli"]))
+def test_solve_nu_continuation_matches_the_sweep_path_in_small_cells(k, extra, seed, mode):
+    # In a 0.5 km cell with N_t >= 2K, as at every alg1_cells size, the
+    # Newton continuation from the constant-offset fixed point lands on the
+    # fixed point that the plain sweep from nu_0 converges to.
+    scenario = generate_scenario(
+        CellConfig(n_users=k, n_antennas=2 * k + extra, radius_km=0.5), seed)
+    args = (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]),
+            r_from_delta(0.05, mode), zf_directions(scenario.h_est))
+    sweep_path = solve_nu_oracle(*args, tol=1e-15, max_iters=20000)
+    assert relative_gap(solve_nu(*args), sweep_path) < 1e-12
+
+
+# (mean, max) alg1 evaluations per call over seeds 0-9 of 0.5 km cells at
+# delta 0.05 (Gaussian r), as alg1_cells draws them, none of which sweeps.
+# Measured: mean 5.1, 4.7 and 4.8 evaluations, at most 6, 5 and 5; the sweep
+# path took 24.1, 20.5 and 20.1 sweeps and 4 evaluations on the same cells.
+EVALUATION_BOUNDS = {(4, 8): (5.5, 6), (6, 20): (5.5, 6), (8, 32): (5.5, 6)}
+
+
+@pytest.mark.parametrize("k,nt", sorted(EVALUATION_BOUNDS))
 def test_solve_nu_step_counts_stay_low(monkeypatch, k, nt):
-    # A count, not a clock, so that the Newton polish cannot quietly stop paying.
-    mean_bound, max_bound = STEP_BOUNDS[k, nt]
+    # A count, not a clock, so that the continuation cannot quietly stop paying.
+    mean_bound, max_bound = EVALUATION_BOUNDS[k, nt]
     counts = np.array([counted_solve_nu(monkeypatch, *alg1_dual_args(k, nt, seed))[1:]
                        for seed in range(10)])
-    assert counts[:, 0].mean() <= mean_bound and counts[:, 0].max() <= max_bound
-    assert counts[:, 1].max() <= 4
+    assert (counts[:, 0] == 0).all()
+    assert counts[:, 1].mean() <= mean_bound and counts[:, 1].max() <= max_bound
 
 
 def test_solve_nu_singular_user_matrix_is_convergence_error():
@@ -657,7 +733,8 @@ def test_alg1_chain_matches_dense_oracle(k, nt):
     sigma_e, r = 0.05, 2.0
     psi = zf_directions(h)
     # the same Gauss-Seidel map: equal iterates after a few sweeps, all of them
-    # above the Newton threshold
+    # above the Newton threshold (three Newton steps from the constant-offset
+    # start are too few, so the sweep path runs with its own three)
     with pytest.raises(ConvergenceError):
         dense_solve_nu(h, gammas, sigma_e, r, psi, tol=NEWTON_FROM, max_iters=3)
     with pytest.raises(ConvergenceError) as ref:

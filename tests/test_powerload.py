@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,25 @@ def test_max_r_below_the_qos_budget_is_bit_identical_to_the_block_solve_loop(mon
                  for pt in (1e-14, 1e-13, 1e-12, 1e-11)]
         kinds += assert_loads_match_the_oracle(monkeypatch, loads)
     assert {"ok", "ConvergenceError", "InfeasibleLoadingError"} <= set(kinds)
+
+
+def test_newton_load_that_leaves_the_float_range_says_so(monkeypatch):
+    # One user at sigma_e = 1e77, just below Scenario's bound: the coupling is
+    # finite (G = 6.25e306), but at the max-r start beta = 50 W sigma_f^2
+    # overflows. The loader names the float range, with no RuntimeWarning,
+    # and its oracle stops the same way.
+    h = standard_complex(np.random.default_rng(0), (1, 4))
+    coupling = coupling_matrix(scenario_from_rows(h, 1e77),
+                               const_offset_directions(h, np.array([4.0])))
+    assert np.isfinite(coupling.g_tensor).all()
+    with warnings.catch_warnings(), pytest.raises(
+            ConvergenceError, match="power loading left the float range: its Newton "
+                                    "step is not finite") as excinfo:
+        warnings.simplefilter("error")
+        max_r_power_load(coupling, 50.0)
+    assert np.array_equal(excinfo.value.last_iterate, [50.0])
+    assert assert_loads_match_the_oracle(
+        monkeypatch, [lambda: max_r_power_load(coupling, 50.0)[2]]) == ["ConvergenceError"]
 
 
 def test_max_r_monotone_in_budget():
