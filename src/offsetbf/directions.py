@@ -7,8 +7,9 @@ channels' span, then M^{-1} h_k in closed form, with no eigendecomposition),
 and the massive-MISO approximation nu_k ~= gamma_k / alpha_k. Both duals are
 solved by one safeguarded Newton engine in log nu, _dual_fixed_point. alg1's
 dual is the constant-offset dual at sigma_e = 0, so it is solved by
-continuation: Newton from the constant-offset fixed point, with the
-Gauss-Seidel sweep from nu_k = gamma_k / alpha_k only as its fallback.
+continuation: Newton from the constant-offset fixed point, kept where the
+sweep contracts, with the Gauss-Seidel sweep from nu_k = gamma_k / alpha_k
+only as the fallback.
 """
 
 import math
@@ -22,6 +23,9 @@ COND_LIMIT = 1e12
 # solve_nu's fallback hands its Gauss-Seidel sweep to Newton once a sweep's
 # largest relative step is below this (see its docstring for why not earlier)
 NEWTON_FROM = 1e-3
+# solve_nu's continuation gives up after this many Newton candidates; on
+# generated cells it stopped within 12, solved or not
+CONTINUATION_STEPS = 20
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -123,15 +127,22 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     At sigma_e = 0 the map is the constant-offset dual's, so that fixed point,
     solve_nu_constant_offset (called by its public name so that a trace shows
     it), starts Newton inside the basin: on 0.5 km cells about five
-    evaluations and no sweep. This attempt has no plain step: a rejected
-    candidate, like any ConvergenceError of the constant-offset dual, ends it.
-    The element-wise Re{psi h^H} term gives the map more than one fixed
-    point, and Newton from outside the basin lands on other ones, so then the
-    sweep path runs from nu_k = gamma_k / alpha_k with its own max_iters:
-    Gauss-Seidel sweeps until one's largest relative step is below
-    NEWTON_FROM, then Newton, which hands a rejected candidate back to the
-    sweep. A cell the continuation does not solve keeps that path's iterates,
-    errors and messages bit for bit.
+    evaluations and no sweep. This attempt has no plain step and at most
+    min(max_iters, CONTINUATION_STEPS) Newton candidates: a rejected
+    candidate, running out of them, or any ConvergenceError of the
+    constant-offset dual ends it. The element-wise Re{psi h^H} term gives the
+    map more than one fixed point, and Newton from outside the basin lands on
+    other ones, so then the sweep path runs from nu_k = gamma_k / alpha_k
+    with its own max_iters: Gauss-Seidel sweeps until one's largest relative
+    step is below NEWTON_FROM, then Newton, which hands a rejected candidate
+    back to the sweep. Newton can land on a fixed point that the sweep
+    repels, which the sweep path never returns, so the continuation's nu is
+    kept only where _sweep_bound, from Newton's last Jacobian, shows that the
+    sweep contracts there. Otherwise, and on every cell the continuation does
+    not solve, the result is the sweep path's: its iterates, errors and
+    messages bit for bit. The check is necessary, not sufficient: a few
+    generated 1.5 and 3.2 km cells keep a fixed point where the sweep
+    contracts but that it does not reach from nu_0 (README).
 
     A sweep rebuilds the shared part of S_k and updates it as each nu_k
     changes: per user step one m x m solve, O(m^3), plus O(m^2) to build
@@ -201,13 +212,27 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
             return s
         return v, slope, np.log(nu * v)
 
+    def no_sweep(nu):
+        raise ConvergenceError("Newton candidate rejected", last_iterate=nu)
+
     try:
-        return _dual_fixed_point(None, evaluate, solve_nu_constant_offset(h_est, gammas),
-                                 scale, math.inf, tol, max_iters)
+        nu, jac = _dual_fixed_point(no_sweep, evaluate, solve_nu_constant_offset(h_est, gammas),
+                                    scale, math.inf, tol, min(max_iters, CONTINUATION_STEPS))
+        if _sweep_bound(jac) < 1.0:
+            return nu
     except ConvergenceError:
         pass
     return _dual_fixed_point(sweep, evaluate, nu_massive_approx(h_est, gammas), scale,
-                             NEWTON_FROM, tol, max_iters)
+                             NEWTON_FROM, tol, max_iters)[0]
+
+
+def _sweep_bound(jac):
+    """A bound on how much a Gauss-Seidel sweep near a fixed point scales
+    relative errors, from Newton's Jacobian J there: the infinity norm of
+    I - J, which there is the Jacobian of nu -> 1/v(nu) in relative units. With
+    I - J = L + D + U in sweep order, the sweep's Jacobian (I - L)^{-1} (D + U)
+    has at most that norm when it is below 1, so the sweep then contracts."""
+    return float(np.abs(np.eye(len(jac)) - jac).sum(axis=1).max())
 
 
 def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_iters):
@@ -224,15 +249,15 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
     need not fall; otherwise, also when a singular matrix or a v <= 0 makes f
     non-finite, the next step is plain, and Newton is tried again after it if
     that plain step moved by at most newton_from. newton_from = inf starts with
-    Newton at nu itself; with plain_step None as well, a rejected candidate
-    ends the solve with ConvergenceError. The solve stops when a step's
-    largest relative change is below tol; max_iters counts Newton candidates
-    and plain steps alike.
+    Newton at nu itself. The solve stops when a step's largest relative change
+    is below tol; max_iters counts Newton candidates and plain steps alike.
+    Returns nu and the Jacobian J of the last Newton step, taken within tol of
+    nu when the solve ends on a Newton step (None if none was taken).
     Both steps run under np.errstate(all="ignore"): a step's overflow or
     singular gufunc shows as a non-finite value, not a RuntimeWarning.
     """
     eye = np.eye(len(nu))
-    newton, state = newton_from == math.inf, None
+    newton, state, jac = newton_from == math.inf, None, None
     with np.errstate(all="ignore"):
         for _ in range(max_iters):
             if newton:
@@ -245,9 +270,6 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
                 newton = bool(np.isfinite(f_trial).all()
                               and (f_trial @ f_trial < f @ f or max_rel < tol))
                 if not newton:
-                    if plain_step is None:
-                        raise ConvergenceError("Newton candidate rejected with no plain step",
-                                               last_iterate=nu)
                     state = None
                     continue
                 nu = trial
@@ -256,7 +278,7 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
                 max_rel = (np.abs(nu_new - nu) / nu_new).max()
                 nu, newton = nu_new, max_rel <= newton_from
             if max_rel < tol:
-                return nu
+                return nu, jac
     raise ConvergenceError(f"nu fixed point did not converge in {max_iters} sweeps",
                            last_iterate=nu)
 
@@ -337,7 +359,7 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
         return v, lambda: np.real(x * x.T), np.log(nu * v)
 
     return _dual_fixed_point(plain_step, evaluate, nu_massive_approx(h_est, gammas), scale,
-                             math.inf, tol, max_iters)
+                             math.inf, tol, max_iters)[0]
 
 
 def directions_constant_offset(nu: np.ndarray, h_est: np.ndarray) -> np.ndarray:

@@ -3,16 +3,15 @@
 Trials draw fresh channel errors conditioned on the fixed estimates
 (h = h_est + e per trial), evaluate the realized SINRs, and average the
 outage indicators. Every design passed to one estimate is scored on the same
-error draws, so each user's errors are drawn once for all of them, and not at
-all for a user with sigma_e = 0. The trials are walked in blocks of
-TRIAL_BLOCK = 1024: each block continues the user's substream and is scored
-against all designs in one matrix product, so a block's arrays stay inside
-the per-core L2 cache. Results do not depend on the block size, because each
-user's substream is prefix-stable: the blocks concatenate bit for bit to one
-draw of all the trials. Sweeps aggregate over channel realizations, keeping
-only those for which every compared algorithm produced a viable design; each
-algorithm's r-independent work (directions, coupling) is done once per
-realization.
+error draws, so each user's errors are drawn once for all of them. The
+trials are walked in blocks of TRIAL_BLOCK = 1024: each block continues the
+user's substream and is scored against all designs in one matrix product, so
+a block's arrays stay inside the per-core L2 cache. Results do not depend on
+the block size, because each user's substream is prefix-stable: the blocks
+concatenate bit for bit to one draw of all the trials. Sweeps
+aggregate over channel realizations, keeping only those for which every
+compared algorithm produced a viable design; each algorithm's r-independent
+work (directions, coupling) is done once per realization.
 """
 
 import csv
@@ -69,10 +68,7 @@ def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
     |h^H w_k|^2 - g (sum_{j!=k} |h^H w_j|^2 + sigma_k^2), g being the target
     less SINR_TOLERANCE. Per-user substreams are derived from base_seed, so
     estimates are reproducible, trial counts extend prefixes, and a design's
-    estimate does not depend on which other designs share the call. A user
-    with sigma_e = 0 sees h_est in every trial, so their errors are not drawn
-    and one margin counts for all n_trials; the other users' substreams are
-    their own, so skipping it changes nothing else.
+    estimate does not depend on which other designs share the call.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -94,11 +90,6 @@ def estimate_outage(designs, scenario: Scenario, n_trials: int, base_seed):
         weight = np.full((n_users, 2), -target)
         weight[k] = 1.0
         to_margin = np.kron(np.eye(len(weights)), weight.reshape(1, -1))
-        if scenario.sigma_e[k] == 0:
-            # no error: every trial sees h_est, so one margin decides them all
-            margins = to_margin @ np.square((scenario.h_est[k] @ w_conj).view(float))
-            counts[:, k] = n_trials * (margins < target * scenario.noise_power[k])
-            continue
         for start in range(0, n_trials, TRIAL_BLOCK):
             h = draw_errors(scenario.sigma_e[k], scenario.n_antennas,
                             min(TRIAL_BLOCK, n_trials - start), rng)

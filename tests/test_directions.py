@@ -19,6 +19,7 @@ from offsetbf.stats import r_from_delta
 
 from offsetbf import directions, lapack
 
+import helpers
 from helpers import (orthonormal_rows, scenario_from_rows, sinr_values,
                      solve_nu_constant_offset_oracle, solve_nu_oracle, standard_complex,
                      unit_scale_scenario)
@@ -422,17 +423,22 @@ def plain_nu_constant_offset(h_est, gammas, tol=1e-10, max_iters=500):
     raise ConvergenceError("nu fixed point did not converge", last_iterate=nu)
 
 
+def no_constant_offset_start(h_est, gammas):
+    raise ConvergenceError("forced", last_iterate=nu_massive_approx(h_est, gammas))
+
+
 @pytest.mark.parametrize("dual", ["alg1", "constant_offset"])
 def test_solve_nu_max_iters_counts_newton_steps(monkeypatch, dual):
     solver, args = dual_call(dual, 6, 20, seed=0)
     if dual == "alg1":
-        # Each attempt has its own max_iters: the continuation's Newton steps
-        # (its constant-offset start keeps that solver's default budget), and
-        # then, when they run out, the sweep path's steps from nu_0, which
-        # stops where the plain sweep stops after max_iters sweeps.
+        # Each attempt has its own budget: the continuation's Newton steps at
+        # most min(max_iters, CONTINUATION_STEPS) (its constant-offset start
+        # keeps that solver's default budget), and then, when they run out,
+        # the sweep path's steps from nu_0, which stops where the plain sweep
+        # stops after max_iters sweeps.
         nu, sweeps, evaluations = counted_solve_nu(monkeypatch, *args)
         budget = evaluations - 1
-        assert sweeps == 0 and budget >= 2
+        assert sweeps == 0 and 2 <= budget < directions.CONTINUATION_STEPS
         assert np.array_equal(solver(*args, max_iters=budget), nu)
         with pytest.raises(ConvergenceError,
                            match=f"did not converge in {budget - 1} sweeps") as excinfo:
@@ -440,6 +446,13 @@ def test_solve_nu_max_iters_counts_newton_steps(monkeypatch, dual):
         with pytest.raises(ConvergenceError) as sweep_path:
             solve_nu_oracle(*args, max_iters=budget - 1)
         assert np.array_equal(excinfo.value.last_iterate, sweep_path.value.last_iterate)
+        # a continuation cut short by CONTINUATION_STEPS hands the full
+        # max_iters to the sweep path, as a failed constant-offset start does
+        monkeypatch.setattr(directions, "CONTINUATION_STEPS", budget - 1)
+        cut_short = solver(*args)
+        monkeypatch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
+        assert np.array_equal(cut_short, solver(*args))
+        assert relative_gap(cut_short, nu) < 1e-9
     else:
         nu, plain, newton = counted_constant_offset(monkeypatch, *args)
         assert newton >= 2
@@ -467,32 +480,99 @@ def test_solve_nu_rejected_newton_steps_hand_back_to_the_sweep(monkeypatch, dual
         assert np.array_equal(solver(*args), plain_nu_constant_offset(*args))
 
 
-# (mode, K, N_t, seed) of generated 3.2 km cells at delta 0.05 that the
-# continuation solves and whose sweep never gets below NEWTON_FROM: there the
-# sweep leaves the positive cone or runs out of sweeps (all five such cells
-# of the 1260-design alg1 grid in CHANGES.md).
-SWEEP_ONLY_FAILURES = [("gaussian", 3, 4, 19), ("gaussian", 3, 6, 21),
-                       ("gaussian", 4, 8, 17), ("cantelli", 3, 6, 18),
-                       ("cantelli", 6, 40, 16)]
+# Generated cells where Newton from the constant-offset fixed point lands on
+# a fixed point that the sweep repels (its Gauss-Seidel Jacobian there has
+# spectral radius above 1), so the sweep path cannot end there:
+# (radius km, K, N_t, seed, r). In the five 3.2 km cells at delta 0.05 (all
+# such cells of the 1260-design alg1 grid in CHANGES.md) the sweep never gets
+# below NEWTON_FROM and fails; in the 1.5 km cell at r = 7 it converges to
+# another fixed point.
+SWEEP_REPELLED = [(3.2, 3, 4, 19, r_from_delta(0.05, "gaussian")),
+                  (3.2, 3, 6, 21, r_from_delta(0.05, "gaussian")),
+                  (3.2, 4, 8, 17, r_from_delta(0.05, "gaussian")),
+                  (3.2, 3, 6, 18, r_from_delta(0.05, "cantelli")),
+                  (3.2, 6, 40, 16, r_from_delta(0.05, "cantelli")),
+                  (1.5, 4, 8, 16, 7.0)]
 
 
-@pytest.mark.parametrize("mode,k,nt,seed", SWEEP_ONLY_FAILURES)
+def repelled_args(radius_km, k, nt, seed, r):
+    scenario = generate_scenario(CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km),
+                                 seed)
+    return (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]), r,
+            zf_directions(scenario.h_est))
+
+
+@pytest.mark.parametrize("cell", SWEEP_REPELLED[:5])
 def test_solve_nu_falls_back_to_the_sweep_when_the_constant_offset_dual_fails(
-        monkeypatch, mode, k, nt, seed):
-    scenario = generate_scenario(CellConfig(n_users=k, n_antennas=nt, radius_km=3.2), seed)
-    args = (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]),
-            r_from_delta(0.05, mode), zf_directions(scenario.h_est))
-    assert outcome(solve_nu, *args)[0] == "ok"
+        monkeypatch, cell):
+    args = repelled_args(*cell)
     ref_message, ref_nu = outcome(solve_nu_oracle, *args)
     assert ref_message != "ok"
-
-    def no_start(h_est, gammas):
-        raise ConvergenceError("forced", last_iterate=nu_massive_approx(h_est, gammas))
-
-    monkeypatch.setattr(directions, "solve_nu_constant_offset", no_start)
+    monkeypatch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
     message, nu = outcome(solve_nu, *args)
     assert message == ref_message
     assert nu.dtype == ref_nu.dtype and np.array_equal(nu, ref_nu)
+
+
+@pytest.mark.parametrize("cell", SWEEP_REPELLED)
+def test_solve_nu_rejects_a_fixed_point_that_the_sweep_repels(monkeypatch, cell):
+    # The continuation's fixed point is checked, not trusted: where the sweep
+    # repels it, the sweep path's outcome stands, bit for bit.
+    args = repelled_args(*cell)
+    with monkeypatch.context() as patch:
+        patch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
+        sweep_path = outcome(solve_nu, *args)
+    message, nu = outcome(solve_nu, *args)
+    assert message == sweep_path[0] and np.array_equal(nu, sweep_path[1])
+    monkeypatch.setattr(directions, "_sweep_bound", lambda jac: 0.0)
+    message, nu = outcome(solve_nu, *args)
+    assert message == "ok"
+    assert sweep_path[0] != "ok" or relative_gap(nu, sweep_path[1]) > 0.1
+
+
+def test_solve_nu_can_solve_a_cell_whose_sweep_path_fails(monkeypatch):
+    # The check is necessary, not sufficient. In this 3.2 km cell at r = 0.5
+    # the sweep contracts at the continuation's fixed point (spectral radius
+    # about 0.998), yet from nu_0 it runs out of sweeps. alg1 keeps that nu,
+    # and its power loading then fails, as on each such generated cell in
+    # CHANGES.md.
+    args = repelled_args(3.2, 3, 4, 24, 0.5)
+    with pytest.raises(ConvergenceError, match="did not converge in 500 sweeps"):
+        solve_nu_oracle(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
+        assert outcome(solve_nu, *args)[0] == "nu fixed point did not converge in 500 sweeps"
+    assert outcome(solve_nu, *args)[0] == "ok"
+    scenario = generate_scenario(CellConfig(n_users=3, n_antennas=4, radius_km=3.2), 24)
+    with pytest.raises(ConvergenceError, match="power loading did not converge in 50"):
+        cli.run_algorithm("alg1", scenario, cli.RunConfig(r=0.5))
+
+
+def test_sweep_bound_holds_for_the_plain_sweep_at_the_fixed_point(monkeypatch):
+    # The bound that solve_nu checks is at least the infinity norm, in
+    # relative units, of the plain sweep's Jacobian at the continuation's nu
+    # (one oracle sweep, by central differences), and so at least its
+    # spectral radius; in this 0.5 km cell all three are near 0.81.
+    args = alg1_dual_args(6, 20, seed=0)
+    bounds = []
+    sweep_bound = directions._sweep_bound
+    monkeypatch.setattr(directions, "_sweep_bound",
+                        lambda jac: bounds.append(sweep_bound(jac)) or bounds[-1])
+    nu = solve_nu(*args)
+    assert len(bounds) == 1 and bounds[0] < 0.85
+
+    def one_sweep(start):
+        monkeypatch.setattr(helpers, "nu_massive_approx", lambda h_est, gammas: start.copy())
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_nu_oracle(*args, max_iters=1)
+        return excinfo.value.last_iterate / nu
+
+    steps = 1e-6 * np.diag(nu)
+    jacobian = np.column_stack([(one_sweep(nu + step) - one_sweep(nu - step)) / 2e-6
+                                for step in steps])
+    radius = np.abs(np.linalg.eigvals(jacobian)).max()
+    norm = np.abs(jacobian).sum(axis=1).max()
+    assert 0.8 < radius <= norm <= bounds[0] + 1e-6
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -149,26 +149,6 @@ def test_estimate_outage_matches_oracle_on_a_subset_of_users():
     assert_matches_oracle(designs, served, 3 * B + 17, 5)
 
 
-def test_estimate_outage_draws_no_errors_for_users_without_channel_error(monkeypatch):
-    # mixed_scenario's user 1 has sigma_e = 0: served in every trial by the
-    # loaded design and in none by a starved one, with no draw of their own,
-    # while the other users' estimates stay the oracle's byte for byte
-    scenario = mixed_scenario()
-    design = design_for(scenario, 1.5)
-    starved = DesignReport(design.coupling, design.powers * 1e-4, 1.5)
-    sigmas = []
-    draw = montecarlo.draw_errors
-
-    def counting_draw(sigma_e, *args):
-        sigmas.append(sigma_e)
-        return draw(sigma_e, *args)
-
-    monkeypatch.setattr(montecarlo, "draw_errors", counting_draw)
-    est = assert_matches_oracle([design, starved], scenario, 2 * B + 3, 13)
-    assert est[:, 1].tolist() == [0.0, 1.0]
-    assert sorted(sigmas) == sorted([0.1, 0.15, 0.12] * 3)
-
-
 @pytest.mark.parametrize("block", [1, 7])
 def test_estimate_outage_does_not_depend_on_the_block_size(monkeypatch, block):
     scenario = mixed_scenario()
