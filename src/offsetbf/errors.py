@@ -19,8 +19,8 @@ class ConvergenceError(RuntimeError):
 
 
 class InfeasibleLoadingError(RuntimeError):
-    """Raised when a power loading fixed point has negative power entries,
-    i.e. no nonnegative loading meets the offset constraints.
+    """Raised when a power loading has negative power entries, i.e. no
+    nonnegative loading meets the offset constraints.
 
     Rescheduling one or more users is the documented remedy. The offending
     power vector is attached as ``powers``.

@@ -5,7 +5,8 @@ A beta = sigma^2 + sigma_f (.) r for a K x K coupling matrix A, with sigma_f
 depending on beta through a quadratic form. This module provides the power
 loading at given offsets and the max-common-offset loading under a power
 budget, one Newton loop for both, user rescheduling, the power-saving cap,
-and the average-outage perturbation of the offset coefficients. The
+and the average-outage perturbation of the offset coefficients, whose
+quadratic outage surrogate is fitted to stats.predicted_outage. The
 CouplingMatrix carries the directions, the noise powers and the resolved
 variance mode, so the loaders take only the coupling. Each returns a
 DesignReport, the one design value: a loading of its coupling, from which
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import lapack
 from .directions import const_offset_directions
@@ -102,7 +102,7 @@ class DesignReport:
         self.powers = np.asarray(self.powers, dtype=float)
         if (self.powers < 0).any():
             raise InfeasibleLoadingError(
-                f"power loading fixed point has negative entries: {self.powers}",
+                f"power loading has negative entries: {self.powers}",
                 powers=self.powers)
         self.offsets = np.full(self.powers.shape, self.offsets, dtype=float)
         self.mu_f = self.coupling.mu_f(self.powers)
@@ -214,7 +214,10 @@ def _newton_load(coupling: CouplingMatrix, beta, r, tol, max_iters, total_power=
     when sigma_f^2 overflows at sigma_e near its 2^256 bound, raises
     ConvergenceError saying so, not a RuntimeWarning. A non-finite residual or
     Jacobian gives such a step, and the check costs nothing on finite steps,
-    where testing the residual itself would cost each iteration an isfinite."""
+    where testing the residual itself would cost each iteration an isfinite.
+    Each step is a bare lapack.solve1, which fills a singular system's step
+    with NaN, so a non-finite step that is NaN in every entry, from a finite
+    Jacobian and residual, raises "power loading Jacobian is singular" instead."""
     tiny, k = np.finfo(float).tiny, len(beta)
     size = k if total_power is None else k + 1
     jac, residual = np.empty((size, size)), np.empty(size)
@@ -227,14 +230,14 @@ def _newton_load(coupling: CouplingMatrix, beta, r, tol, max_iters, total_power=
             if total_power is not None:
                 residual[k] = beta.sum() - total_power
                 jac[:k, k] = -sigma_f
-            try:
-                step = lapack.checked(lapack.solve1, jac, -residual)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("power loading Jacobian is singular",
-                                       last_iterate=beta) from exc
+            step = lapack.solve1(jac, -residual)
             beta_new = beta + step[:k]
             change = np.abs(beta_new - beta).max() / max(np.abs(beta_new).max(), tiny)
             if change != change:        # NaN: beta_new is not finite
+                if (np.isnan(step).all() and np.isfinite(jac).all()
+                        and np.isfinite(residual).all()):
+                    raise ConvergenceError("power loading Jacobian is singular",
+                                           last_iterate=beta)
                 raise ConvergenceError("power loading left the float range: its Newton "
                                        "step is not finite", last_iterate=beta)
             beta = beta_new
@@ -364,10 +367,11 @@ def power_saving_cap(maxr_report: DesignReport, r_cap: float = 5.0) -> DesignRep
 
 @functools.cache
 def fit_normal_cdf_quadratic():
-    """Least-squares fit a0 r^2 + a1 r + a2 of the standard normal CDF over
-    CDF_FIT_WINDOW; its inputs are module constants, so it is fitted once."""
+    """Least-squares fit a0 r^2 + a1 r + a2 of the standard normal CDF
+    Phi(r) = predicted_outage(-r, 1) over CDF_FIT_WINDOW; its inputs are
+    module constants, so it is fitted once."""
     grid = np.linspace(*CDF_FIT_WINDOW, CDF_FIT_POINTS)
-    a0, a1, a2 = np.polyfit(grid, ndtr(grid), 2)
+    a0, a1, a2 = np.polyfit(grid, predicted_outage(-grid, 1.0), 2)
     return float(a0), float(a1), float(a2)
 
 

@@ -503,7 +503,7 @@ def test_budget_below_qos_loading_is_design_infeasible(tmp_path, capsys, algorit
     code, stdout, err = run_cli(capsys, ["design", "--config", cfg])
     assert code == 2
     assert stdout == ""
-    assert err.startswith("design infeasible: power loading fixed point has negative")
+    assert err.startswith("design infeasible: power loading has negative")
     assert not out.exists()
 
 

@@ -628,7 +628,7 @@ def test_design_report_matches_alg2():
 def test_design_report_rejects_negative_powers():
     _, _, _, coupling = random_instance(seed=16)
     with pytest.raises(InfeasibleLoadingError,
-                       match="power loading fixed point has negative entries") as excinfo:
+                       match="power loading has negative entries") as excinfo:
         DesignReport(coupling, [1.0, -0.1, 2.0], 2.0)
     assert np.array_equal(excinfo.value.powers, [1.0, -0.1, 2.0])
 

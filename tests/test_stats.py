@@ -1,13 +1,19 @@
 """Tests for the slack moments of CouplingMatrix, offset conversions and
-outage prediction."""
+outage prediction. scipy.special, which the package does not import, is the
+oracle of the standard-library Gaussian functions in stats."""
+
+import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc, ndtr, ndtri
 
 from offsetbf.channel import draw_errors
 from offsetbf.directions import zf_directions
-from offsetbf.powerload import DesignReport, coupling_matrix
+from offsetbf.powerload import (CDF_FIT_POINTS, CDF_FIT_WINDOW, DesignReport,
+                                coupling_matrix, fit_normal_cdf_quadratic)
 from offsetbf.stats import predicted_outage, r_from_delta
 
 from helpers import orthonormal_rows, scenario_from_rows, sinr_values, standard_complex
@@ -161,3 +167,38 @@ def test_predicted_outage_values():
     got = predicted_outage([0.0, 2.0, 1.0, -1.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0])
     assert got[:2] == pytest.approx([0.5, 0.5 * erfc(2.0 / np.sqrt(2.0))], rel=1e-12)
     assert np.array_equal(got[2:], [0.0, 1.0, 0.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(1e-12, 1.0 - 1e-12))
+def test_gaussian_r_from_delta_matches_ndtri(delta):
+    assert math.isclose(r_from_delta(delta, "gaussian"), ndtri(1.0 - delta),
+                        rel_tol=2e-15, abs_tol=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6),
+                          st.one_of(st.just(0.0), st.floats(1e-6, 1e6))),
+                min_size=1, max_size=8))
+def test_predicted_outage_matches_erfc(pairs):
+    # Relative agreement holds where scipy's tail is a normal float. Below
+    # that a subnormal carries fewer digits, and scipy's erfc flushes to zero
+    # from mu / (sigma sqrt 2) = 26.64 on, where math.erfc still has subnormals.
+    mu, sigma = np.array(pairs).T
+    got = predicted_outage(mu, sigma)
+    tiny = np.finfo(float).tiny
+    for m, s, value in zip(mu, sigma, got):
+        if s == 0.0:
+            assert value == (0.0 if m >= 0 else 1.0)
+            continue
+        want = 0.5 * erfc(m / (s * np.sqrt(2.0)))
+        if want >= tiny:
+            assert math.isclose(value, want, rel_tol=1e-13, abs_tol=0.0), (m, s)
+        else:
+            assert 0.0 <= value < tiny, (m, s)
+
+
+def test_normal_cdf_fit_matches_the_ndtr_fit():
+    grid = np.linspace(*CDF_FIT_WINDOW, CDF_FIT_POINTS)
+    want = np.polyfit(grid, ndtr(grid), 2)
+    np.testing.assert_allclose(fit_normal_cdf_quadratic(), want, rtol=1e-13, atol=0.0)
