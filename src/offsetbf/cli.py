@@ -25,7 +25,7 @@ from . import directions, montecarlo, powerload
 from .channel import CellConfig, generate_scenario, load_scenario
 from .errors import (ConvergenceError, DegenerateChannelsError,
                      InfeasibleLoadingError)
-from .stats import r_from_delta
+from .stats import R_MODES, r_from_delta
 
 FIXED_R_ALGORITHMS = ("zf", "mrt", "rzf", "alg1", "const_offset")
 MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
@@ -35,12 +35,14 @@ GENERATE_KEYS = tuple(f.name for f in fields(CellConfig)) + ("seed",)
 CSV_FIELDS = ("index", "beta", "r", "mu_f", "sigma_f", "predicted_outage", "dropped")
 
 
-def _require_number(name, value, kind=numbers.Real):
-    """Reject a bool, a value that is not a `kind`, or a non-finite float."""
+def _require_number(name, value, kind=numbers.Real, minimum=-math.inf):
+    """Reject a bool, a value not of `kind`, a non-finite float, or one below `minimum`."""
     if isinstance(value, bool) or not isinstance(value, kind) or not (
             isinstance(value, numbers.Integral) or math.isfinite(value)):
         what = "an integer" if kind is numbers.Integral else "a finite number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
 @dataclass
@@ -72,6 +74,12 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**doc)
+        for key, kind, what in (("scenario_file", (str, type(None)), "a string"),
+                                ("out", str, "a string"), ("algorithms", list, "a list"),
+                                ("r_grid", (list, type(None)), "a list"),
+                                ("delta_grid", (list, type(None)), "a list")):
+            if not isinstance(getattr(cfg, key), kind):
+                raise ValueError(f"{key} must be {what}, got {getattr(cfg, key)!r}")
         if (cfg.scenario_file is None) == (cfg.generate is None):
             raise ValueError("exactly one of scenario_file or generate is required")
         if cfg.algorithm not in ALGORITHM_IDS:
@@ -83,12 +91,13 @@ class RunConfig:
                 raise ValueError(f"unknown generate keys: {sorted(unknown)}")
             for key, value in cfg.generate.items():
                 if key in ("n_users", "n_antennas", "seed"):
-                    _require_number(f"generate.{key}", value, numbers.Integral)
+                    _require_number(f"generate.{key}", value, numbers.Integral,
+                                    0 if key == "seed" else -math.inf)
                 elif not isinstance(value, float):
                     # a nan or inf float goes on to the scenario, which names its field
                     _require_number(f"generate.{key}", value)
-        for key in ("seed", "n_realizations", "n_trials"):
-            _require_number(key, getattr(cfg, key), numbers.Integral)
+        for key, minimum in (("seed", 0), ("n_realizations", -math.inf), ("n_trials", 1)):
+            _require_number(key, getattr(cfg, key), numbers.Integral, minimum)
         optional = [key for key in ("r", "delta", "rzf_loading")
                     if getattr(cfg, key) is not None]
         for key in ("total_power", "r_min", "r_cap", *optional):
@@ -96,12 +105,12 @@ class RunConfig:
         for key in ("r_grid", "delta_grid"):
             for value in getattr(cfg, key) or ():
                 _require_number(key, value)
-        if cfg.total_power <= 0:
-            raise ValueError(f"total_power must be positive, got {cfg.total_power!r}")
-        if cfg.r_cap <= 0:
-            raise ValueError(f"r_cap must be positive, got {cfg.r_cap!r}")
-        if cfg.n_trials < 1:
-            raise ValueError(f"n_trials must be at least 1, got {cfg.n_trials!r}")
+        for key in ("total_power", "r_cap", "rzf_loading"):
+            value = getattr(cfg, key)
+            if value is not None and value <= 0:
+                raise ValueError(f"{key} must be positive, got {value!r}")
+        if cfg.r_mode not in R_MODES:
+            raise ValueError(f"r_mode must be one of {R_MODES}, got {cfg.r_mode!r}")
         if cfg.variance_mode not in (None, *powerload.VARIANCE_MODES):
             raise ValueError(f"unknown variance_mode {cfg.variance_mode!r}")
         for name in cfg.algorithms:

@@ -5,14 +5,13 @@ Baseline ZF / MRT / RZF directions, the iterative closed-form robust design
 and their conjugates), the constant-offset design (dual fixed point in the
 channels' span, then M^{-1} h_k in closed form, with no eigendecomposition),
 and the massive-MISO approximation nu_k ~= gamma_k / alpha_k. Both duals are
-solved by one safeguarded Newton engine in log nu, _dual_fixed_point. alg1's
-dual is the constant-offset dual at sigma_e = 0, so it is solved by
-continuation: Newton from the constant-offset fixed point, kept where the
-sweep contracts, with the Gauss-Seidel sweep from nu_k = gamma_k / alpha_k
-only as the fallback.
+solved by one safeguarded Newton engine in log nu, _dual_fixed_point; alg1's
+dual is one value, Alg1Dual, built once by alg1_dual, and solved by
+continuation from the constant-offset fixed point (solve_nu).
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -83,26 +82,38 @@ def nu_massive_approx(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return np.asarray(gammas, dtype=float) / alphas
 
 
-def _reduced_terms(h_est: np.ndarray, psi: np.ndarray, coup: float):
-    """Q (N_t x m, m <= min(2K, N_t)), an orthonormal basis of span{h_j, conj h_j}
-    from one reduced QR, the rows a_j = Q^H h_j, and the (K, m, m) stacks
-    Q^H (h_j h_j^H - coup Re{psi_j h_j^H}) Q and Q^H Re{psi_j h_j^H} Q. The
-    element-wise Re{psi_j h_j^H} = (psi_j h_j^H + conj(psi_j) h_j^T) / 2 lies in
-    span Q when psi_j does, which is checked."""
+# alg1's dual at a common offset, as alg1_dual builds it
+Alg1Dual = namedtuple("Alg1Dual", "h_est gammas sigma_e coup basis h_c terms re_psi")
+
+
+def alg1_dual(h_est: np.ndarray, gammas: np.ndarray, sigma_e, r: float) -> Alg1Dual:
+    """alg1's dual for channel estimates h_est (K, N_t), SINR targets gammas
+    and the common offset r, with sigma_e a scalar or a per-user vector of
+    equal entries: the inputs, the common sigma_e, coup = r sqrt(2) sigma_e,
+    Q (N_t x m, m <= min(2K, N_t)), an orthonormal basis of span{h_j, conj h_j}
+    from one reduced QR, the rows h_c_j = Q^H h_j, and the (K, m, m) stacks
+    terms_j = Q^H (h_j h_j^H - coup Re{psi_j h_j^H}) Q and
+    re_psi_j = Q^H Re{psi_j h_j^H} Q for the ZF proxies psi. The element-wise
+    Re{psi_j h_j^H} = (psi_j h_j^H + conj(psi_j) h_j^T) / 2 lies in span Q,
+    since each ZF row lies in span{h_j}."""
+    sigma_e = np.asarray(sigma_e, dtype=float)
+    if np.ptp(sigma_e) > 1e-12:
+        raise ValueError("the closed-form design assumes a common sigma_e")
+    common = float(sigma_e.flat[0])
+    coup = r * np.sqrt(2.0) * common
+    # ZF rows are unit already; normalized again for the golden reports' bits
+    psi = _normalize_rows(zf_directions(h_est))
     basis, _ = np.linalg.qr(np.concatenate([h_est, h_est.conj()]).T)
     h_c, hbar_c, psi_c, psibar_c = np.split(
         np.concatenate([h_est, h_est.conj(), psi, psi.conj()]) @ basis.conj(), 4)
-    if np.max(np.abs(psi_c @ basis.T - psi)) > 1e-8:
-        raise ValueError("psi must lie in the span of the channel estimates")
     re_psi = (np.einsum("ji,jl->jil", psi_c, h_c.conj())
               + np.einsum("ji,jl->jil", psibar_c, hbar_c.conj())) / 2.0
-    return basis, h_c, np.einsum("ji,jl->jil", h_c, h_c.conj()) - coup * re_psi, re_psi
+    return Alg1Dual(h_est, np.asarray(gammas, dtype=float), common, coup, basis, h_c,
+                    np.einsum("ji,jl->jil", h_c, h_c.conj()) - coup * re_psi, re_psi)
 
 
-def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
-             psi: np.ndarray, tol: float = 1e-10, max_iters: int = 500, *,
-             _reduced=None) -> np.ndarray:
-    """Dual fixed point with common offset r, by continuation from sigma_e = 0:
+def solve_nu(dual: Alg1Dual, tol: float = 1e-10, max_iters: int = 500) -> np.ndarray:
+    """The fixed point of alg1's dual, by continuation from sigma_e = 0:
     Newton's method in log nu (_dual_fixed_point) from the constant-offset
     fixed point, and Gauss-Seidel sweeps into Newton's basin only as fallback.
 
@@ -110,10 +121,9 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
       M_k = (1 + sigma_e^2 sum_{j!=k} nu_j - nu_k sigma_e^2 / gamma_k) I
             + sum_j nu_j h_j h_j^H + (coup nu_k / gamma_k) Re{psi_k h_k^H}
             - coup sum_{j!=k} nu_j Re{psi_j h_j^H}
-    for the current nu and proxy directions psi (unit rows in the channels' span,
-    e.g. ZF).
+    for the current nu and the dual's ZF proxies psi.
 
-    In the basis Q of _reduced_terms, M_k = c_k I + Q S_k Q^H and h_k = Q a_k,
+    In the dual's basis Q, M_k = c_k I + Q S_k Q^H and h_k = Q a_k,
     so the form is a_k^H (c_k I + S_k)^{-1} a_k. Newton's method works on
     f = log nu + log v where, with X_k = c_k I + S_k, x_k = X_k^{-1} a_k,
     w_k^H = a_k^H X_k^{-1} and s_k = 1 + 1/gamma_k, v_k = s_k Re(a_k^H x_k) is
@@ -155,16 +165,10 @@ def solve_nu(h_est: np.ndarray, gammas: np.ndarray, sigma_e: float, r: float,
     only linearly, so Newton takes over once it is close: with the threshold
     at 1e-2, two generated cells that the sweep never solves, not even in
     20 000 sweeps, became successes; at 1e-3 every changed outcome was a cell
-    that the sweep solves given more sweeps. _reduced is
-    _reduced_terms(h_est, psi, coup) when the caller has built it.
+    that the sweep solves given more sweeps.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    coup = r * np.sqrt(2.0) * sigma_e
-    if _reduced is None:
-        _reduced = _reduced_terms(h_est, _normalize_rows(np.asarray(psi, dtype=complex)),
-                                  coup)
     # S_k = sum_j nu_j terms_j + coup nu_k (1 + 1/gamma_k) re_psi_k
-    _, h_c, terms, re_psi = _reduced
+    h_est, gammas, sigma_e, coup, _, h_c, terms, re_psi = dual
     k_users, m = re_psi.shape[:2]
     var_e = sigma_e ** 2
     scale = 1.0 + 1.0 / gammas
@@ -283,26 +287,18 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
                            last_iterate=nu)
 
 
-def directions_from_nu(nu: np.ndarray, psi: np.ndarray, h_est: np.ndarray,
-                       gammas: np.ndarray, sigma_e: float, r: float, *,
-                       _reduced=None) -> np.ndarray:
+def directions_from_nu(dual: Alg1Dual, nu: np.ndarray) -> np.ndarray:
     """Per-user eigen directions: u_k is the eigenvector of
       B_k = I - M_k + nu_k (1 + 1/gamma_k) h_k h_k^H      (M_k as in solve_nu)
     for the eigenvalue of largest real part, phased so that h_k^H u_k >= 0.
-    The proxies psi are normalized to unit rows, as in solve_nu.
 
-    In the basis Q of _reduced_terms, B_k = shift_k I + Q T_k Q^H has spectrum
+    In the dual's basis Q, B_k = shift_k I + Q T_k Q^H has spectrum
     shift_k + eig(T_k) on span Q and shift_k on its complement. One batched
     (non-Hermitian) eig of the K m x m matrices T_k gives the top y_k, and
     u_k = Q y_k: O(K^2 N_t + K m^3). If m < N_t and no eigenvalue of T_k has
     positive real part, u_k is orthogonal to every channel: DegenerateChannelsError.
-    _reduced is _reduced_terms(h_est, psi, coup) when the caller has built it.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    if _reduced is None:
-        _reduced = _reduced_terms(h_est, _normalize_rows(np.asarray(psi, dtype=complex)),
-                                  r * np.sqrt(2.0) * sigma_e)
-    basis, _, terms, _ = _reduced
+    h_est, gammas, terms, basis = dual.h_est, dual.gammas, dual.terms, dual.basis
     small = (nu * (1.0 + 1.0 / gammas))[:, None, None] * terms \
         - np.einsum("j,jil->il", nu, terms)
     eigvals, eigvecs = np.linalg.eig(small)
@@ -386,15 +382,9 @@ def const_offset_directions(h_est: np.ndarray, gammas: np.ndarray) -> np.ndarray
 
 def alg1_directions(h_est: np.ndarray, gammas: np.ndarray, sigma_e: np.ndarray,
                     r: float) -> np.ndarray:
-    """Iterative closed-form directions at the common offset r: ZF proxies,
-    the dual fixed point, then the per-user eigen directions."""
-    sigma_e = np.asarray(sigma_e, dtype=float)
-    if np.ptp(sigma_e) > 1e-12:
-        raise ValueError("the closed-form design assumes a common sigma_e")
-    common = float(sigma_e[0])
-    psi = zf_directions(h_est)
-    # both stages' basis, built once; the stages are called by their public
-    # names so that each keeps its own span in a trace
-    reduced = _reduced_terms(h_est, _normalize_rows(psi), r * np.sqrt(2.0) * common)
-    nu = solve_nu(h_est, gammas, common, r, psi, _reduced=reduced)
-    return directions_from_nu(nu, psi, h_est, gammas, common, r, _reduced=reduced)
+    """Iterative closed-form directions at the common offset r: alg1's dual
+    with ZF proxies, its fixed point, then the per-user eigen directions. The
+    stages are called by their public names so that each keeps its own span
+    in a trace."""
+    dual = alg1_dual(h_est, gammas, sigma_e, r)
+    return directions_from_nu(dual, solve_nu(dual))

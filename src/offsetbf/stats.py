@@ -19,6 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
+R_MODES = ("cantelli", "gaussian")      # the modes of r_from_delta
 
 
 def r_from_delta(delta: float, mode: str = "cantelli") -> float:

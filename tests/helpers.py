@@ -3,7 +3,7 @@
 import numpy as np
 
 from offsetbf.channel import Scenario, draw_errors
-from offsetbf.directions import _normalize_rows, _reduced_terms, nu_massive_approx
+from offsetbf.directions import nu_massive_approx
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.montecarlo import (SINR_TOLERANCE, SweepPoint, _trial_seed,
@@ -43,16 +43,14 @@ def scenario_from_rows(h_est, sigma_e=0.1, noise=1.0, gamma=4.0):
     return Scenario(h_est=h_est, sigma_e=sigma_e, noise_power=noise, sinr_target=gamma)
 
 
-def solve_nu_oracle(h_est, gammas, sigma_e, r, psi, tol=1e-10, max_iters=500):
-    """Oracle for directions.solve_nu's sweep: the same Gauss-Seidel sweep in the
-    reduced basis, with each user step a plain np.linalg.solve that raises
-    LinAlgError on a singular matrix, and no Newton polish. The arithmetic is the
-    same, so on a cell whose sweep never gets below directions.NEWTON_FROM the
-    error raised and its last_iterate must match solve_nu bit for bit."""
-    gammas = np.asarray(gammas, dtype=float)
-    psi = _normalize_rows(np.asarray(psi, dtype=complex))
-    coup = r * np.sqrt(2.0) * sigma_e
-    _, h_c, terms, re_psi = _reduced_terms(h_est, psi, coup)
+def solve_nu_oracle(dual, tol=1e-10, max_iters=500):
+    """Oracle for directions.solve_nu's sweep on the same directions.Alg1Dual:
+    the same Gauss-Seidel sweep in the dual's basis, with each user step a
+    plain np.linalg.solve that raises LinAlgError on a singular matrix, and no
+    Newton polish. The arithmetic is the same, so on a cell whose sweep never
+    gets below directions.NEWTON_FROM the error raised and its last_iterate
+    must match solve_nu bit for bit."""
+    h_est, gammas, sigma_e, coup, _, h_c, terms, re_psi = dual
     eye = np.eye(h_c.shape[1])
     nu = nu_massive_approx(h_est, gammas)
     for _ in range(max_iters):

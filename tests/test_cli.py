@@ -4,8 +4,12 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from offsetbf.channel import save_scenario, scenario_to_dict
 
 from helpers import scenario_from_rows, standard_complex, unit_scale_scenario
 
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 GENERATE_BLOCK = {
     "n_users": 3,
     "n_antennas": 4,
@@ -139,6 +144,14 @@ def generate_with(**values):
     (generate_with(sigma_e=[0.1]), "generate.sigma_e must be a finite number"),
     ({"delta": "0.05"}, "delta must be a finite number, got '0.05'"),
     ({"delta_grid": ["0.1", 0.2]}, "delta_grid must be a finite number, got '0.1'"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    (generate_with(seed=-1), "generate.seed must be at least 0, got -1"),
+    ({"rzf_loading": -1}, "rzf_loading must be positive, got -1"),
+    ({"rzf_loading": 0.0}, "rzf_loading must be positive, got 0.0"),
+    ({"r_mode": "bogus"}, "r_mode must be one of ('cantelli', 'gaussian'), got 'bogus'"),
+    ({"algorithms": "zf"}, "algorithms must be a list, got 'zf'"),
+    ({"r_grid": 2.0}, "r_grid must be a list, got 2.0"),
+    ({"delta_grid": "0.1"}, "delta_grid must be a list, got '0.1'"),
 ])
 def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patch,
                                                           message):
@@ -152,6 +165,33 @@ def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patc
     assert ", got " in err
     assert stdout == ""
     assert not out.exists()
+
+
+def test_seed_override_is_checked_like_the_config(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, {"generate": GENERATE_BLOCK, "algorithm": "zf", "r": 2.0,
+                                  "out": str(out)})
+    code, stdout, err = run_cli(capsys, ["design", "--config", cfg, "--seed", "-1"])
+    assert (code, stdout, err) == (1, "", "config error: seed must be at least 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"generate": GENERATE_BLOCK, "out": 1}, "out must be a string, got 1"),
+    ({"scenario_file": 0, "out": "r.json"}, "scenario_file must be a string, got 0"),
+], ids=["out-descriptor", "scenario-file-descriptor"])
+def test_config_paths_are_not_file_descriptors(tmp_path, doc, message):
+    # An integer path would open a file descriptor: out 1 writes the report to
+    # stdout, scenario_file 0 reads the scenario from stdin. The CLI runs in a
+    # child process, so that neither can touch this one's descriptors.
+    cfg = write_config(tmp_path, {"algorithm": "zf", "r": 2.0, **doc})
+    scenario = json.dumps(scenario_to_dict(unit_scale_scenario(seed=0)))
+    result = subprocess.run([sys.executable, "-m", "offsetbf.cli", "design", "--config", cfg],
+                            input=scenario, capture_output=True, text=True, cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"config error: {message}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_config_rejects_non_positive_r_cap_before_designing(tmp_path, capsys,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from offsetbf import cli
 from offsetbf.channel import CellConfig, generate_scenario
-from offsetbf.directions import (NEWTON_FROM, _phase_align, alg1_directions,
+from offsetbf.directions import (NEWTON_FROM, _phase_align, alg1_directions, alg1_dual,
                                  const_offset_directions, directions_constant_offset,
                                  directions_from_nu, mrt_directions, nu_massive_approx,
                                  rzf_directions, solve_nu,
@@ -286,8 +286,8 @@ def test_solve_nu_matches_constant_offset_when_degenerate():
     # dual has the constant-offset fixed point.
     for k, nt in ((3, 6), (6, 20)):
         for seed in range(10):
-            h, gammas = alg1_dual_args(k, nt, seed)[:2]
-            nu = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=zf_directions(h), tol=1e-14)
+            h, gammas = cell_dual(0.5, k, nt, seed)[:2]
+            nu = solve_nu(alg1_dual(h, gammas, sigma_e=0.0, r=0.0), tol=1e-14)
             assert relative_gap(nu, solve_nu_constant_offset(h, gammas)) < 1e-12, (k, nt, seed)
 
 
@@ -297,7 +297,7 @@ def test_solve_nu_self_consistency():
     gammas = np.array([4.0, 2.0, 3.0])
     psi = zf_directions(h)
     sigma_e, r = 0.1, 2.0
-    nu = solve_nu(h, gammas, sigma_e, r, psi)
+    nu = solve_nu(alg1_dual(h, gammas, sigma_e, r))
     for k in range(3):
         m = literal_dual_matrix(h, psi, nu, gammas, sigma_e, r, k)
         val = np.real(np.vdot(h[k], np.linalg.solve(m, h[k]))) * (1 + 1 / gammas[k])
@@ -333,20 +333,19 @@ def test_solve_nu_is_bit_identical_to_the_solve_loop(k, nt, radius_km, mode):
     for seed in range(10):
         scenario = generate_scenario(
             CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km), seed)
-        args = (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]), r,
-                zf_directions(scenario.h_est))
-        ref_message, ref_nu = outcome(solve_nu_oracle, *args)
-        message, nu = outcome(solve_nu, *args)
-        if outcome(solve_nu_oracle, *args, NEWTON_FROM)[0] != "ok":
+        dual = alg1_dual(scenario.h_est, scenario.sinr_target, scenario.sigma_e, r)
+        ref_message, ref_nu = outcome(solve_nu_oracle, dual)
+        message, nu = outcome(solve_nu, dual)
+        if outcome(solve_nu_oracle, dual, NEWTON_FROM)[0] != "ok":
             assert message == ref_message, seed
             assert nu.dtype == ref_nu.dtype and np.array_equal(nu, ref_nu), seed
         elif ref_message == "ok":
             assert message == "ok", seed
-            fine = solve_nu_oracle(*args, tol=1e-15, max_iters=20000)
+            fine = solve_nu_oracle(dual, tol=1e-15, max_iters=20000)
             assert relative_gap(nu, fine) <= relative_gap(ref_nu, fine), seed
         else:
             assert message == "ok" and ref_message.startswith("nu fixed point"), seed
-            assert relative_gap(nu, solve_nu_oracle(*args, max_iters=20000)) < 1e-8, seed
+            assert relative_gap(nu, solve_nu_oracle(dual, max_iters=20000)) < 1e-8, seed
 
 
 def counted_calls(monkeypatch, solver, *args, **kwargs):
@@ -394,17 +393,17 @@ def counted_solve_nu(monkeypatch, *args, **kwargs):
     return nu, counts["complex"] / len(nu), counts["inv"]
 
 
-def alg1_dual_args(k, nt, seed, radius_km=0.5):
+def cell_dual(radius_km, k, nt, seed, r=r_from_delta(0.05, "gaussian")):
+    """alg1's dual on one generated cell, by default at delta 0.05 (Gaussian r)."""
     scenario = generate_scenario(CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km),
                                  seed)
-    return (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]),
-            r_from_delta(0.05, "gaussian"), zf_directions(scenario.h_est))
+    return alg1_dual(scenario.h_est, scenario.sinr_target, scenario.sigma_e, r)
 
 
 def dual_call(dual, k, nt, seed):
     """(solver, args) of the alg1 or constant-offset dual on one generated cell."""
-    args = alg1_dual_args(k, nt, seed)
-    return (solve_nu, args) if dual == "alg1" else (solve_nu_constant_offset, args[:2])
+    alg1 = cell_dual(0.5, k, nt, seed)
+    return (solve_nu, (alg1,)) if dual == "alg1" else (solve_nu_constant_offset, alg1[:2])
 
 
 def plain_nu_constant_offset(h_est, gammas, tol=1e-10, max_iters=500):
@@ -495,21 +494,14 @@ SWEEP_REPELLED = [(3.2, 3, 4, 19, r_from_delta(0.05, "gaussian")),
                   (1.5, 4, 8, 16, 7.0)]
 
 
-def repelled_args(radius_km, k, nt, seed, r):
-    scenario = generate_scenario(CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km),
-                                 seed)
-    return (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]), r,
-            zf_directions(scenario.h_est))
-
-
 @pytest.mark.parametrize("cell", SWEEP_REPELLED[:5])
 def test_solve_nu_falls_back_to_the_sweep_when_the_constant_offset_dual_fails(
         monkeypatch, cell):
-    args = repelled_args(*cell)
-    ref_message, ref_nu = outcome(solve_nu_oracle, *args)
+    dual = cell_dual(*cell)
+    ref_message, ref_nu = outcome(solve_nu_oracle, dual)
     assert ref_message != "ok"
     monkeypatch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
-    message, nu = outcome(solve_nu, *args)
+    message, nu = outcome(solve_nu, dual)
     assert message == ref_message
     assert nu.dtype == ref_nu.dtype and np.array_equal(nu, ref_nu)
 
@@ -518,14 +510,14 @@ def test_solve_nu_falls_back_to_the_sweep_when_the_constant_offset_dual_fails(
 def test_solve_nu_rejects_a_fixed_point_that_the_sweep_repels(monkeypatch, cell):
     # The continuation's fixed point is checked, not trusted: where the sweep
     # repels it, the sweep path's outcome stands, bit for bit.
-    args = repelled_args(*cell)
+    dual = cell_dual(*cell)
     with monkeypatch.context() as patch:
         patch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
-        sweep_path = outcome(solve_nu, *args)
-    message, nu = outcome(solve_nu, *args)
+        sweep_path = outcome(solve_nu, dual)
+    message, nu = outcome(solve_nu, dual)
     assert message == sweep_path[0] and np.array_equal(nu, sweep_path[1])
     monkeypatch.setattr(directions, "_sweep_bound", lambda jac: 0.0)
-    message, nu = outcome(solve_nu, *args)
+    message, nu = outcome(solve_nu, dual)
     assert message == "ok"
     assert sweep_path[0] != "ok" or relative_gap(nu, sweep_path[1]) > 0.1
 
@@ -536,13 +528,13 @@ def test_solve_nu_can_solve_a_cell_whose_sweep_path_fails(monkeypatch):
     # about 0.998), yet from nu_0 it runs out of sweeps. alg1 keeps that nu,
     # and its power loading then fails, as on each such generated cell in
     # CHANGES.md.
-    args = repelled_args(3.2, 3, 4, 24, 0.5)
+    dual = cell_dual(3.2, 3, 4, 24, 0.5)
     with pytest.raises(ConvergenceError, match="did not converge in 500 sweeps"):
-        solve_nu_oracle(*args)
+        solve_nu_oracle(dual)
     with monkeypatch.context() as patch:
         patch.setattr(directions, "solve_nu_constant_offset", no_constant_offset_start)
-        assert outcome(solve_nu, *args)[0] == "nu fixed point did not converge in 500 sweeps"
-    assert outcome(solve_nu, *args)[0] == "ok"
+        assert outcome(solve_nu, dual)[0] == "nu fixed point did not converge in 500 sweeps"
+    assert outcome(solve_nu, dual)[0] == "ok"
     scenario = generate_scenario(CellConfig(n_users=3, n_antennas=4, radius_km=3.2), 24)
     with pytest.raises(ConvergenceError, match="power loading did not converge in 50"):
         cli.run_algorithm("alg1", scenario, cli.RunConfig(r=0.5))
@@ -553,18 +545,18 @@ def test_sweep_bound_holds_for_the_plain_sweep_at_the_fixed_point(monkeypatch):
     # relative units, of the plain sweep's Jacobian at the continuation's nu
     # (one oracle sweep, by central differences), and so at least its
     # spectral radius; in this 0.5 km cell all three are near 0.81.
-    args = alg1_dual_args(6, 20, seed=0)
+    dual = cell_dual(0.5, 6, 20, seed=0)
     bounds = []
     sweep_bound = directions._sweep_bound
     monkeypatch.setattr(directions, "_sweep_bound",
                         lambda jac: bounds.append(sweep_bound(jac)) or bounds[-1])
-    nu = solve_nu(*args)
+    nu = solve_nu(dual)
     assert len(bounds) == 1 and bounds[0] < 0.85
 
     def one_sweep(start):
         monkeypatch.setattr(helpers, "nu_massive_approx", lambda h_est, gammas: start.copy())
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_nu_oracle(*args, max_iters=1)
+            solve_nu_oracle(dual, max_iters=1)
         return excinfo.value.last_iterate / nu
 
     steps = 1e-6 * np.diag(nu)
@@ -584,10 +576,10 @@ def test_solve_nu_continuation_matches_the_sweep_path_in_small_cells(k, extra, s
     # fixed point that the plain sweep from nu_0 converges to.
     scenario = generate_scenario(
         CellConfig(n_users=k, n_antennas=2 * k + extra, radius_km=0.5), seed)
-    args = (scenario.h_est, scenario.sinr_target, float(scenario.sigma_e[0]),
-            r_from_delta(0.05, mode), zf_directions(scenario.h_est))
-    sweep_path = solve_nu_oracle(*args, tol=1e-15, max_iters=20000)
-    assert relative_gap(solve_nu(*args), sweep_path) < 1e-12
+    dual = alg1_dual(scenario.h_est, scenario.sinr_target, scenario.sigma_e,
+                     r_from_delta(0.05, mode))
+    sweep_path = solve_nu_oracle(dual, tol=1e-15, max_iters=20000)
+    assert relative_gap(solve_nu(dual), sweep_path) < 1e-12
 
 
 # (mean, max) alg1 evaluations per call over seeds 0-9 of 0.5 km cells at
@@ -601,7 +593,7 @@ EVALUATION_BOUNDS = {(4, 8): (5.5, 6), (6, 20): (5.5, 6), (8, 32): (5.5, 6)}
 def test_solve_nu_step_counts_stay_low(monkeypatch, k, nt):
     # A count, not a clock, so that the continuation cannot quietly stop paying.
     mean_bound, max_bound = EVALUATION_BOUNDS[k, nt]
-    counts = np.array([counted_solve_nu(monkeypatch, *alg1_dual_args(k, nt, seed))[1:]
+    counts = np.array([counted_solve_nu(monkeypatch, cell_dual(0.5, k, nt, seed))[1:]
                        for seed in range(10)])
     assert (counts[:, 0] == 0).all()
     assert counts[:, 1].mean() <= mean_bound and counts[:, 1].max() <= max_bound
@@ -615,7 +607,7 @@ def test_solve_nu_singular_user_matrix_is_convergence_error():
     with warnings.catch_warnings(), pytest.raises(
             ConvergenceError, match="dual fixed point made the user matrix singular") as excinfo:
         warnings.simplefilter("error")
-        solve_nu(h, np.array([4.0]), 1.0, 2.0, h)
+        solve_nu(alg1_dual(h, np.array([4.0]), 1.0, 2.0))
     assert np.array_equal(excinfo.value.last_iterate, [4.0])
 
 
@@ -723,9 +715,8 @@ def test_solve_nu_constant_offset_near_duplicate_channels_do_not_converge():
 def test_directions_from_nu_perfect_csi_orthonormal():
     h = orthonormal_rows(3, 4, seed=9)
     gammas = np.array([4.0, 4.0, 4.0])
-    psi = zf_directions(h)
-    nu = solve_nu(h, gammas, sigma_e=0.0, r=0.0, psi=psi)
-    u = directions_from_nu(nu, psi, h, gammas, sigma_e=0.0, r=0.0)
+    dual = alg1_dual(h, gammas, sigma_e=0.0, r=0.0)
+    u = directions_from_nu(dual, solve_nu(dual))
     for k in range(3):
         assert abs(abs(np.vdot(u[k], h[k])) - 1.0) < 1e-9
 
@@ -736,8 +727,9 @@ def test_directions_from_nu_eigen_residual_and_phase():
     gammas = np.array([4.0, 2.0, 3.0])
     psi = zf_directions(h)
     sigma_e, r = 0.1, 2.0
-    nu = solve_nu(h, gammas, sigma_e, r, psi)
-    u = directions_from_nu(nu, psi, h, gammas, sigma_e, r)
+    dual = alg1_dual(h, gammas, sigma_e, r)
+    nu = solve_nu(dual)
+    u = directions_from_nu(dual, nu)
     for k in range(3):
         b = literal_eigen_matrix(h, psi, nu, gammas, sigma_e, r, k)
         eigvals = np.linalg.eigvals(b)
@@ -758,8 +750,9 @@ def test_directions_from_nu_fixed_point_structure():
     gammas = np.array([4.0, 2.0, 3.0])
     psi = zf_directions(h)
     sigma_e, r = 0.1, 2.0
-    nu = solve_nu(h, gammas, sigma_e, r, psi)
-    u = directions_from_nu(nu, psi, h, gammas, sigma_e, r)
+    dual = alg1_dual(h, gammas, sigma_e, r)
+    nu = solve_nu(dual)
+    u = directions_from_nu(dual, nu)
     for k in range(3):
         m = literal_dual_matrix(h, psi, nu, gammas, sigma_e, r, k)
         b = literal_eigen_matrix(h, psi, nu, gammas, sigma_e, r, k)
@@ -819,15 +812,16 @@ def test_alg1_chain_matches_dense_oracle(k, nt):
         dense_solve_nu(h, gammas, sigma_e, r, psi, tol=NEWTON_FROM, max_iters=3)
     with pytest.raises(ConvergenceError) as ref:
         dense_solve_nu(h, gammas, sigma_e, r, psi, max_iters=3)
+    dual = alg1_dual(h, gammas, sigma_e, r)
     with pytest.raises(ConvergenceError) as got:
-        solve_nu(h, gammas, sigma_e, r, psi, max_iters=3)
+        solve_nu(dual, max_iters=3)
     early = ref.value.last_iterate
     assert np.max(np.abs(got.value.last_iterate - early) / early) < 1e-12
     nu_ref = dense_solve_nu(h, gammas, sigma_e, r, psi, tol=1e-14, max_iters=5000)
-    nu = solve_nu(h, gammas, sigma_e, r, psi)
+    nu = solve_nu(dual)
     assert np.max(np.abs(nu - nu_ref) / nu_ref) < 1e-12
     u_ref = dense_directions_from_nu(nu_ref, psi, h, gammas, sigma_e, r)
-    u = directions_from_nu(nu, psi, h, gammas, sigma_e, r)
+    u = directions_from_nu(dual, nu)
     assert np.max(np.abs(u - u_ref)) < 1e-10
 
 
@@ -843,55 +837,50 @@ def test_solve_nu_errors_match_dense_oracle(seed, message):
     scenario = cli._build_scenario(cfg)
     h, gammas = scenario.h_est, scenario.sinr_target
     sigma_e, r = float(scenario.sigma_e[0]), cfg.resolved_r()
-    psi = zf_directions(h)
     with pytest.raises(ConvergenceError, match=message):
-        dense_solve_nu(h, gammas, sigma_e, r, psi)
+        dense_solve_nu(h, gammas, sigma_e, r, zf_directions(h))
     with pytest.raises(ConvergenceError) as excinfo:
-        solve_nu(h, gammas, sigma_e, r, psi)
+        solve_nu(alg1_dual(h, gammas, sigma_e, r))
     assert str(excinfo.value) == message
 
 
-def test_solve_nu_rejects_proxies_outside_the_channel_span():
-    # The reduced basis holds the Re{psi h^H} terms only for psi in span{h, conj h}.
-    rng = np.random.default_rng(20)
-    h = standard_complex(rng, (1, 4))
-    with pytest.raises(ValueError, match="span of the channel estimates"):
-        solve_nu(h, np.array([4.0]), 0.1, 2.0, standard_complex(rng, (1, 4)))
-
-
-def degenerate_single_user():
+def degenerate_single_user(sigma_e, r):
     # One weak user whose offset term outweighs its channel,
     # r sqrt(2) sigma_e > 2 ||h||: B = shift I + (nu/gamma) Q D Q^H with D
     # negative definite on span{h, conj h}.
     h = standard_complex(np.random.default_rng(18), (1, 4))
     h *= 0.1 / np.linalg.norm(h)
-    return h, zf_directions(h), np.array([1.0])
+    return h, zf_directions(h), alg1_dual(h, np.full(1, 4.0), sigma_e, r), np.array([1.0])
 
 
-def degenerate_weak_user_among_strong():
+def degenerate_weak_user_among_strong(sigma_e, r):
     # A weak user 0 with a tiny weight next to a heavily weighted user 1
-    # whose proxy points against its channel (h_1^H psi_1 < 0).
+    # whose proxy points against its channel (h_1^H psi_1 < 0). Flipping
+    # psi_1 flips re_psi_1 exactly, and with it user 1's term.
     h = standard_complex(np.random.default_rng(19), (2, 6))
     h[0] *= 0.05
     psi = zf_directions(h)
     psi[1] *= -1.0
-    return h, psi, np.array([1e-3, 1e3])
+    dual = alg1_dual(h, np.full(2, 4.0), sigma_e, r)
+    re_psi = dual.re_psi * np.array([1.0, -1.0])[:, None, None]
+    outers = np.einsum("ji,jl->jil", dual.h_c, dual.h_c.conj())
+    dual = dual._replace(re_psi=re_psi, terms=outers - dual.coup * re_psi)
+    return h, psi, dual, np.array([1e-3, 1e3])
 
 
 @pytest.mark.parametrize("build", [degenerate_single_user,
                                    degenerate_weak_user_among_strong])
 def test_directions_from_nu_direction_orthogonal_to_every_channel(build):
-    h, psi, nu = build()
-    gammas = np.full(len(nu), 4.0)
     sigma_e, r = 0.1, 2.0
+    h, psi, dual, nu = build(sigma_e, r)
     # The dense top eigenvector of B_0 lies in the complement of the
     # channels' span: no phase rotation can make h_0^H u_0 positive.
-    eigvals, eigvecs = np.linalg.eig(literal_eigen_matrix(h, psi, nu, gammas,
+    eigvals, eigvecs = np.linalg.eig(literal_eigen_matrix(h, psi, nu, dual.gammas,
                                                           sigma_e, r, 0))
     u_dense = eigvecs[:, np.argmax(eigvals.real)]
     assert np.max(np.abs(h.conj() @ u_dense)) < 1e-6 * np.linalg.norm(h)
     with pytest.raises(DegenerateChannelsError, match="orthogonal to every channel"):
-        directions_from_nu(nu, psi, h, gammas, sigma_e, r)
+        directions_from_nu(dual, nu)
 
 
 def test_mrt_zero_channel_row_is_degenerate():
@@ -982,17 +971,23 @@ def test_alg1_requires_common_sigma_e():
     h = standard_complex(np.random.default_rng(17), (2, 4))
     with pytest.raises(ValueError, match="common sigma_e"):
         alg1_directions(h, np.full(2, 4.0), np.array([0.1, 0.2]), r=2.0)
+    # a scalar and a vector of equal entries build the same dual
+    scalar = alg1_dual(h, np.full(2, 4.0), 0.1, r=2.0)
+    vector = alg1_dual(h, np.full(2, 4.0), np.full(2, 0.1), r=2.0)
+    assert type(scalar.sigma_e) is float and scalar.sigma_e == vector.sigma_e == 0.1
+    assert all(np.array_equal(a, b) for a, b in zip(scalar, vector))
 
 
 def test_alg1_directions_build_the_reduced_basis_once(monkeypatch):
-    # One basis for both stages, with the same bits as the two public stages,
-    # each of which builds its own.
-    h, gammas, sigma_e, r, psi = alg1_dual_args(6, 20, seed=1)
-    want = directions_from_nu(solve_nu(h, gammas, sigma_e, r, psi), psi, h, gammas,
-                              sigma_e, r)
+    # One dual, and with it one basis, for both stages, with the same bits as
+    # the two public stages on a dual built beforehand.
+    scenario = generate_scenario(CellConfig(n_users=6, n_antennas=20, radius_km=0.5), 1)
+    args = (scenario.h_est, scenario.sinr_target, scenario.sigma_e,
+            r_from_delta(0.05, "gaussian"))
+    dual = alg1_dual(*args)
+    want = directions_from_nu(dual, solve_nu(dual))
     calls = []
-    reduced_terms = directions._reduced_terms
-    monkeypatch.setattr(directions, "_reduced_terms",
-                        lambda *args: calls.append(1) or reduced_terms(*args))
-    got = alg1_directions(h, gammas, np.full(len(gammas), sigma_e), r)
+    monkeypatch.setattr(directions, "alg1_dual",
+                        lambda *a: calls.append(1) or alg1_dual(*a))
+    got = alg1_directions(*args)
     assert len(calls) == 1 and np.array_equal(got, want)

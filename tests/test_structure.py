@@ -5,14 +5,17 @@ takes a coupling beside a report (a report carries its own), the trial count
 and the reports keep the slots of montecarlo.estimate_outage,
 powerload.reschedule and powerload.max_r_power_load that the benchmark
 tracer reads, the package loads no scipy module, only the lapack
-module reaches numpy.linalg's private gufunc module, and every gufunc it
-exports has a caller."""
+module reaches numpy.linalg's private gufunc module, every gufunc it
+exports has a caller, no public function takes a private parameter, and
+the package version is read from offsetbf.__version__."""
 
 import ast
+import importlib
 import inspect
 import os
 import subprocess
 import sys
+import tomllib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -150,3 +153,27 @@ def test_every_lapack_gufunc_has_a_caller_in_the_package():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "lapack"}
     assert exported and exported <= used
+
+
+def test_no_public_function_takes_a_private_parameter():
+    """A `_`-prefixed keyword is a back door that only some callers know of;
+    a value built once belongs in an argument of its own (alg1's dual)."""
+    private = []
+    for name in sorted(MODULES.keys() - {"__init__"}):
+        module = importlib.import_module(f"offsetbf.{name}")
+        for attr, fn in inspect.getmembers(module, inspect.isfunction):
+            if attr.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            private += [f"{name}.{attr}({param})" for param in inspect.signature(fn).parameters
+                        if param.startswith("_")]
+    assert private == []
+
+
+def test_package_version_is_read_from_the_package():
+    """pyproject.toml declares the version dynamic, read from
+    offsetbf.__version__, so that the two cannot disagree."""
+    pyproject = tomllib.loads((PACKAGE_DIR.parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "offsetbf.__version__"}
