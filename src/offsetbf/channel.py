@@ -170,17 +170,20 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    entries = doc["users"]
-    n_antennas = int(doc["n_antennas"])
-    rows = [_decode_cvec(entry["h_est"]) for entry in entries]
+    """The scenario of a scenario_to_dict document; a document of the wrong
+    shape or with a value of the wrong type raises ValueError."""
+    try:
+        entries = doc["users"]
+        n_antennas = int(doc["n_antennas"])
+        rows = [_decode_cvec(entry["h_est"]) for entry in entries]
+        sigma_e, noise_power, gammas = [[float(entry[key]) for entry in entries]
+                                        for key in ("sigma_e", "noise_power", "gamma")]
+    except TypeError as exc:
+        raise ValueError(f"malformed scenario: {exc}") from exc
     if any(row.shape != (n_antennas,) for row in rows):
         raise ValueError("all users must share n_antennas")
-    return Scenario(
-        h_est=np.array(rows, dtype=complex).reshape(len(rows), n_antennas),
-        sigma_e=[float(entry["sigma_e"]) for entry in entries],
-        noise_power=[float(entry["noise_power"]) for entry in entries],
-        sinr_target=[float(entry["gamma"]) for entry in entries],
-    )
+    return Scenario(h_est=np.array(rows, dtype=complex).reshape(len(rows), n_antennas),
+                    sigma_e=sigma_e, noise_power=noise_power, sinr_target=gammas)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

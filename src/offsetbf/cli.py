@@ -75,6 +75,7 @@ class RunConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**doc)
         for key, kind, what in (("scenario_file", (str, type(None)), "a string"),
+                                ("generate", (dict, type(None)), "an object"),
                                 ("out", str, "a string"), ("algorithms", list, "a list"),
                                 ("r_grid", (list, type(None)), "a list"),
                                 ("delta_grid", (list, type(None)), "a list")):
@@ -92,10 +93,13 @@ class RunConfig:
             for key, value in cfg.generate.items():
                 if key in ("n_users", "n_antennas", "seed"):
                     _require_number(f"generate.{key}", value, numbers.Integral,
-                                    0 if key == "seed" else -math.inf)
+                                    0 if key == "seed" else 1)
                 elif not isinstance(value, float):
                     # a nan or inf float goes on to the scenario, which names its field
                     _require_number(f"generate.{key}", value)
+            if cfg.generate.get("radius_km", 1.0) <= 0:
+                raise ValueError("generate.radius_km must be positive, "
+                                 f"got {cfg.generate['radius_km']!r}")
         for key, minimum in (("seed", 0), ("n_realizations", -math.inf), ("n_trials", 1)):
             _require_number(key, getattr(cfg, key), numbers.Integral, minimum)
         optional = [key for key in ("r", "delta", "rzf_loading")
@@ -154,25 +158,28 @@ def _build_scenario(cfg: RunConfig, seed=None):
     return generate_scenario(CellConfig(**doc), doc_seed if seed is None else seed)
 
 
-def _directions(name, scenario, cfg: RunConfig, r=None):
-    """The beamforming directions of algorithm `name`, before any loading."""
+def _coupling(name, scenario, cfg: RunConfig, r=None):
+    """The coupling of algorithm `name`'s directions (alg1's at offset r),
+    under cfg's variance mode, before any loading."""
     h_est = scenario.h_est
     gammas = scenario.sinr_target
     if name == "zf":
-        return directions.zf_directions(h_est)
-    if name == "mrt":
-        return directions.mrt_directions(h_est)
-    if name == "rzf":
+        u_rows = directions.zf_directions(h_est)
+    elif name == "mrt":
+        u_rows = directions.mrt_directions(h_est)
+    elif name == "rzf":
         loading = cfg.rzf_loading
         if loading is None:
             loading = scenario.n_users * float(np.mean(scenario.noise_power)) \
                 / cfg.total_power
-        return directions.rzf_directions(h_est, loading)
-    if name == "alg1":
-        return directions.alg1_directions(h_est, gammas, scenario.sigma_e, r)
-    if name in ("const_offset", "maxr", "avg_outage"):
-        return directions.const_offset_directions(h_est, gammas)
-    raise ValueError(f"unknown algorithm {name!r}")
+        u_rows = directions.rzf_directions(h_est, loading)
+    elif name == "alg1":
+        u_rows = directions.alg1_directions(h_est, gammas, scenario.sigma_e, r)
+    elif name in ("const_offset", "maxr", "avg_outage"):
+        u_rows = directions.const_offset_directions(h_est, gammas)
+    else:
+        raise ValueError(f"unknown algorithm {name!r}")
+    return powerload.coupling_matrix(scenario, u_rows, cfg.variance_mode)
 
 
 def fixed_r_designer(name: str, scenario, cfg: RunConfig):
@@ -183,13 +190,8 @@ def fixed_r_designer(name: str, scenario, cfg: RunConfig):
     alg1's directions depend on r and are rebuilt at each call.
     """
     if name == "alg1":
-        def design_at(r):
-            u_rows = _directions(name, scenario, cfg, r)
-            return powerload.alg2_power_load(
-                powerload.coupling_matrix(scenario, u_rows, cfg.variance_mode), r)
-        return design_at
-    coupling = powerload.coupling_matrix(scenario, _directions(name, scenario, cfg),
-                                         cfg.variance_mode)
+        return lambda r: powerload.alg2_power_load(_coupling(name, scenario, cfg, r), r)
+    coupling = _coupling(name, scenario, cfg)
     return lambda r: powerload.alg2_power_load(coupling, r)
 
 
@@ -212,18 +214,11 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
             report = powerload.power_saving_cap(report, r_cap=cfg.r_cap)
         return report
 
-    coupling = powerload.coupling_matrix(scenario, _directions(name, scenario, cfg),
-                                         cfg.variance_mode)
-    _, _, report = powerload.max_r_power_load(coupling, cfg.total_power)
+    _, _, report = powerload.max_r_power_load(_coupling(name, scenario, cfg),
+                                              cfg.total_power)
     if name == "avg_outage":
         report = powerload.average_outage_perturbation(report)
     return report
-
-
-def _csv_path(out_path: str) -> str:
-    if out_path.endswith(".json"):
-        return out_path[:-5] + ".csv"
-    return out_path + ".csv"
 
 
 def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
@@ -232,7 +227,7 @@ def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
            "algorithm": name, "report": report.to_dict(), **(extra or {})}
     with open(cfg.out, "w") as fh:
         fh.write(json.dumps(doc, indent=2))
-    with open(_csv_path(cfg.out), "w", newline="") as fh:
+    with open(cfg.out.removesuffix(".json") + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         writer.writerows([user[key] for key in CSV_FIELDS]

@@ -34,15 +34,6 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
-def _phase_align(u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rotate u so that h^H u is real and nonnegative, and renormalize."""
-    c = np.vdot(h, u)
-    size = np.abs(c)        # not abs(c), which rounds differently
-    if size > 0:
-        u = u * (c.conjugate() / size)
-    return u / np.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag))   # np.linalg.norm(u)
-
-
 def zf_directions(h_est: np.ndarray) -> np.ndarray:
     """Zero-forcing directions for estimated channels stacked as rows (K, N_t).
 
@@ -101,8 +92,7 @@ def alg1_dual(h_est: np.ndarray, gammas: np.ndarray, sigma_e, r: float) -> Alg1D
         raise ValueError("the closed-form design assumes a common sigma_e")
     common = float(sigma_e.flat[0])
     coup = r * np.sqrt(2.0) * common
-    # ZF rows are unit already; normalized again for the golden reports' bits
-    psi = _normalize_rows(zf_directions(h_est))
+    psi = zf_directions(h_est)
     basis, _ = np.linalg.qr(np.concatenate([h_est, h_est.conj()]).T)
     h_c, hbar_c, psi_c, psibar_c = np.split(
         np.concatenate([h_est, h_est.conj(), psi, psi.conj()]) @ basis.conj(), 4)
@@ -290,7 +280,9 @@ def _dual_fixed_point(plain_step, evaluate, nu, scale, newton_from, tol, max_ite
 def directions_from_nu(dual: Alg1Dual, nu: np.ndarray) -> np.ndarray:
     """Per-user eigen directions: u_k is the eigenvector of
       B_k = I - M_k + nu_k (1 + 1/gamma_k) h_k h_k^H      (M_k as in solve_nu)
-    for the eigenvalue of largest real part, phased so that h_k^H u_k >= 0.
+    for the eigenvalue of largest real part, with unit norm, phased so that
+    h_k^H u_k >= 0: each row is rotated by conj(c_k)/|c_k|, c_k = h_k^H u_k, in
+    one vectorized step, and a row whose c_k is exactly 0 is left unrotated.
 
     In the dual's basis Q, B_k = shift_k I + Q T_k Q^H has spectrum
     shift_k + eig(T_k) on span Q and shift_k on its complement. One batched
@@ -307,7 +299,10 @@ def directions_from_nu(dual: Alg1Dual, nu: np.ndarray) -> np.ndarray:
         raise DegenerateChannelsError(
             "the top eigenvector of a user's eigen matrix is orthogonal to every channel")
     u_rows = eigvecs[users, :, top] @ basis.T      # row k is (Q y_k)^T
-    return np.array([_phase_align(u, h) for u, h in zip(u_rows, h_est)])
+    c = np.einsum("ki,ki->k", h_est.conj(), u_rows)
+    size = np.abs(c)
+    rotation = np.divide(c.conj(), size, out=np.ones_like(c), where=size > 0)
+    return _normalize_rows(u_rows * rotation[:, None])
 
 
 def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
@@ -328,31 +323,28 @@ def solve_nu_constant_offset(h_est: np.ndarray, gammas: np.ndarray,
     S = Re(X o X^T). About five steps, ten K x K solves, reach tol where the
     plain step alone takes about ninety. I + GN is nonsingular for nu > 0 (GN
     is similar to N^1/2 G N^1/2 >= 0), but 1 + nu_k |h_k|^2 rounds to
-    nu_k |h_k|^2 past 2^53, and I + GN can then be singular: the plain step
-    raises "made the shared matrix singular" there, and "left the positive
-    cone" where a rounded X_kk <= 0.
+    nu_k |h_k|^2 past 2^53, and I + GN can then be singular: the plain step,
+    which takes v from the same evaluation as Newton, raises "made the shared
+    matrix singular" where the solve's NaN fill makes v NaN, and "left the
+    positive cone" where a rounded X_kk <= 0.
     """
     gammas = np.asarray(gammas, dtype=float)
     scale = 1.0 + 1.0 / gammas
     gram = h_est.conj() @ h_est.T          # [i, j] = h_i^H h_j
     eye = np.eye(h_est.shape[0])
 
-    def plain_step(nu):
-        try:
-            x = lapack.checked(lapack.solve, eye + gram * nu, gram)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("dual fixed point made the shared matrix singular",
-                                   last_iterate=nu) from exc
-        v = np.real(np.diagonal(x)) * scale
-        if (v <= 0).any():
-            raise ConvergenceError("dual fixed point left the positive cone",
-                                   last_iterate=nu)
-        return 1.0 / v
-
     def evaluate(nu):
         x = lapack.solve(eye + gram * nu, gram)
         v = np.real(np.diagonal(x)) * scale
         return v, lambda: np.real(x * x.T), np.log(nu * v)
+
+    def plain_step(nu):
+        v = evaluate(nu)[0]
+        if not (v > 0).all():
+            raise ConvergenceError(
+                "dual fixed point made the shared matrix singular" if np.isnan(v).any()
+                else "dual fixed point left the positive cone", last_iterate=nu)
+        return 1.0 / v
 
     return _dual_fixed_point(plain_step, evaluate, nu_massive_approx(h_est, gammas), scale,
                              math.inf, tol, max_iters)[0]

@@ -106,7 +106,7 @@ def viability_check(design) -> bool:
     VIABLE_POWER_LIMIT_W."""
     if design is None:
         return False
-    return float(np.sum(design.powers)) < VIABLE_POWER_LIMIT_W
+    return design.total_power < VIABLE_POWER_LIMIT_W
 
 
 def _or_none(fn, arg):
@@ -160,7 +160,7 @@ def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
             est, se = estimate_outage(designs, scenario, n_trials, trial_seed)
             for a, design in enumerate(designs):
                 powers, outages, variances = rows[ri][a]
-                powers.append(float(np.sum(design.powers)))
+                powers.append(design.total_power)
                 outages.append(float(np.mean(est[a])))
                 variances.append(float(np.sum(se[a] ** 2)) / est.shape[1] ** 2)
 

@@ -152,6 +152,11 @@ def generate_with(**values):
     ({"algorithms": "zf"}, "algorithms must be a list, got 'zf'"),
     ({"r_grid": 2.0}, "r_grid must be a list, got 2.0"),
     ({"delta_grid": "0.1"}, "delta_grid must be a list, got '0.1'"),
+    ({"generate": ["n_users"]}, "generate must be an object, got ['n_users']"),
+    (generate_with(n_users=0), "generate.n_users must be at least 1, got 0"),
+    (generate_with(n_antennas=0), "generate.n_antennas must be at least 1, got 0"),
+    (generate_with(radius_km=0.0), "generate.radius_km must be positive, got 0.0"),
+    (generate_with(radius_km=-0.5), "generate.radius_km must be positive, got -0.5"),
 ])
 def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patch,
                                                           message):
@@ -380,6 +385,26 @@ def test_malformed_scenario_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["design", "--config", cfg])
     assert code == 1
     assert "config error" in err
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"n_antennas": 2, "users": 5},
+    {"n_antennas": 1, "users": [{"h_est": [[1.0, 0.0]], "sigma_e": 0.1,
+                                 "noise_power": 1.0, "gamma": None}]},
+], ids=["list", "users-not-a-list", "null-gamma"])
+def test_scenario_file_of_the_wrong_shape_is_a_config_error(tmp_path, doc):
+    # The CLI runs in a child process, so that a traceback would show on its stderr.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"scenario_file": str(path), "algorithm": "zf",
+                                  "r": 2.0, "out": str(tmp_path / "r.json")})
+    result = subprocess.run([sys.executable, "-m", "offsetbf.cli", "design", "--config", cfg],
+                            capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("config error: malformed scenario: ")
+    assert "Traceback" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

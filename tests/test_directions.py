@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from offsetbf import cli
 from offsetbf.channel import CellConfig, generate_scenario
-from offsetbf.directions import (NEWTON_FROM, _phase_align, alg1_directions, alg1_dual,
+from offsetbf.directions import (NEWTON_FROM, alg1_directions, alg1_dual,
                                  const_offset_directions, directions_constant_offset,
                                  directions_from_nu, mrt_directions, nu_massive_approx,
                                  rzf_directions, solve_nu,
@@ -657,15 +657,6 @@ def test_solve_nu_constant_offset_singular_shared_matrix():
     assert np.array_equal(excinfo.value.last_iterate, [1e17, 1e17])
 
 
-def test_phase_align_is_bit_identical_to_the_numpy_norm_form():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        u, h = standard_complex(rng, (2, 6))
-        c = np.vdot(h, u)
-        want = u * (c.conjugate() / np.abs(c))
-        assert np.array_equal(_phase_align(u, h), want / np.linalg.norm(want))
-
-
 def test_lapack_gufuncs_match_numpy_linalg():
     rng = np.random.default_rng(5)
     a = standard_complex(rng, (5, 5))
@@ -738,6 +729,21 @@ def test_directions_from_nu_eigen_residual_and_phase():
         inner = np.vdot(h[k], u[k])
         assert abs(inner.imag) < 1e-12
         assert inner.real >= 0
+
+
+def test_directions_from_nu_leaves_a_row_orthogonal_to_its_channel_unrotated():
+    # With N_t = 2 the basis is the whole space, so no DegenerateChannelsError,
+    # and at nu = [1, 1] each user's top eigenvector is the other user's
+    # channel: h_k^H u_k is exactly 0, and there is no phase to fix.
+    dual = alg1_dual(np.eye(2, dtype=complex), np.full(2, 4.0), 0.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = directions_from_nu(dual, np.ones(2))
+    assert np.isfinite(u).all()
+    assert np.array_equal(np.linalg.norm(u, axis=1), np.ones(2))
+    assert np.array_equal(np.einsum("ki,ki->k", dual.h_est.conj(), u), np.zeros(2))
+    assert np.array_equal(u.imag, np.zeros((2, 2)))
+    assert np.array_equal(np.abs(u), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_directions_from_nu_fixed_point_structure():

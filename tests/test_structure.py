@@ -6,8 +6,9 @@ and the reports keep the slots of montecarlo.estimate_outage,
 powerload.reschedule and powerload.max_r_power_load that the benchmark
 tracer reads, the package loads no scipy module, only the lapack
 module reaches numpy.linalg's private gufunc module, every gufunc it
-exports has a caller, no public function takes a private parameter, and
-the package version is read from offsetbf.__version__."""
+exports has a caller, so has every private module-level function, no public
+function takes a private parameter, and the package version is read from
+offsetbf.__version__."""
 
 import ast
 import importlib
@@ -153,6 +154,24 @@ def test_every_lapack_gufunc_has_a_caller_in_the_package():
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "lapack"}
     assert exported and exported <= used
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    """Every module-level `_`-prefixed function is named somewhere in the
+    package outside its own body, so a helper whose last caller inlines it
+    goes with it."""
+    uncalled = []
+    for name, tree in MODULES.items():
+        for func in tree.body:
+            if not isinstance(func, ast.FunctionDef) or not func.name.startswith("_") \
+                    or func.name.startswith("__"):
+                continue
+            inside = {id(node) for node in ast.walk(func)}
+            if not any(func.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                       for module in MODULES.values() for node in ast.walk(module)
+                       if id(node) not in inside):
+                uncalled.append(f"{name}.{func.name}")
+    assert uncalled == []
 
 
 def test_no_public_function_takes_a_private_parameter():
