@@ -175,6 +175,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     try:
         entries = doc["users"]
         n_antennas = int(doc["n_antennas"])
+        for k, entry in enumerate(entries):
+            for key in ("h_est", "sigma_e", "noise_power", "gamma"):
+                if key not in entry:
+                    raise ValueError(f"malformed scenario: user {k} has no {key!r}")
         rows = [_decode_cvec(entry["h_est"]) for entry in entries]
         sigma_e, noise_power, gammas = [[float(entry[key]) for entry in entries]
                                         for key in ("sigma_e", "noise_power", "gamma")]

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -31,96 +32,99 @@ FIXED_R_ALGORITHMS = ("zf", "mrt", "rzf", "alg1", "const_offset")
 MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
 ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
 
-GENERATE_KEYS = tuple(f.name for f in fields(CellConfig)) + ("seed",)
 CSV_FIELDS = ("index", "beta", "r", "mu_f", "sigma_f", "predicted_outage", "dropped")
 
 
-def _require_number(name, value, kind=numbers.Real, minimum=-math.inf):
-    """Reject a bool, a value not of `kind`, a non-finite float, or one below `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not (
-            isinstance(value, numbers.Integral) or math.isfinite(value)):
-        what = "an integer" if kind is numbers.Integral else "a finite number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+# A rule pairs what a value must be with its test. A Key holds a config key's
+# kind and bound rules, the Key of each list entry, and whether it may be null.
+Key = namedtuple("Key", "kind bound item nullable", defaults=(None, None, False))
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or math.isfinite(value))
+
+
+def one_of(choices: tuple) -> tuple:
+    return f"one of {choices}", lambda value: value in choices
+
+
+def at_least(minimum) -> tuple:
+    return f"at least {minimum}", lambda value: value >= minimum
+
+
+NUMBER = ("a finite number", _is_number)
+INTEGER = ("an integer", functools.partial(_is_number, kind=numbers.Integral))
+STRING = ("a string", lambda value: isinstance(value, str))
+LIST = ("a list", lambda value: isinstance(value, list))
+OBJECT = ("an object", lambda value: isinstance(value, dict))
+POSITIVE = ("positive", lambda value: value > 0)
+# the generate block: CellConfig's fields, whose defaults apply, and the scenario seed
+GENERATE = {"n_users": Key(INTEGER, at_least(1)), "n_antennas": Key(INTEGER, at_least(1)),
+            "radius_km": Key(NUMBER, POSITIVE), "path_loss_exponent": Key(NUMBER),
+            "shadowing_std_db": Key(NUMBER), "noise_dbm": Key(NUMBER),
+            "sigma_e": Key(NUMBER), "gamma_db": Key(NUMBER),
+            "seed": Key(INTEGER, at_least(0))}
+
+
+def _key(default, kind, bound=None, item=None):
+    """A RunConfig field with its Key; a key whose default is null may be null."""
+    metadata = {"key": Key(kind, bound, item, nullable=default is None)}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def _check(name, value, key: Key):
+    """Raise ValueError, naming `name` and `value`, unless value obeys key."""
+    if value is None and key.nullable:
+        return
+    for what, holds in filter(None, (key.kind, key.bound)):
+        if not holds(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+    for entry in value if key.item else ():
+        _check(name, entry, key.item)
+
+
+def _check_keys(where, doc: dict, table: dict, prefix=""):
+    """Check each key of doc against its Key in table; an unknown key raises."""
+    unknown = set(doc) - set(table)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        _check(prefix + name, value, table[name])
 
 
 @dataclass
 class RunConfig:
     """Resolved run configuration; see the README for the JSON schema."""
 
-    scenario_file: str = None
-    generate: dict = None
-    algorithm: str = "alg1"
-    r: float = None
-    delta: float = None
-    r_mode: str = "cantelli"
-    total_power: float = 1.0
-    variance_mode: str = None
-    seed: int = 0
-    out: str = "report.json"
-    r_min: float = 2.0
-    r_cap: float = 5.0
-    rzf_loading: float = None
-    r_grid: list = None
-    delta_grid: list = None
-    algorithms: list = field(default_factory=list)
-    n_realizations: int = 100
-    n_trials: int = 1000
+    scenario_file: str = _key(None, STRING)
+    generate: dict = _key(None, OBJECT)
+    algorithm: str = _key("alg1", one_of(ALGORITHM_IDS))
+    r: float = _key(None, NUMBER)
+    delta: float = _key(None, NUMBER)
+    r_mode: str = _key("cantelli", one_of(R_MODES))
+    total_power: float = _key(1.0, NUMBER, POSITIVE)
+    variance_mode: str = _key(None, one_of(powerload.VARIANCE_MODES))
+    seed: int = _key(0, INTEGER, at_least(0))
+    out: str = _key("report.json", STRING)
+    r_min: float = _key(2.0, NUMBER)
+    r_cap: float = _key(5.0, NUMBER, POSITIVE)
+    rzf_loading: float = _key(None, NUMBER, POSITIVE)
+    r_grid: list = _key(None, LIST, item=Key(NUMBER))
+    delta_grid: list = _key(None, LIST, item=Key(NUMBER))
+    algorithms: list = _key([], LIST, item=Key(one_of(ALGORITHM_IDS)))
+    n_realizations: int = _key(100, INTEGER)
+    n_trials: int = _key(1000, INTEGER, at_least(1))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        unknown = set(doc) - set(CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**doc)
-        for key, kind, what in (("scenario_file", (str, type(None)), "a string"),
-                                ("generate", (dict, type(None)), "an object"),
-                                ("out", str, "a string"), ("algorithms", list, "a list"),
-                                ("r_grid", (list, type(None)), "a list"),
-                                ("delta_grid", (list, type(None)), "a list")):
-            if not isinstance(getattr(cfg, key), kind):
-                raise ValueError(f"{key} must be {what}, got {getattr(cfg, key)!r}")
-        if (cfg.scenario_file is None) == (cfg.generate is None):
+        _check_keys("config", doc, CONFIG)
+        _check_keys("generate", doc.get("generate") or {}, GENERATE, "generate.")
+        if (doc.get("scenario_file") is None) == (doc.get("generate") is None):
             raise ValueError("exactly one of scenario_file or generate is required")
-        if cfg.algorithm not in ALGORITHM_IDS:
-            raise ValueError(f"unknown algorithm {cfg.algorithm!r}, "
-                             f"expected one of {ALGORITHM_IDS}")
-        if cfg.generate is not None:
-            unknown = set(cfg.generate) - set(GENERATE_KEYS)
-            if unknown:
-                raise ValueError(f"unknown generate keys: {sorted(unknown)}")
-            for key, value in cfg.generate.items():
-                if key in ("n_users", "n_antennas", "seed"):
-                    _require_number(f"generate.{key}", value, numbers.Integral,
-                                    0 if key == "seed" else 1)
-                elif not isinstance(value, float):
-                    # a nan or inf float goes on to the scenario, which names its field
-                    _require_number(f"generate.{key}", value)
-            if cfg.generate.get("radius_km", 1.0) <= 0:
-                raise ValueError("generate.radius_km must be positive, "
-                                 f"got {cfg.generate['radius_km']!r}")
-        for key, minimum in (("seed", 0), ("n_realizations", -math.inf), ("n_trials", 1)):
-            _require_number(key, getattr(cfg, key), numbers.Integral, minimum)
-        optional = [key for key in ("r", "delta", "rzf_loading")
-                    if getattr(cfg, key) is not None]
-        for key in ("total_power", "r_min", "r_cap", *optional):
-            _require_number(key, getattr(cfg, key))
-        for key in ("r_grid", "delta_grid"):
-            for value in getattr(cfg, key) or ():
-                _require_number(key, value)
-        for key in ("total_power", "r_cap", "rzf_loading"):
-            value = getattr(cfg, key)
-            if value is not None and value <= 0:
-                raise ValueError(f"{key} must be positive, got {value!r}")
-        if cfg.r_mode not in R_MODES:
-            raise ValueError(f"r_mode must be one of {R_MODES}, got {cfg.r_mode!r}")
-        if cfg.variance_mode not in (None, *powerload.VARIANCE_MODES):
-            raise ValueError(f"unknown variance_mode {cfg.variance_mode!r}")
-        for name in cfg.algorithms:
-            if name not in ALGORITHM_IDS:
-                raise ValueError(f"unknown algorithm {name!r} in algorithms list")
-        return cfg
+        return cls(**doc)
 
     def resolved_r(self) -> float:
         """The common offset coefficient, from r directly or from delta."""
@@ -131,7 +135,7 @@ class RunConfig:
         raise ValueError("algorithm requires r or delta in the config")
 
 
-CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+CONFIG = {f.name: f.metadata["key"] for f in fields(RunConfig)}
 
 
 def _load_config(args) -> RunConfig:
@@ -147,6 +151,10 @@ def _load_config(args) -> RunConfig:
         doc["algorithms"] = names
         if len(names) == 1:
             doc["algorithm"] = names[0]
+    if args.command == "maxr":      # maxr runs a budgeted id, by default maxr
+        if doc.setdefault("algorithm", "maxr") not in MAXR_ALGORITHMS:
+            raise ValueError(f"maxr runs a budgeted algorithm, one of {MAXR_ALGORITHMS}, "
+                             f"got {doc['algorithm']!r}")
     return RunConfig.from_dict(doc)
 
 
@@ -223,7 +231,7 @@ def run_algorithm(name: str, scenario, cfg: RunConfig):
 
 def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
     """Write the JSON report, serialized in one piece, and its per-user CSV."""
-    doc = {"config": {key: getattr(cfg, key) for key in CONFIG_KEYS},
+    doc = {"config": {key: getattr(cfg, key) for key in CONFIG},
            "algorithm": name, "report": report.to_dict(), **(extra or {})}
     with open(cfg.out, "w") as fh:
         fh.write(json.dumps(doc, indent=2))
@@ -240,12 +248,6 @@ def cmd_design(cfg: RunConfig) -> int:
     report = run_algorithm(cfg.algorithm, scenario, cfg)
     print(_write_report(cfg, cfg.algorithm, report))
     return 0
-
-
-def cmd_maxr(cfg: RunConfig) -> int:
-    if cfg.algorithm not in MAXR_ALGORITHMS:
-        cfg.algorithm = "maxr"
-    return cmd_design(cfg)
 
 
 def cmd_montecarlo(cfg: RunConfig) -> int:
@@ -307,25 +309,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
-    try:
-        cfg = _load_config(args)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    handler = {"design": cmd_design, "sweep": cmd_sweep, "maxr": cmd_maxr,
+    handler = {"design": cmd_design, "sweep": cmd_sweep, "maxr": cmd_design,
                "montecarlo": cmd_montecarlo}[args.command]
     # DegenerateChannelsError is a ValueError, so the design errors go first
     try:
-        return handler(cfg)
+        return handler(_load_config(args))
     except InfeasibleLoadingError as exc:
         print(f"design infeasible: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DegenerateChannelsError) as exc:
         print(f"design failed: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

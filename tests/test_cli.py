@@ -8,14 +8,15 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from offsetbf import cli, directions, powerload
-from offsetbf.channel import save_scenario, scenario_to_dict
+from offsetbf.channel import (CellConfig, generate_scenario, save_scenario,
+                              scenario_to_dict)
 
 from helpers import scenario_from_rows, standard_complex, unit_scale_scenario
 
@@ -105,17 +106,32 @@ def test_config_rejects_unknown_generate_keys(tmp_path, capsys):
     ("shadowing_std_db", "h_est"),
 ])
 def test_config_rejects_non_finite_generate_values(tmp_path, capsys, key, field):
+    # The config check names the generate key. A library caller's cell skips
+    # that check, and the scenario names its own field.
     cfg = write_config(tmp_path, {"generate": {**GENERATE_BLOCK, key: float("nan")},
                                   "algorithm": "zf", "r": 2.0,
                                   "out": str(tmp_path / "r.json")})
     code, out, err = run_cli(capsys, ["design", "--config", cfg])
-    assert code == 1
-    assert err.startswith("config error: ")
-    assert f"{field} must be finite" in err
-    assert out == ""
+    assert (code, out) == (1, "")
+    assert err == f"config error: generate.{key} must be a finite number, got nan\n"
+    assert not (tmp_path / "r.json").exists()
+    cell = {name: value for name, value in GENERATE_BLOCK.items() if name != "seed"}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        generate_scenario(CellConfig(**{**cell, key: float("nan")}), 3)
 
 
 NAN = float("nan")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_config_table_covers_every_key_and_the_readme_names_them():
+    assert list(cli.CONFIG) == [f.name for f in fields(cli.RunConfig)]
+    assert all(isinstance(key, cli.Key) for key in cli.CONFIG.values())
+    assert set(cli.GENERATE) == {f.name for f in fields(CellConfig)} | {"seed"}
+    schema = README.read_text().split("### Config schema")[1].split("\n##")[0]
+    unnamed = [name for name in cli.CONFIG if f"`{name}`" not in schema]
+    unnamed += [name for name in cli.GENERATE if f"`generate.{name}`" not in schema]
+    assert unnamed == []
 
 
 def generate_with(**values):
@@ -157,6 +173,12 @@ def generate_with(**values):
     (generate_with(n_antennas=0), "generate.n_antennas must be at least 1, got 0"),
     (generate_with(radius_km=0.0), "generate.radius_km must be positive, got 0.0"),
     (generate_with(radius_km=-0.5), "generate.radius_km must be positive, got -0.5"),
+    ({"algorithm": "socp"}, f"algorithm must be one of {cli.ALGORITHM_IDS}, got 'socp'"),
+    ({"algorithms": ["zf", "socp"]},
+     f"algorithms must be one of {cli.ALGORITHM_IDS}, got 'socp'"),
+    ({"variance_mode": "fast"},
+     "variance_mode must be one of ('exact', 'simplified'), got 'fast'"),
+    ({"total_power": None}, "total_power must be a finite number, got None"),
 ])
 def test_config_rejects_non_finite_and_non_integer_values(tmp_path, capsys, patch,
                                                           message):
@@ -387,13 +409,17 @@ def test_malformed_scenario_file(tmp_path, capsys):
     assert "config error" in err
 
 
-@pytest.mark.parametrize("doc", [
-    [1, 2],
-    {"n_antennas": 2, "users": 5},
-    {"n_antennas": 1, "users": [{"h_est": [[1.0, 0.0]], "sigma_e": 0.1,
-                                 "noise_power": 1.0, "gamma": None}]},
-], ids=["list", "users-not-a-list", "null-gamma"])
-def test_scenario_file_of_the_wrong_shape_is_a_config_error(tmp_path, doc):
+USER = {"h_est": [[1.0, 0.0]], "sigma_e": 0.1, "noise_power": 1.0, "gamma": 2.0}
+
+
+@pytest.mark.parametrize("doc,detail", [
+    ([1, 2], ""),
+    ({"n_antennas": 2, "users": 5}, ""),
+    ({"n_antennas": 1, "users": [{**USER, "gamma": None}]}, ""),
+    ({"n_antennas": 1, "users": [USER, {key: USER[key] for key in USER if key != "gamma"}]},
+     "user 1 has no 'gamma'\n"),
+], ids=["list", "users-not-a-list", "null-gamma", "no-gamma"])
+def test_scenario_file_of_the_wrong_shape_is_a_config_error(tmp_path, doc, detail):
     # The CLI runs in a child process, so that a traceback would show on its stderr.
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
@@ -403,7 +429,7 @@ def test_scenario_file_of_the_wrong_shape_is_a_config_error(tmp_path, doc):
                             capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": SRC_DIR})
     assert (result.returncode, result.stdout) == (1, "")
-    assert result.stderr.startswith("config error: malformed scenario: ")
+    assert result.stderr.startswith(f"config error: malformed scenario: {detail}")
     assert "Traceback" not in result.stderr
 
 
@@ -509,8 +535,7 @@ def test_design_roundtrip_from_embedded_config(tmp_path, capsys):
 def test_maxr_subcommand_defaults_to_maxr(tmp_path, capsys):
     out = str(tmp_path / "maxr.json")
     cfg = write_config(tmp_path, {"scenario_file": unit_scenario_file(tmp_path),
-                                  "algorithm": "zf", "total_power": 50.0,
-                                  "out": out})
+                                  "total_power": 50.0, "out": out})
     code, stdout, _ = run_cli(capsys, ["maxr", "--config", cfg])
     assert code == 0
     doc = json.loads((tmp_path / "maxr.json").read_text())
@@ -519,6 +544,19 @@ def test_maxr_subcommand_defaults_to_maxr(tmp_path, capsys):
     assert sum(u["beta"] for u in users) == pytest.approx(50.0, abs=1e-8)
     offsets = {u["r"] for u in users}
     assert len(offsets) == 1
+
+
+@pytest.mark.parametrize("override", [[], ["--algorithms", "zf"]])
+def test_maxr_subcommand_rejects_a_fixed_offset_algorithm(tmp_path, capsys, override):
+    out = tmp_path / "maxr.json"
+    cfg = write_config(tmp_path, {"scenario_file": unit_scenario_file(tmp_path),
+                                  "algorithm": "alg1", "r": 2.0, "out": str(out)})
+    code, stdout, err = run_cli(capsys, ["maxr", "--config", cfg, *override])
+    assert (code, stdout) == (1, "")
+    name = override[-1] if override else "alg1"
+    assert err == ("config error: maxr runs a budgeted algorithm, one of ('maxr', "
+                   f"'maxr_reschedule', 'maxr_powersave', 'avg_outage'), got '{name}'\n")
+    assert not out.exists()
 
 
 def test_maxr_reschedule_drops_duplicate_user(tmp_path, capsys):

@@ -9,6 +9,11 @@ and for every algorithm id of cli.run_algorithm. alg1 is left out of the
 rotation check only: its Re{psi h^H} term is taken element-wise and so
 depends on the antenna basis, while user permutation and joint scaling
 leave it unchanged.
+
+The instances above are far from the command line's operating point. The last
+two properties draw generate_scenario cells at a 1 W budget instead, and check
+every id but rzf and alg1 under a rotation and under the reduction of the
+channels to K antennas.
 """
 
 import numpy as np
@@ -17,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from offsetbf import cli
+from offsetbf.channel import CellConfig, Scenario, generate_scenario
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
@@ -174,3 +180,74 @@ def test_every_id_joint_scaling(name, instance, log10_c):
     beta_scaled = cli_powers(name, c * h, gammas, c ** 2 * noise, c * sigma_e, mode,
                              total_power)
     assert_close(beta_scaled, beta)
+
+
+# ---------------------------------------------------------------------------
+# the CLI's operating point: generate_scenario cells, P_t = 1 W, exact mode
+# ---------------------------------------------------------------------------
+
+# Left out of both properties below. Measured on 200 such cells, as the largest
+# change of a user's power relative to the largest power, under a random
+# rotation / under the reduction to K antennas:
+# - rzf: 1.6 / 1.0. Its N_t x N_t solve at the default loading K*mean(noise)/P_t
+#   is ill-conditioned (ROADMAP item 8).
+# - alg1: 2.9 / 0.93 where both designs succeed, and the outcome changed on 5 / 10
+#   cells. Its element-wise Re{psi h^H} depends on the antenna basis (item 1).
+# Every other id stayed within 3e-13, with the same outcome on every cell.
+OPERATING_POINT_EXCLUDED = ("rzf", "alg1")
+OPERATING_POINT_IDS = tuple(name for name in cli.ALGORITHM_IDS
+                            if name not in OPERATING_POINT_EXCLUDED)
+
+
+@st.composite
+def operating_cells(draw):
+    """A generate_scenario cell (0.5, 1.5 or 3.2 km; K <= 6 users on N_t <= 20
+    antennas; default link parameters) and a generator seeded like it."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    cell = CellConfig(n_users=draw(st.integers(1, 6)), n_antennas=draw(st.integers(1, 20)),
+                      radius_km=draw(st.sampled_from((0.5, 1.5, 3.2))))
+    return generate_scenario(cell, seed), np.random.default_rng(seed)
+
+
+def operating_outcome(name, scenario, h_est):
+    """The design error class of `name` on scenario with its channels replaced
+    by h_est, or the served users and their powers."""
+    moved = Scenario(h_est=h_est, sigma_e=scenario.sigma_e,
+                     noise_power=scenario.noise_power, sinr_target=scenario.sinr_target)
+    cfg = cli.RunConfig(algorithm=name, r=FIXED_R, total_power=1.0, variance_mode="exact")
+    try:
+        report = cli.run_algorithm(name, moved, cfg)
+    except DESIGN_ERRORS as exc:
+        return type(exc)
+    return report.served_indices, report.powers
+
+
+def assert_same_outcome(name, scenario, h_est):
+    expected = operating_outcome(name, scenario, scenario.h_est)
+    outcome = operating_outcome(name, scenario, h_est)
+    if isinstance(expected, type) or isinstance(outcome, type):
+        assert outcome == expected
+    else:
+        assert outcome[0] == expected[0]
+        assert_close(outcome[1], expected[1])
+
+
+@pytest.mark.parametrize("name", OPERATING_POINT_IDS)
+@SETTINGS
+@given(operating_cells())
+def test_every_id_antenna_basis_rotation_at_the_operating_point(name, cell):
+    scenario, rng = cell
+    nt = scenario.n_antennas
+    unitary, _ = np.linalg.qr(standard_complex(rng, (nt, nt)))
+    assert_same_outcome(name, scenario, scenario.h_est @ unitary.T)
+
+
+@pytest.mark.parametrize("name", OPERATING_POINT_IDS)
+@SETTINGS
+@given(operating_cells())
+def test_every_id_reduction_to_k_antennas_at_the_operating_point(name, cell):
+    # With h_est^H = QR, the scenario h_est Q (= R^H) on min(K, N_t) antennas
+    # is the same problem for every design in the span of the channels.
+    scenario, _ = cell
+    q, _ = np.linalg.qr(scenario.h_est.conj().T)
+    assert_same_outcome(name, scenario, scenario.h_est @ q)
