@@ -172,7 +172,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 def scenario_from_dict(doc: dict) -> Scenario:
     """The scenario of a scenario_to_dict document; a document of the wrong
     shape or with a value of the wrong type raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("malformed scenario: the scenario must be a JSON object")
     try:
+        for key in ("users", "n_antennas"):
+            if key not in doc:
+                raise ValueError(f"malformed scenario: no {key!r}")
         entries = doc["users"]
         n_antennas = int(doc["n_antennas"])
         for k, entry in enumerate(entries):

@@ -151,11 +151,18 @@ def _load_config(args) -> RunConfig:
         doc["algorithms"] = names
         if len(names) == 1:
             doc["algorithm"] = names[0]
+    single = args.command != "sweep"        # design, maxr and montecarlo run one id
+    if single and isinstance(doc.get("algorithms"), list) and len(doc["algorithms"]) == 1:
+        doc.setdefault("algorithm", doc["algorithms"][0])
     if args.command == "maxr":      # maxr runs a budgeted id, by default maxr
         if doc.setdefault("algorithm", "maxr") not in MAXR_ALGORITHMS:
             raise ValueError(f"maxr runs a budgeted algorithm, one of {MAXR_ALGORITHMS}, "
                              f"got {doc['algorithm']!r}")
-    return RunConfig.from_dict(doc)
+    cfg = RunConfig.from_dict(doc)
+    if single and cfg.algorithms not in ([], [cfg.algorithm]):
+        given = "" if len(cfg.algorithms) > 1 else f"algorithm {cfg.algorithm!r} and "
+        raise ValueError(f"{args.command} runs one algorithm, got {given}algorithms {cfg.algorithms}")
+    return cfg
 
 
 def _build_scenario(cfg: RunConfig, seed=None):

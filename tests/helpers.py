@@ -133,6 +133,28 @@ def solve_nu_constant_offset_oracle(h_est, gammas, tol=1e-10, max_iters=500):
                            last_iterate=nu)
 
 
+def directions_from_nu_oracle(dual, nu):
+    """Oracle for directions.directions_from_nu: one np.linalg.eig of every
+    user's T_k in the dual's basis, the eigenvector of the eigenvalue of
+    largest real part, the same degenerate-channel check, and the same phase
+    alignment (h_k^H u_k >= 0, a row with h_k^H u_k = 0 left unrotated) and
+    normalization."""
+    h_est, gammas, terms, basis = dual.h_est, dual.gammas, dual.terms, dual.basis
+    small = (nu * (1.0 + 1.0 / gammas))[:, None, None] * terms \
+        - np.einsum("j,jil->il", nu, terms)
+    eigvals, eigvecs = np.linalg.eig(small)
+    users, top = np.arange(h_est.shape[0]), np.argmax(eigvals.real, axis=1)
+    if basis.shape[1] < h_est.shape[1] and np.any(eigvals[users, top].real <= 0):
+        raise DegenerateChannelsError(
+            "the top eigenvector of a user's eigen matrix is orthogonal to every channel")
+    u_rows = eigvecs[users, :, top] @ basis.T
+    c = np.einsum("ki,ki->k", h_est.conj(), u_rows)
+    size = np.abs(c)
+    rotation = np.divide(c.conj(), size, out=np.ones_like(c), where=size > 0)
+    u_rows = u_rows * rotation[:, None]
+    return u_rows / np.linalg.norm(u_rows, axis=1, keepdims=True)
+
+
 def newton_load_oracle(coupling, beta, r, tol, max_iters, total_power=None):
     """Oracle for powerload._newton_load, with the same signature: each step
     takes sigma_f with np.clip, divides the gradient by a np.where-guarded

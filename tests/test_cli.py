@@ -349,6 +349,55 @@ def test_config_rejects_unknown_algorithm(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("command", ["design", "maxr", "montecarlo"])
+@pytest.mark.parametrize("source", ["config", "override"])
+def test_a_single_design_command_rejects_a_list_of_algorithms(tmp_path, capsys, command,
+                                                              source):
+    # Only sweep runs a list; the other commands run one algorithm and must
+    # not drop the rest of a list silently.
+    out = tmp_path / "report.json"
+    names = ["maxr", "avg_outage"] if command == "maxr" else ["zf", "mrt"]
+    doc = {"scenario_file": unit_scenario_file(tmp_path), "r": 2.0, "out": str(out)}
+    override = ["--algorithms", ",".join(names)] if source == "override" else []
+    cfg = write_config(tmp_path, doc if override else {**doc, "algorithms": names})
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg, *override])
+    assert (code, stdout) == (1, "")
+    assert err == f"config error: {command} runs one algorithm, got algorithms {names}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "maxr", "montecarlo"])
+def test_a_single_design_command_rejects_an_algorithms_entry_that_is_not_the_algorithm(
+        tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    algorithm, names = ("maxr", ["avg_outage"]) if command == "maxr" else ("alg1", ["zf"])
+    cfg = write_config(tmp_path, {"scenario_file": unit_scenario_file(tmp_path), "r": 2.0,
+                                  "algorithm": algorithm, "algorithms": names,
+                                  "out": str(out)})
+    code, stdout, err = run_cli(capsys, [command, "--config", cfg])
+    assert (code, stdout) == (1, "")
+    assert err == (f"config error: {command} runs one algorithm, "
+                   f"got algorithm {algorithm!r} and algorithms {names}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["design", "montecarlo"])
+@pytest.mark.parametrize("source", ["config", "override"])
+def test_a_one_entry_algorithms_list_sets_the_algorithm(tmp_path, capsys, command, source):
+    # The override replaces the config's algorithm; a config gives the list alone.
+    out = tmp_path / "report.json"
+    doc = {"scenario_file": unit_scenario_file(tmp_path), "r": 2.0, "n_trials": 10,
+           "out": str(out)}
+    if source == "override":
+        cfg = write_config(tmp_path, {**doc, "algorithm": "alg1"})
+        code, _, _ = run_cli(capsys, [command, "--config", cfg, "--algorithms", "zf"])
+    else:
+        cfg = write_config(tmp_path, {**doc, "algorithms": ["zf"]})
+        code, _, _ = run_cli(capsys, [command, "--config", cfg])
+    assert code == 0
+    assert json.loads(out.read_text())["algorithm"] == "zf"
+
+
 def test_run_algorithm_rejects_an_unknown_id():
     # A config's ids are checked on loading; run_algorithm checks its own.
     with pytest.raises(ValueError, match="unknown algorithm 'socp'"):
@@ -413,12 +462,14 @@ USER = {"h_est": [[1.0, 0.0]], "sigma_e": 0.1, "noise_power": 1.0, "gamma": 2.0}
 
 
 @pytest.mark.parametrize("doc,detail", [
-    ([1, 2], ""),
+    ([1, 2], "the scenario must be a JSON object\n"),
     ({"n_antennas": 2, "users": 5}, ""),
     ({"n_antennas": 1, "users": [{**USER, "gamma": None}]}, ""),
     ({"n_antennas": 1, "users": [USER, {key: USER[key] for key in USER if key != "gamma"}]},
      "user 1 has no 'gamma'\n"),
-], ids=["list", "users-not-a-list", "null-gamma", "no-gamma"])
+    ({"n_antennas": 2}, "no 'users'\n"),
+    ({"users": []}, "no 'n_antennas'\n"),
+], ids=["list", "users-not-a-list", "null-gamma", "no-gamma", "no-users", "no-n-antennas"])
 def test_scenario_file_of_the_wrong_shape_is_a_config_error(tmp_path, doc, detail):
     # The CLI runs in a child process, so that a traceback would show on its stderr.
     path = tmp_path / "scenario.json"

@@ -665,6 +665,10 @@ def test_lapack_gufuncs_match_numpy_linalg():
     assert np.array_equal(lapack.checked(lapack.solve1, a.real, b[:, 0].real),
                           np.linalg.solve(a.real, b[:, 0].real))
     assert np.array_equal(lapack.checked(lapack.inv, a.real), np.linalg.inv(a.real))
+    spd = a @ a.conj().T
+    assert np.array_equal(lapack.checked(lapack.cholesky_lo, spd), np.linalg.cholesky(spd))
+    with np.errstate(all="ignore"):
+        assert np.isnan(lapack.cholesky_lo(-spd)).all()
 
 
 def test_lapack_checked_raises_numpy_linalg_error_on_a_singular_matrix():
@@ -887,6 +891,70 @@ def test_directions_from_nu_direction_orthogonal_to_every_channel(build):
     assert np.max(np.abs(h.conj() @ u_dense)) < 1e-6 * np.linalg.norm(h)
     with pytest.raises(DegenerateChannelsError, match="orthogonal to every channel"):
         directions_from_nu(dual, nu)
+
+
+ALG1_CELL_SIZES = [(4, 8), (6, 20), (8, 32)]
+
+
+def counted_eig(monkeypatch):
+    """Patch np.linalg.eig to record the number of matrices of each call."""
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(len(a)) or eig(a))
+    return calls
+
+
+def test_directions_from_nu_takes_no_eig_on_small_cells(monkeypatch):
+    # Every user of a 0.5 km alg1_cells design has a certified Rayleigh-quotient
+    # pair, so a change that sends them to the eig fallback fails here.
+    calls = counted_eig(monkeypatch)
+    for k, nt in ALG1_CELL_SIZES:
+        for seed in range(10):
+            scenario = generate_scenario(
+                CellConfig(n_users=k, n_antennas=nt, radius_km=0.5), seed)
+            alg1_directions(scenario.h_est, scenario.sinr_target, scenario.sigma_e,
+                            r_from_delta(0.05, "gaussian"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("radius_km", [0.5, 1.5, 3.2])
+def test_directions_from_nu_matches_the_eig_oracle(monkeypatch, radius_km):
+    # At the dual's fixed point, or at the last iterate where the dual fails.
+    # At 1.5 and 3.2 km some users fail the certificate and take eig.
+    fallback_users = 0
+    for k, nt in ALG1_CELL_SIZES:
+        for seed in range(10):
+            dual = cell_dual(radius_km, k, nt, seed)
+            try:
+                nu = solve_nu(dual)
+            except ConvergenceError as exc:
+                nu = exc.last_iterate
+            want = helpers.directions_from_nu_oracle(dual, nu)
+            calls = counted_eig(monkeypatch)
+            got = directions_from_nu(dual, nu)
+            monkeypatch.undo()
+            fallback_users += sum(calls)
+            assert np.abs(got - want).max() < 1e-12
+    assert (fallback_users > 0) == (radius_km > 0.5)
+
+
+def test_top_eigenvectors_falls_back_to_eig_when_the_certificate_fails(monkeypatch):
+    # From e_1, T = diag(0, 1) has the exact eigenpair (0, e_1), so the
+    # iteration stops at once, without a solve. The certificate's matrix
+    # 0 I - P T P = diag(0, -1), factored as twice itself, is not positive
+    # definite, and eig decides.
+    small = np.diag([0.0, 1.0]).astype(complex)[None]
+    certificates, cholesky_lo = [], lapack.cholesky_lo
+    monkeypatch.setattr(lapack, "cholesky_lo",
+                        lambda a: certificates.append(a.copy()) or cholesky_lo(a))
+    monkeypatch.setattr(lapack, "solve", None)
+    calls = counted_eig(monkeypatch)
+    vectors, eigvals = directions._top_eigenvectors(small, np.array([[1.0, 0.0j]]))
+    assert np.array_equal(certificates[0], np.diag([0.0, -2.0])[None])
+    assert calls == [1]
+    values, eigvecs = np.linalg.eig(small)
+    top = np.argmax(values[0].real)
+    assert np.array_equal(eigvals, values[:, top]) and eigvals[0] == 1.0
+    assert np.array_equal(vectors, eigvecs[:, :, top])
 
 
 def test_mrt_zero_channel_row_is_degenerate():
