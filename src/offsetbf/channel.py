@@ -16,6 +16,8 @@ import numpy as np
 
 # sigma_e^4 enters the slack variance, and it overflows from 2^256 up
 SIGMA_E_LIMIT = 2.0 ** 256
+# a nonzero h_est row norm lies in [1 / H_EST_LIMIT, H_EST_LIMIT], so its square is normal
+H_EST_LIMIT = 2.0 ** 500
 
 
 def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -67,6 +69,12 @@ class Scenario:
                              f"overflows, got {self.sigma_e.max():g}")
         if not np.isfinite(self.h_est).all():
             raise ValueError("h_est must be finite")
+        norms = np.hypot.reduce(np.abs(self.h_est), axis=1)     # without overflow
+        outside = (norms > H_EST_LIMIT) | ((norms < 1 / H_EST_LIMIT) & (norms > 0))
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ValueError(f"h_est row norms must be 0 or lie in [2^-500, 2^500], got "
+                             f"{norms[k]:.4g} for user {k}")
 
     @property
     def n_users(self) -> int:

@@ -20,8 +20,6 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import directions, montecarlo, powerload
 from .channel import CellConfig, generate_scenario, load_scenario
 from .errors import (ConvergenceError, DegenerateChannelsError,
@@ -31,8 +29,6 @@ from .stats import R_MODES, r_from_delta
 FIXED_R_ALGORITHMS = ("zf", "mrt", "rzf", "alg1", "const_offset")
 MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
 ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
-
-CSV_FIELDS = ("index", "beta", "r", "mu_f", "sigma_f", "predicted_outage", "dropped")
 
 
 # A rule pairs what a value must be with its test. A Key holds a config key's
@@ -185,8 +181,7 @@ def _coupling(name, scenario, cfg: RunConfig, r=None):
     elif name == "rzf":
         loading = cfg.rzf_loading
         if loading is None:
-            loading = scenario.n_users * float(np.mean(scenario.noise_power)) \
-                / cfg.total_power
+            loading = scenario.n_users * float(scenario.noise_power.mean()) / cfg.total_power
         u_rows = directions.rzf_directions(h_est, loading)
     elif name == "alg1":
         u_rows = directions.alg1_directions(h_est, gammas, scenario.sigma_e, r)
@@ -244,9 +239,8 @@ def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
         fh.write(json.dumps(doc, indent=2))
     with open(cfg.out.removesuffix(".json") + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        writer.writerows([user[key] for key in CSV_FIELDS]
-                         for user in doc["report"]["users"])
+        writer.writerow(powerload.USER_COLUMNS)     # to_dict keys each row by these
+        writer.writerows(user.values() for user in doc["report"]["users"])
     return cfg.out
 
 
@@ -263,10 +257,10 @@ def cmd_montecarlo(cfg: RunConfig) -> int:
     served = list(report.served_indices)
     estimates, stderrs = montecarlo.estimate_outage(
         [report], scenario.subset(served), cfg.n_trials, cfg.seed)
-    outage, stderr = np.ones(scenario.n_users), np.zeros(scenario.n_users)
-    outage[served], stderr[served] = estimates[0], stderrs[0]
-    extra = {"n_trials": cfg.n_trials, "outage": outage.tolist(),
-             "stderr_outage": stderr.tolist()}
+    outage, stderr = [1.0] * scenario.n_users, [0.0] * scenario.n_users    # dropped users
+    for k, estimate, error in zip(served, estimates[0].tolist(), stderrs[0].tolist()):
+        outage[k], stderr[k] = estimate, error
+    extra = {"n_trials": cfg.n_trials, "outage": outage, "stderr_outage": stderr}
     print(_write_report(cfg, cfg.algorithm, report, extra=extra))
     return 0
 

@@ -145,8 +145,8 @@ def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
     if not r_values:
         raise ValueError("the r grid is empty")
 
-    # [ri][a] -> per kept realization: power, mean outage, outage variance
-    rows = [[([], [], []) for _ in algorithms] for _ in r_values]
+    # [ri][a] -> one (power, mean outage, outage variance) per kept realization
+    rows = [[[] for _ in algorithms] for _ in r_values]
     for i in range(n_realizations):
         scenario = scenario_generator(
             np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)))
@@ -159,38 +159,25 @@ def sweep(algorithms, scenario_generator, r_values, n_realizations: int,
                                                 spawn_key=(i, 1 + ri))
             est, se = estimate_outage(designs, scenario, n_trials, trial_seed)
             for a, design in enumerate(designs):
-                powers, outages, variances = rows[ri][a]
-                powers.append(design.total_power)
-                outages.append(float(np.mean(est[a])))
-                variances.append(float(np.sum(se[a] ** 2)) / est.shape[1] ** 2)
+                rows[ri][a].append((design.total_power, float(np.mean(est[a])),
+                                    float(np.sum(se[a] ** 2)) / est.shape[1] ** 2))
 
     points = []
     for ri, r in enumerate(r_values):
-        for (name, _), (powers, outages, variances) in zip(algorithms, rows[ri]):
-            n = len(powers)
-            if n == 0:
-                points.append(SweepPoint(algorithm=name, r=r,
-                                         mean_power=float("nan"),
-                                         mean_outage=float("nan"),
-                                         stderr_outage=float("nan"), n_viable=0))
-                continue
-            points.append(SweepPoint(
-                algorithm=name,
-                r=r,
-                mean_power=float(np.mean(powers)),
-                mean_outage=float(np.mean(outages)),
-                stderr_outage=float(np.sqrt(np.sum(variances)) / n),
-                n_viable=n,
-            ))
+        for (name, _), kept in zip(algorithms, rows[ri]):
+            means = (float("nan"),) * 3
+            if kept:
+                powers, outages, variances = zip(*kept)
+                means = np.mean(powers), np.mean(outages), np.sqrt(np.sum(variances)) / len(kept)
+            points.append(SweepPoint(name, r, *map(float, means), len(kept)))
     return points
 
 
 def sweep_to_csv(points, path) -> None:
-    """Write sweep points as CSV with a fixed column order."""
+    """Write sweep points as CSV, one row per point with its fields in
+    SweepPoint order under SWEEP_CSV_COLUMNS, floats formatted as .10g."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_CSV_COLUMNS)
-        for p in points:
-            writer.writerow([p.algorithm, f"{p.r:.10g}", f"{p.mean_power:.10g}",
-                             f"{p.mean_outage:.10g}", f"{p.stderr_outage:.10g}",
-                             p.n_viable])
+        writer.writerows([f"{value:.10g}" if isinstance(value, float) else value
+                          for value in vars(point).values()] for point in points)

@@ -28,6 +28,8 @@ VARIANCE_MODES = ("exact", "simplified")
 SIMPLIFIED_ABOVE_NT = 16
 CDF_FIT_WINDOW = (1.0, 3.0)   # offsets r over which the outage surrogate is fitted
 CDF_FIT_POINTS = 201
+# the keys of a report's per-user rows, in order: the JSON rows and the CSV columns
+USER_COLUMNS = ("index", "beta", "r", "mu_f", "sigma_f", "predicted_outage", "dropped")
 
 
 @dataclass
@@ -122,35 +124,19 @@ class DesignReport:
         return np.sqrt(self.powers)[:, None] * self.directions
 
     def to_dict(self) -> dict:
-        users = []
-        for row, orig in enumerate(self.served_indices):
-            users.append({
-                "index": int(orig),
-                "beta": float(self.powers[row]),
-                "r": float(self.offsets[row]),
-                "mu_f": float(self.mu_f[row]),
-                "sigma_f": float(self.sigma_f[row]),
-                "predicted_outage": float(self.predicted_outage[row]),
-                "dropped": False,
-            })
-        for orig in self.rescheduled:
-            users.append({
-                "index": int(orig),
-                "beta": 0.0,
-                "r": None,
-                "mu_f": None,
-                "sigma_f": None,
-                "predicted_outage": 1.0,
-                "dropped": True,
-            })
-        users.sort(key=lambda row: row["index"])
+        """JSON values; the users, served and dropped, are USER_COLUMNS rows by index."""
+        rows = list(zip(map(int, self.served_indices), self.powers.tolist(),
+                        self.offsets.tolist(), self.mu_f.tolist(), self.sigma_f.tolist(),
+                        self.predicted_outage.tolist(), [False] * len(self.powers)))
+        rows += [(int(orig), 0.0, None, None, None, 1.0, True) for orig in self.rescheduled]
+        rows.sort(key=lambda row: row[0])
         return {
             "total_power": float(self.total_power),
             "iterations_used": int(self.iterations_used),
             "variance_mode": self.coupling.variance_mode,
             "rescheduled": [int(i) for i in self.rescheduled],
             "note": self.note,
-            "users": users,
+            "users": [dict(zip(USER_COLUMNS, row)) for row in rows],
         }
 
 
@@ -274,26 +260,30 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
     beta_1 = beta_0 + r(beta_0) A^{-1} sigma_f(beta_0) and r(beta_1): r(beta_0)
     is far too large, as sigma_f(beta_0) is at noise scale. With positive noise
     and beta_0 >= 0 the Z-matrix A is an M-matrix, so A^{-1} >= 0 and
-    1^T A^{-1} sigma_f > 0 once any sigma_f_k > 0. r < 0 is a valid outcome
-    (outage above one half under the Gaussian approximation). With zero error
-    variances r is unbounded: the report carries r = inf and beta_0.
+    1^T A^{-1} sigma_f > 0 once any sigma_f_k > 0. With zero error variances
+    r is unbounded: the report carries r = inf and beta_0.
 
     Raises InfeasibleLoadingError when beta_0 has negative entries (no offset
-    is achievable for the given set) or the max-r loading has one, and
-    ConvergenceError when max_iters is hit. Returns (beta, r, DesignReport).
+    is achievable for the given set), when Pt is below 1^T beta_0 (the budget
+    cannot fund offset zero), or when the max-r loading has a negative entry,
+    and ConvergenceError when max_iters is hit. Returns (beta, r, DesignReport).
     """
     base = coupling.a_inv @ coupling.noise
     if (base < 0).any():
         raise InfeasibleLoadingError(
             f"zero-offset QoS loading has negative entries: {base}", powers=base)
+    budget = total_power - base.sum()
+    if budget < 0:
+        raise InfeasibleLoadingError(f"power budget {total_power:.6g} W is below the "
+                                     f"zero-offset QoS power {base.sum():.6g} W", powers=base)
     sigma_f = coupling.sigma_f(base)
     if not (sigma_f > 0).any():
         return base, math.inf, DesignReport(coupling, base, math.inf,
                                             note="unbounded offset: zero slack variance")
     colsums = coupling.a_inv.sum(axis=0)       # 1^T A^{-1}
-    budget = total_power - base.sum()
-    beta = base + budget / (colsums @ sigma_f) * (coupling.a_inv @ sigma_f)
-    r = np.full(len(base), budget / (colsums @ coupling.sigma_f(beta)))
+    with np.errstate(all="ignore"):     # a start outside the float range fails in Newton
+        beta = base + budget / (colsums @ sigma_f) * (coupling.a_inv @ sigma_f)
+        r = np.full(len(base), budget / (colsums @ coupling.sigma_f(beta)))
     report = _newton_load(coupling, beta, r, tol, max_iters, total_power)
     return report.powers, float(report.offsets[0]), report
 
@@ -301,10 +291,11 @@ def max_r_power_load(coupling: CouplingMatrix, total_power: float,
 def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=None):
     """Drop users of a Scenario until the achievable common offset reaches r_min.
 
-    While max_r_power_load yields r < r_min and at least two users remain, the
-    user with the largest entry of A^{-1} sigma^2 is dropped and the design is
-    rebuilt, with constant-offset directions, on the retained set. Dropped
-    users are reported as in outage.
+    While max_r_power_load yields r < r_min, or total_power is below the set's
+    zero-offset QoS power 1^T A^{-1} sigma^2 (so r < 0), and at least two users
+    remain, the user with the largest entry of A^{-1} sigma^2 is dropped and the
+    design is rebuilt, with constant-offset directions, on the retained set.
+    Dropped users are reported as in outage.
 
     A retained set with nearly identical estimates can make the direction
     solve diverge, or leave the offset loading infeasible outright; such a set
@@ -312,9 +303,9 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
     approximation of A^{-1} sigma^2 (gamma_k sigma_k^2 over the beam gain, or
     over the channel norm when no directions exist) and the loop continues.
     Once one user is left, its error reaches the caller. With finite inputs
-    that do not overflow, a single user's chain does not fail: A is the
-    positive scalar (|h^H u|^2 + sigma_e^2) / gamma and max-r puts the whole
-    budget on the user.
+    that do not overflow, a single user's chain fails only on a budget below
+    its QoS power: A is the positive scalar (|h^H u|^2 + sigma_e^2) / gamma
+    and max-r puts the whole budget on the user.
 
     Returns (coupling, DesignReport), both of the retained set; the report
     lists the dropped and served users by their original indices.
@@ -333,6 +324,10 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
             ranking = sub.noise_power * sub.sinr_target / (alphas + sub.sigma_e ** 2)
             dropped.append(retained.pop(int(np.argmax(ranking))))
             continue
+        base = coupling.a_inv @ sub.noise_power
+        if len(retained) > 1 and (base >= 0).all() and base.sum() > total_power:
+            dropped.append(retained.pop(int(np.argmax(base))))   # r < 0 < r_min
+            continue
         try:
             _, r, report = max_r_power_load(coupling, total_power)
         except (ConvergenceError, InfeasibleLoadingError):
@@ -345,8 +340,7 @@ def reschedule(scenario, total_power: float, r_min: float = 2.0, variance_mode=N
             report.rescheduled = list(dropped)
             report.served_indices = list(retained)
             return coupling, report
-        worst = int(np.argmax(coupling.a_inv @ sub.noise_power))
-        dropped.append(retained.pop(worst))
+        dropped.append(retained.pop(int(np.argmax(base))))
 
 
 def power_saving_cap(maxr_report: DesignReport, r_cap: float = 5.0) -> DesignReport:

@@ -1,15 +1,16 @@
 """Tests for scenario generation, the error model and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetbf.channel import (SIGMA_E_LIMIT, CellConfig, Scenario, _standard_complex,
-                              draw_errors, generate_scenario, load_scenario, save_scenario,
-                              scenario_from_dict, scenario_to_dict)
+from offsetbf.channel import (H_EST_LIMIT, SIGMA_E_LIMIT, CellConfig, Scenario,
+                              _standard_complex, draw_errors, generate_scenario, load_scenario,
+                              save_scenario, scenario_from_dict, scenario_to_dict)
 from offsetbf.cli import RunConfig, run_algorithm
 
 
@@ -91,6 +92,18 @@ def test_scenario_rejects_sigma_e_whose_fourth_power_overflows():
         with pytest.raises(ValueError, match=r"sigma_e must be below 1\.158e\+77, where "
                                              r"sigma_e\^4 overflows, got 1"):
             _scenario(sigma_e=bad)
+
+
+def test_scenario_bounds_h_est_row_norms():
+    # a row norm of 0 or within [2^-500, 2^500] passes, and its square is a
+    # normal float; the next norm out on either side is rejected, by user
+    for norm in (0.0, 1.0 / H_EST_LIMIT, H_EST_LIMIT):
+        assert _scenario(h_est=np.full((2, 1), norm)).h_est[1, 0] == norm
+    for norm in (np.nextafter(1.0 / H_EST_LIMIT, 0.0), np.nextafter(H_EST_LIMIT, np.inf)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"h_est row norms must be 0 or lie in [2^-500, 2^500], got {norm:.4g} "
+                f"for user 1")):
+            _scenario(h_est=np.array([[1.0], [norm]]))
 
 
 def test_scenario_rejects_non_finite_fields():
@@ -227,7 +240,10 @@ def test_scenario_from_dict_rejects_ragged_and_empty_user_lists():
         scenario_from_dict({"n_antennas": 4, "users": []})
 
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+# 0 or at least 1 / H_EST_LIMIT, and at most H_EST_LIMIT / 4, so that every row
+# of up to four antennas has a norm of 0 or one within Scenario's bound
+h_part = st.floats(-H_EST_LIMIT / 4, H_EST_LIMIT / 4).filter(
+    lambda x: x == 0 or abs(x) >= 1 / H_EST_LIMIT)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
@@ -236,7 +252,7 @@ def scenarios(draw):
     """An arbitrary valid scenario of 1-5 users on 1-4 antennas."""
     k = draw(st.integers(1, 5))
     nt = draw(st.integers(1, 4))
-    parts = draw(st.lists(finite, min_size=2 * k * nt, max_size=2 * k * nt))
+    parts = draw(st.lists(h_part, min_size=2 * k * nt, max_size=2 * k * nt))
     h_est = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     return Scenario(
         h_est=h_est.reshape(k, nt),

@@ -326,6 +326,29 @@ def test_sigma_e_just_below_its_bound_is_a_failed_design(tmp_path, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("factor", [1e155, 1e-170, 1e100, 1e-150])
+def test_h_est_row_norms_outside_their_bound_are_a_config_error(tmp_path, capsys, factor):
+    # The 3x4 cell at 0.5 km, seed 0, with every h_est entry times factor. Row
+    # norms beyond 2^500 or below 2^-500 stop every id at loading with a
+    # message that names h_est; within the bound no id exits 1.
+    doc = scenario_to_dict(generate_scenario(
+        CellConfig(n_users=3, n_antennas=4, radius_km=0.5), 0))
+    for user in doc["users"]:
+        user["h_est"] = [[re * factor, im * factor] for re, im in user["h_est"]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    for name in cli.ALGORITHM_IDS:
+        cfg = write_config(tmp_path, {"scenario_file": str(path), "algorithm": name,
+                                      "r": 2.0, "out": str(tmp_path / "r.json")})
+        code, _, err = run_cli(capsys, ["design", "--config", cfg])
+        if factor in (1e155, 1e-170):
+            assert code == 1
+            assert err.startswith("config error: h_est row norms must be 0 or lie in "
+                                  "[2^-500, 2^500], got "), (name, err)
+        else:
+            assert code != 1, (name, err)
+
+
 def test_config_requires_exactly_one_scenario_source(tmp_path, capsys):
     scenario = unit_scenario_file(tmp_path)
     both = write_config(tmp_path, {"scenario_file": scenario, "generate": {}},
@@ -647,8 +670,8 @@ def test_maxr_without_reschedule_fails_on_duplicates(tmp_path, capsys):
 ])
 def test_budget_below_qos_loading_is_design_infeasible(tmp_path, capsys, algorithm,
                                                        seed, total_power):
-    # The max-r loading of a budget far below the zero-offset QoS loading has
-    # negative powers, which no design can carry.
+    # A budget below the zero-offset QoS power cannot fund offset zero; max-r
+    # says so before its Newton loop, naming the budget.
     out = tmp_path / "x.json"
     cfg = write_config(tmp_path, {"generate": {"n_users": 4, "n_antennas": 8,
                                                "seed": seed, "radius_km": 3.2},
@@ -657,7 +680,8 @@ def test_budget_below_qos_loading_is_design_infeasible(tmp_path, capsys, algorit
     code, stdout, err = run_cli(capsys, ["design", "--config", cfg])
     assert code == 2
     assert stdout == ""
-    assert err.startswith("design infeasible: power loading has negative")
+    assert err.startswith(f"design infeasible: power budget {total_power:g} W is below "
+                          f"the zero-offset QoS power ")
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 from offsetbf import montecarlo
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import DegenerateChannelsError
-from offsetbf.montecarlo import (estimate_outage, sweep, sweep_to_csv,
+from offsetbf.montecarlo import (SweepPoint, estimate_outage, sweep, sweep_to_csv,
                                  viability_check, SWEEP_CSV_COLUMNS)
 from offsetbf.powerload import DesignReport, alg2_power_load, coupling_matrix
 
@@ -288,6 +288,20 @@ def test_sweep_csv_deterministic(tmp_path, no_power_limit):
         rows = list(csv.reader(fh))
     assert rows[0] == list(SWEEP_CSV_COLUMNS)
     assert len(rows) == 3
+
+
+def test_sweep_csv_bytes_of_fixed_points(tmp_path):
+    # floats as .10g, n_viable as an integer, and a point with no viable
+    # realization as nan means beside n_viable 0
+    points = [SweepPoint("zf", 1.5, 0.123456789012345, 1.0 / 3.0, 2.5e-05, 7),
+              SweepPoint("alg1", 2.0, 1234567890123.0, 0.0, 1e-300, 1),
+              SweepPoint("rzf", 3.0, float("nan"), float("nan"), float("nan"), 0)]
+    sweep_to_csv(points, tmp_path / "points.csv")
+    assert (tmp_path / "points.csv").read_bytes() == (
+        b"algorithm,r,mean_power_W,mean_outage,stderr_outage,n_viable\r\n"
+        b"zf,1.5,0.123456789,0.3333333333,2.5e-05,7\r\n"
+        b"alg1,2,1.23456789e+12,0,1e-300,1\r\n"
+        b"rzf,3,nan,nan,nan,0\r\n")
 
 
 def raises_on_some(scenario):

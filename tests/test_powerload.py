@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -233,8 +234,8 @@ def test_max_r_single_user_hand_value():
 def test_max_r_budget_exhausted_exactly():
     for seed in range(4):
         _, _, _, coupling = random_instance(seed=seed + 30)
-        beta, r, report = max_r_power_load(coupling, total_power=20.0)
-        assert abs(beta.sum() - 20.0) < 1e-9
+        beta, r, report = max_r_power_load(coupling, total_power=30.0)
+        assert abs(beta.sum() - 30.0) < 1e-9
         for mu, sigma in zip(report.mu_f, report.sigma_f):
             assert abs(mu - r * sigma) < 1e-6 * max(abs(mu), 1e-12)
 
@@ -273,7 +274,7 @@ def test_max_r_convergence_error_carries_last_iterate():
 def test_max_r_matches_alternation_oracle():
     for seed in range(5):
         _, _, _, coupling = random_instance(seed=seed + 30)
-        for total_power in (5.0, 20.0, 100.0):
+        for total_power in (25.0, 50.0, 100.0):
             beta, r, report = max_r_power_load(coupling, total_power)
             beta_o, r_o, _ = max_r_alternation_oracle(coupling, total_power, tol=1e-15,
                                                       max_iters=100_000)
@@ -365,13 +366,15 @@ def test_newton_load_with_an_error_free_user_is_bit_identical(monkeypatch):
         scenario = scenario_from_rows(h, np.array([0.1, 0.0, 0.2]), 1.0, np.full(3, 4.0))
         coupling = coupling_matrix(scenario, const_offset_directions(h, np.full(3, 4.0)))
         loads = [functools.partial(alg2_power_load, coupling, r) for r in (1.0, 2.0, 3.0)]
-        loads += [lambda pt=pt: max_r_power_load(coupling, pt)[2] for pt in (5.0, 20.0)]
+        loads += [lambda pt=pt: max_r_power_load(coupling, pt)[2] for pt in (75.0, 100.0)]
         assert "ok" in assert_loads_match_the_oracle(monkeypatch, loads)
 
 
 def test_max_r_below_the_qos_budget_is_bit_identical_to_the_block_solve_loop(monkeypatch):
-    # 4x8 cells at 3.2 km with budgets of 1e-14 to 1e-11 W: most cannot fund
-    # zero offsets, so the loads end in negative powers or in no convergence.
+    # 4x8 cells at 3.2 km with budgets of 1e-14 to 1e-11 W: none funds the
+    # zero-offset QoS power 1^T A^-1 sigma^2, so max-r raises before its Newton
+    # loop and names both values. Just above that power and at ten times it,
+    # the loads, and one-step runs that stop unconverged, match the oracle.
     kinds = []
     for seed in range(30):
         scenario = generate_scenario(CellConfig(n_users=4, n_antennas=8), seed)
@@ -380,10 +383,20 @@ def test_max_r_below_the_qos_budget_is_bit_identical_to_the_block_solve_loop(mon
                 scenario, const_offset_directions(scenario.h_est, scenario.sinr_target))
         except ConvergenceError:
             continue
-        loads = [lambda pt=pt: max_r_power_load(coupling, pt)[2]
-                 for pt in (1e-14, 1e-13, 1e-12, 1e-11)]
-        kinds += assert_loads_match_the_oracle(monkeypatch, loads)
-    assert {"ok", "ConvergenceError", "InfeasibleLoadingError"} <= set(kinds)
+        base = coupling.a_inv @ coupling.noise
+        for pt in (1e-14, 1e-13, 1e-12, 1e-11):
+            message = ("zero-offset QoS loading has negative entries" if (base < 0).any()
+                       else f"power budget {pt:.6g} W is below the zero-offset QoS power "
+                            f"{base.sum():.6g} W")
+            with pytest.raises(InfeasibleLoadingError, match=re.escape(message)):
+                max_r_power_load(coupling, pt)
+        if (base >= 0).all():
+            qos = base.sum()
+            loads = [lambda pt=pt: max_r_power_load(coupling, pt)[2]
+                     for pt in (qos * (1.0 + 1e-9), 10.0 * qos)]
+            loads.append(lambda: max_r_power_load(coupling, 10.0 * qos, max_iters=1)[2])
+            kinds += assert_loads_match_the_oracle(monkeypatch, loads)
+    assert {"ok", "ConvergenceError"} <= set(kinds)
 
 
 def test_newton_load_that_leaves_the_float_range_says_so(monkeypatch):
@@ -478,6 +491,24 @@ def test_reschedule_drop_order_matches_ranking():
     _, report = reschedule(scenario, total_power=base.sum() + 0.3, r_min=2.0)
     assert report.rescheduled == [expected_first_drop]
     assert expected_first_drop not in report.served_indices
+    assert report.offsets[0] >= 2.0
+
+
+@pytest.mark.parametrize("seed,dropped", [(142, [1]), (110, [2, 0])])
+def test_reschedule_below_the_qos_budget_drops_by_qos_power(seed, dropped):
+    # A budget of half the zero-offset QoS power funds no offset (r < 0 < r_min),
+    # so each drop is the user with the largest entry of A^{-1} sigma^2, as for
+    # a small offset. On these strongly coupled 4x4 cells the diagonal ranking
+    # kept for unservable sets would drop a different user first.
+    h = standard_complex(np.random.default_rng(seed), (4, 4))
+    scenario = scenario_from_rows(h, gamma=4.0)
+    coupling = coupling_matrix(scenario, const_offset_directions(h, scenario.sinr_target))
+    base = coupling.a_inv @ scenario.noise_power
+    assert np.argmax(base) != np.argmax(scenario.noise_power / np.diag(coupling.a))
+
+    _, report = reschedule(scenario, total_power=0.5 * base.sum(), r_min=2.0)
+    assert report.rescheduled == dropped
+    assert sorted(report.served_indices + dropped) == [0, 1, 2, 3]
     assert report.offsets[0] >= 2.0
 
 
@@ -594,7 +625,7 @@ def test_perturbation_conserves_power_and_objective():
         _, _, _, coupling = random_instance(seed=seed + 40)
         # calibrate the budget so the common offset lands near r = 2
         base = coupling.a_inv @ coupling.noise
-        budget = 30.0 - base.sum()
+        budget = 10.0
         for _ in range(3):
             beta, r_star, report = max_r_power_load(coupling,
                                                     total_power=base.sum() + budget,

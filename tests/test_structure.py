@@ -7,8 +7,8 @@ powerload.reschedule and powerload.max_r_power_load that the benchmark
 tracer reads, the package loads no scipy module, only the lapack
 module reaches numpy.linalg's private gufunc module, every gufunc it
 exports has a caller, so has every private module-level function, no public
-function takes a private parameter, and the package version is read from
-offsetbf.__version__."""
+function takes a private parameter, cli imports no numpy, and the package
+version is read from offsetbf.__version__."""
 
 import ast
 import importlib
@@ -186,6 +186,18 @@ def test_no_public_function_takes_a_private_parameter():
             private += [f"{name}.{attr}({param})" for param in inspect.signature(fn).parameters
                         if param.startswith("_")]
     assert private == []
+
+
+def test_cli_imports_no_numpy():
+    """cli parses the config, runs the design modules and writes their values;
+    array work belongs to those modules, so cli has no numpy import."""
+    imported = set()
+    for node in ast.walk(MODULES["cli"]):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert imported and "numpy" not in imported
 
 
 def test_package_version_is_read_from_the_package():
