@@ -13,6 +13,7 @@ directions  beamforming direction solvers (dual fixed point, baselines)
 powerload   slack moments and power loading for fixed directions (QoS, max-r,
             perturbation), and the design report
 montecarlo  empirical outage validation and power/outage sweeps
+design      each algorithm id's directions and power loading, as one closure of r
 cli         command-line front end
 """
 

@@ -121,6 +121,11 @@ def generate_scenario(cell: CellConfig, seed) -> Scenario:
         raise ValueError("n_users and n_antennas must be at least 1")
     if cell.radius_km <= 0:
         raise ValueError("radius_km must be positive")
+    for key in ("noise_dbm", "gamma_db"):
+        try:
+            10.0 ** (getattr(cell, key) / 10.0)
+        except OverflowError:
+            raise ValueError(f"{key} {getattr(cell, key)!r} overflows as a power ratio") from None
 
     rng = np.random.default_rng(seed)
     k, nt = cell.n_users, cell.n_antennas
@@ -128,8 +133,12 @@ def generate_scenario(cell: CellConfig, seed) -> Scenario:
     # uniform position in the disc: density of d is proportional to d
     d_km = cell.radius_km * np.sqrt(rng.uniform(size=k))
     shadow_db = rng.normal(0.0, cell.shadowing_std_db, size=k)
-    gain_db = -10.0 * cell.path_loss_exponent * np.log10(d_km / 1.0) + shadow_db
-    gain = 10.0 ** (gain_db / 10.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain_db = -10.0 * cell.path_loss_exponent * np.log10(d_km / 1.0) + shadow_db
+        gain = 10.0 ** (gain_db / 10.0)
+    if np.isinf(gain).any():
+        raise ValueError(f"path_loss_exponent {cell.path_loss_exponent!r} and shadowing_std_db "
+                         f"{cell.shadowing_std_db!r} put a large-scale gain beyond the float range")
 
     g = _standard_complex(rng, (k, nt))
     e = cell.sigma_e * _standard_complex(rng, (k, nt))
@@ -187,19 +196,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
             if key not in doc:
                 raise ValueError(f"malformed scenario: no {key!r}")
         entries = doc["users"]
-        n_antennas = int(doc["n_antennas"])
+        nt = doc["n_antennas"]
+        if isinstance(nt, bool) or not isinstance(nt, int) or nt < 1:
+            raise ValueError(f"malformed scenario: n_antennas {nt!r} is not a positive integer")
         for k, entry in enumerate(entries):
             for key in ("h_est", "sigma_e", "noise_power", "gamma"):
                 if key not in entry:
                     raise ValueError(f"malformed scenario: user {k} has no {key!r}")
+                flat = [x for pair in entry[key] for x in pair] if key == "h_est" else [entry[key]]
+                bad = [x for x in flat if isinstance(x, bool) or not isinstance(x, (int, float))]
+                if bad:
+                    raise ValueError(f"malformed scenario: user {k}'s {key} has non-number {bad[0]!r}")
         rows = [_decode_cvec(entry["h_est"]) for entry in entries]
         sigma_e, noise_power, gammas = [[float(entry[key]) for entry in entries]
                                         for key in ("sigma_e", "noise_power", "gamma")]
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed scenario: {exc}") from exc
-    if any(row.shape != (n_antennas,) for row in rows):
+    if any(row.shape != (nt,) for row in rows):
         raise ValueError("all users must share n_antennas")
-    return Scenario(h_est=np.array(rows, dtype=complex).reshape(len(rows), n_antennas),
+    return Scenario(h_est=np.array(rows, dtype=complex).reshape(len(rows), nt),
                     sigma_e=sigma_e, noise_power=noise_power, sinr_target=gammas)
 
 

@@ -20,15 +20,12 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
-from . import directions, montecarlo, powerload
+from . import design, montecarlo, powerload
 from .channel import CellConfig, generate_scenario, load_scenario
+from .design import ALGORITHM_IDS, FIXED_R_ALGORITHMS, MAXR_ALGORITHMS
 from .errors import (ConvergenceError, DegenerateChannelsError,
                      InfeasibleLoadingError)
 from .stats import R_MODES, r_from_delta
-
-FIXED_R_ALGORITHMS = ("zf", "mrt", "rzf", "alg1", "const_offset")
-MAXR_ALGORITHMS = ("maxr", "maxr_reschedule", "maxr_powersave", "avg_outage")
-ALGORITHM_IDS = FIXED_R_ALGORITHMS + MAXR_ALGORITHMS
 
 
 # A rule pairs what a value must be with its test. A Key holds a config key's
@@ -169,66 +166,16 @@ def _build_scenario(cfg: RunConfig, seed=None):
     return generate_scenario(CellConfig(**doc), doc_seed if seed is None else seed)
 
 
-def _coupling(name, scenario, cfg: RunConfig, r=None):
-    """The coupling of algorithm `name`'s directions (alg1's at offset r),
-    under cfg's variance mode, before any loading."""
-    h_est = scenario.h_est
-    gammas = scenario.sinr_target
-    if name == "zf":
-        u_rows = directions.zf_directions(h_est)
-    elif name == "mrt":
-        u_rows = directions.mrt_directions(h_est)
-    elif name == "rzf":
-        loading = cfg.rzf_loading
-        if loading is None:
-            loading = scenario.n_users * float(scenario.noise_power.mean()) / cfg.total_power
-        u_rows = directions.rzf_directions(h_est, loading)
-    elif name == "alg1":
-        u_rows = directions.alg1_directions(h_est, gammas, scenario.sigma_e, r)
-    elif name in ("const_offset", "maxr", "avg_outage"):
-        u_rows = directions.const_offset_directions(h_est, gammas)
-    else:
-        raise ValueError(f"unknown algorithm {name!r}")
-    return powerload.coupling_matrix(scenario, u_rows, cfg.variance_mode)
-
-
-def fixed_r_designer(name: str, scenario, cfg: RunConfig):
-    """Closure r -> DesignReport for a fixed-r algorithm id.
-
-    The directions and coupling of every id but alg1 do not depend on r, so
-    they are built once here and each call only loads power at its offset;
-    alg1's directions depend on r and are rebuilt at each call.
-    """
-    if name == "alg1":
-        return lambda r: powerload.alg2_power_load(_coupling(name, scenario, cfg, r), r)
-    coupling = _coupling(name, scenario, cfg)
-    return lambda r: powerload.alg2_power_load(coupling, r)
+def _designer(cfg: RunConfig, name: str):
+    """design.designer for id `name` under cfg: scenario -> (r -> DesignReport)."""
+    options = ("total_power", "variance_mode", "r_min", "r_cap", "rzf_loading")
+    return functools.partial(design.designer, name, **{key: getattr(cfg, key) for key in options})
 
 
 def run_algorithm(name: str, scenario, cfg: RunConfig):
-    """Run one design pipeline; returns its DesignReport.
-
-    Fixed-r ids load power at the offset r; maxr and avg_outage maximize the
-    common offset under the budget (avg_outage then perturbs it per user);
-    maxr_reschedule and maxr_powersave also drop users and choose their own
-    directions for the retained set.
-    """
-    if name in FIXED_R_ALGORITHMS:
-        r = cfg.resolved_r()
-        return fixed_r_designer(name, scenario, cfg)(r)
-
-    if name in ("maxr_reschedule", "maxr_powersave"):
-        _, report = powerload.reschedule(
-            scenario, cfg.total_power, r_min=cfg.r_min, variance_mode=cfg.variance_mode)
-        if name == "maxr_powersave":
-            report = powerload.power_saving_cap(report, r_cap=cfg.r_cap)
-        return report
-
-    _, _, report = powerload.max_r_power_load(_coupling(name, scenario, cfg),
-                                              cfg.total_power)
-    if name == "avg_outage":
-        report = powerload.average_outage_perturbation(report)
-    return report
+    """The DesignReport of `name` on scenario; a fixed-offset id resolves r first."""
+    r = cfg.resolved_r() if name in FIXED_R_ALGORITHMS else None
+    return _designer(cfg, name)(scenario)(r)
 
 
 def _write_report(cfg: RunConfig, name: str, report, extra=None) -> str:
@@ -279,8 +226,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if name not in FIXED_R_ALGORITHMS:
             raise ValueError(f"sweep supports fixed-offset algorithms only, got {name!r}")
 
-    algorithms = [(name, functools.partial(fixed_r_designer, name, cfg=cfg))
-                  for name in names]
+    algorithms = [(name, _designer(cfg, name)) for name in names]
     points = montecarlo.sweep(algorithms, lambda seed: _build_scenario(cfg, seed),
                               r_values, cfg.n_realizations, cfg.n_trials,
                               base_seed=cfg.seed)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from offsetbf.channel import Scenario, draw_errors
+from offsetbf.design import designer
 from offsetbf.directions import nu_massive_approx
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
@@ -25,6 +26,17 @@ def unit_scale_scenario(k=3, nt=4, seed=0, sigma_e=0.1, noise=1.0, gamma=4.0):
     rng = np.random.default_rng(seed)
     return Scenario(h_est=standard_complex(rng, (k, nt)), sigma_e=sigma_e,
                     noise_power=noise, sinr_target=gamma)
+
+
+# design.designer's options at the command line's defaults
+DESIGN_DEFAULTS = {"total_power": 1.0, "variance_mode": None, "r_min": 2.0, "r_cap": 5.0,
+                   "rzf_loading": None}
+
+
+def design_report(name, scenario, r=None, **options):
+    """design.designer's report of id `name` on scenario at offset r; the
+    options not given take DESIGN_DEFAULTS."""
+    return designer(name, scenario, **{**DESIGN_DEFAULTS, **options})(r)
 
 
 def orthonormal_rows(k, nt, seed=0, norms=None):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from offsetbf.channel import (H_EST_LIMIT, SIGMA_E_LIMIT, CellConfig, Scenario,
                               _standard_complex, draw_errors, generate_scenario, load_scenario,
                               save_scenario, scenario_from_dict, scenario_to_dict)
-from offsetbf.cli import RunConfig, run_algorithm
+
+from helpers import design_report
 
 
 def default_scenario(seed=0, **cell_kwargs):
@@ -240,6 +241,44 @@ def test_scenario_from_dict_rejects_ragged_and_empty_user_lists():
         scenario_from_dict({"n_antennas": 4, "users": []})
 
 
+WRONG_TYPES = [
+    ("n_antennas", 2.7, "n_antennas 2.7 is not a positive integer"),
+    ("n_antennas", True, "n_antennas True is not a positive integer"),
+    ("n_antennas", "2", "n_antennas '2' is not a positive integer"),
+    ("n_antennas", 0, "n_antennas 0 is not a positive integer"),
+    ("sigma_e", True, "user 1's sigma_e has non-number True"),
+    ("sigma_e", "0.1", "user 1's sigma_e has non-number '0.1'"),
+    ("noise_power", False, "user 1's noise_power has non-number False"),
+    ("gamma", "4", "user 1's gamma has non-number '4'"),
+    ("h_est", [[1.0, True], [0.5, 0.5]], "user 1's h_est has non-number True"),
+    ("h_est", [["1.0", 0.0], [0.5, 0.5]], "user 1's h_est has non-number '1.0'"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", WRONG_TYPES,
+                         ids=[f"{key}-{value!r}" for key, value, _ in WRONG_TYPES])
+def test_scenario_from_dict_rejects_values_of_the_wrong_type(key, value, message):
+    # float() and int() would have loaded each of them as a number: 2.7 and
+    # True as 2 and 1 antennas, a sigma_e of true as 1.0, "0.1" as 0.1.
+    doc = scenario_to_dict(default_scenario(seed=9, n_antennas=2))
+    if key == "n_antennas":
+        doc[key] = value
+    else:
+        doc["users"][1][key] = value
+    with pytest.raises(ValueError, match=re.escape(f"malformed scenario: {message}")):
+        scenario_from_dict(doc)
+
+
+def test_scenario_from_dict_loads_integers_as_the_same_floats():
+    ints = {"h_est": [[1, -2], [0, 3]], "sigma_e": 0, "noise_power": 1, "gamma": 4}
+    floats = {"h_est": [[1.0, -2.0], [0.0, 3.0]], "sigma_e": 0.0, "noise_power": 1.0,
+              "gamma": 4.0}
+    loaded, expected = (scenario_from_dict({"n_antennas": 2, "users": [user]})
+                        for user in (ints, floats))
+    for name in ("h_est", "sigma_e", "noise_power", "sinr_target"):
+        assert getattr(loaded, name).tobytes() == getattr(expected, name).tobytes()
+
+
 # 0 or at least 1 / H_EST_LIMIT, and at most H_EST_LIMIT / 4, so that every row
 # of up to four antennas has a norm of 0 or one within Scenario's bound
 h_part = st.floats(-H_EST_LIMIT / 4, H_EST_LIMIT / 4).filter(
@@ -301,7 +340,6 @@ def test_scenario_from_dict_ignores_legacy_fields():
     assert scenario_to_dict(legacy) == scenario_to_dict(current)
     assert legacy.h_est.tobytes() == current.h_est.tobytes()
     assert legacy.sigma_e.tobytes() == current.sigma_e.tobytes()
-    cfg = RunConfig(generate={}, algorithm="zf", r=2.0)
-    report_legacy = run_algorithm("zf", legacy, cfg)
-    report_current = run_algorithm("zf", scenario_from_dict(scenario_to_dict(current)), cfg)
+    report_legacy = design_report("zf", legacy, 2.0)
+    report_current = design_report("zf", scenario_from_dict(scenario_to_dict(current)), 2.0)
     assert np.array_equal(report_legacy.powers, report_current.powers)

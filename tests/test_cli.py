@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -118,6 +119,30 @@ def test_config_rejects_non_finite_generate_values(tmp_path, capsys, key, field)
     cell = {name: value for name, value in GENERATE_BLOCK.items() if name != "seed"}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         generate_scenario(CellConfig(**{**cell, key: float("nan")}), 3)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("gamma_db", 4000, "gamma_db 4000 overflows as a power ratio"),
+    ("noise_dbm", 3100, "noise_dbm 3100 overflows as a power ratio"),
+    ("shadowing_std_db", 1e308, "path_loss_exponent 3.52 and shadowing_std_db 1e+308 put a "
+                                "large-scale gain beyond the float range"),
+    ("path_loss_exponent", 1e300, "path_loss_exponent 1e+300 and shadowing_std_db 8.0 put a "
+                                  "large-scale gain beyond the float range"),
+])
+def test_generate_values_beyond_the_float_range_are_config_errors(tmp_path, capsys, key,
+                                                                   value, message):
+    # The first two raised OverflowError out of main; the last two warned of an
+    # overflow before "h_est must be finite". Warnings are errors here, so that
+    # a warning would escape main too. The default cell and seed 0 are used,
+    # where a user's large-scale gain overflows.
+    cfg = write_config(tmp_path, {"generate": {key: value}, "algorithm": "zf", "r": 2.0,
+                                  "out": str(tmp_path / "r.json")})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, ["design", "--config", cfg]) == (1, "", f"config error: {message}\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_scenario(CellConfig(**{key: value}), 0)
+    assert not (tmp_path / "r.json").exists()
 
 
 NAN = float("nan")
@@ -421,12 +446,6 @@ def test_a_one_entry_algorithms_list_sets_the_algorithm(tmp_path, capsys, comman
     assert json.loads(out.read_text())["algorithm"] == "zf"
 
 
-def test_run_algorithm_rejects_an_unknown_id():
-    # A config's ids are checked on loading; run_algorithm checks its own.
-    with pytest.raises(ValueError, match="unknown algorithm 'socp'"):
-        cli.run_algorithm("socp", unit_scale_scenario(seed=3), cli.RunConfig(r=2.0))
-
-
 def test_config_rejects_unknown_variance_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, {"generate": {}, "variance_mode": "fast"})
     assert run_cli(capsys, ["design", "--config", cfg])[0] == 1
@@ -492,7 +511,10 @@ USER = {"h_est": [[1.0, 0.0]], "sigma_e": 0.1, "noise_power": 1.0, "gamma": 2.0}
      "user 1 has no 'gamma'\n"),
     ({"n_antennas": 2}, "no 'users'\n"),
     ({"users": []}, "no 'n_antennas'\n"),
-], ids=["list", "users-not-a-list", "null-gamma", "no-gamma", "no-users", "no-n-antennas"])
+    ({"n_antennas": 1, "users": [USER, {**USER, "sigma_e": True}]},
+     "user 1's sigma_e has non-number True\n"),
+], ids=["list", "users-not-a-list", "null-gamma", "no-gamma", "no-users", "no-n-antennas",
+        "sigma-e-true"])
 def test_scenario_file_of_the_wrong_shape_is_a_config_error(tmp_path, doc, detail):
     # The CLI runs in a child process, so that a traceback would show on its stderr.
     path = tmp_path / "scenario.json"

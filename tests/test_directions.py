@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetbf import cli
 from offsetbf.channel import CellConfig, generate_scenario
 from offsetbf.directions import (NEWTON_FROM, alg1_directions, alg1_dual,
                                  const_offset_directions, directions_constant_offset,
@@ -20,7 +19,7 @@ from offsetbf.stats import r_from_delta
 from offsetbf import directions, lapack
 
 import helpers
-from helpers import (orthonormal_rows, scenario_from_rows, sinr_values,
+from helpers import (design_report, orthonormal_rows, scenario_from_rows, sinr_values,
                      solve_nu_constant_offset_oracle, solve_nu_oracle, standard_complex,
                      unit_scale_scenario)
 
@@ -537,7 +536,7 @@ def test_solve_nu_can_solve_a_cell_whose_sweep_path_fails(monkeypatch):
     assert outcome(solve_nu, dual)[0] == "ok"
     scenario = generate_scenario(CellConfig(n_users=3, n_antennas=4, radius_km=3.2), 24)
     with pytest.raises(ConvergenceError, match="power loading did not converge in 50"):
-        cli.run_algorithm("alg1", scenario, cli.RunConfig(r=0.5))
+        design_report("alg1", scenario, 0.5)
 
 
 def test_sweep_bound_holds_for_the_plain_sweep_at_the_fixed_point(monkeypatch):
@@ -841,12 +840,9 @@ def test_alg1_chain_matches_dense_oracle(k, nt):
 ])
 def test_solve_nu_errors_match_dense_oracle(seed, message):
     # Two golden alg1 cells (K=3, N_t=4, 3.2 km) whose dual fixed point fails.
-    cfg = cli.RunConfig.from_dict({
-        "generate": {"n_users": 3, "n_antennas": 4, "radius_km": 3.2, "seed": seed},
-        "algorithm": "alg1", "delta": 0.05})
-    scenario = cli._build_scenario(cfg)
+    scenario = generate_scenario(CellConfig(n_users=3, n_antennas=4, radius_km=3.2), seed)
     h, gammas = scenario.h_est, scenario.sinr_target
-    sigma_e, r = float(scenario.sigma_e[0]), cfg.resolved_r()
+    sigma_e, r = float(scenario.sigma_e[0]), r_from_delta(0.05, "cantelli")
     with pytest.raises(ConvergenceError, match=message):
         dense_solve_nu(h, gammas, sigma_e, r, zf_directions(h))
     with pytest.raises(ConvergenceError) as excinfo:
@@ -962,7 +958,7 @@ def test_mrt_zero_channel_row_is_degenerate():
     h = standard_complex(np.random.default_rng(21), (2, 4))
     h[1] = 0.0
     with pytest.raises(DegenerateChannelsError, match="zero vector cannot be normalized"):
-        cli.run_algorithm("mrt", scenario_from_rows(h), cli.RunConfig(r=2.0))
+        design_report("mrt", scenario_from_rows(h), 2.0)
 
 
 def test_directions_constant_offset_orthogonal():
@@ -1024,7 +1020,7 @@ def test_nu_massive_approx_improves_with_antennas():
 # ---------------------------------------------------------------------------
 
 def alg1_design(scenario, r):
-    return cli.run_algorithm("alg1", scenario, cli.RunConfig(r=r))
+    return design_report("alg1", scenario, r)
 
 
 def test_alg1_perfect_csi_hits_targets():

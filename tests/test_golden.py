@@ -1,7 +1,7 @@
 """Golden reports: every algorithm id on a fixed set of generated cells.
 
 tests/golden/reports.json holds, for each (algorithm, cell, seed), either the
-DesignReport.to_dict() of cli.run_algorithm or the class and message of the
+DesignReport.to_dict() of design.designer or the class and message of the
 design error it raised. Refactors of the design chain must reproduce it: the
 floats (powers, slack moments, outage, total power) to 1e-10 relative, so
 that reordered arithmetic passes, and everything else (ints, strings, flags,
@@ -18,9 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from offsetbf import cli
+from offsetbf.channel import CellConfig, generate_scenario
+from offsetbf.design import ALGORITHM_IDS
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
+from offsetbf.stats import r_from_delta
+
+from helpers import design_report
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "reports.json"
 CELLS = ((3, 4, 0.5), (3, 4, 3.2), (6, 20, 0.5), (6, 40, 3.2), (4, 8, 3.2))
@@ -35,21 +39,18 @@ def case_key(name, k, nt, radius_km, seed):
 
 
 def run_case(name, k, nt, radius_km, seed):
-    cfg = cli.RunConfig.from_dict({
-        "generate": {"n_users": k, "n_antennas": nt, "radius_km": radius_km,
-                     "seed": seed},
-        "algorithm": name, "delta": 0.05, "total_power": 1.0,
-    })
-    scenario = cli._build_scenario(cfg)
+    # delta 0.05 under the Cantelli bound and P_t = 1 W; the budgeted ids ignore r
+    scenario = generate_scenario(CellConfig(n_users=k, n_antennas=nt, radius_km=radius_km),
+                                 seed)
     try:
-        report = cli.run_algorithm(name, scenario, cfg)
+        report = design_report(name, scenario, r_from_delta(0.05, "cantelli"))
     except DESIGN_ERRORS as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
     return {"report": report.to_dict()}
 
 
 def all_cases():
-    for name in cli.ALGORITHM_IDS:
+    for name in ALGORITHM_IDS:
         for k, nt, radius_km in CELLS:
             for seed in SEEDS:
                 yield case_key(name, k, nt, radius_km, seed), (name, k, nt, radius_km, seed)

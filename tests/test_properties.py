@@ -5,15 +5,18 @@ relabelling of the users, and under scaling the channels by c together with
 the noise by c^2 and the error size by c. Every design must respect all
 three: the powers stay put, or are permuted with the users. They are checked
 for the constant-offset directions followed by the max-common-offset loading,
-and for every algorithm id of cli.run_algorithm. alg1 is left out of the
+and for every algorithm id of design.designer. alg1 is left out of the
 rotation check only: its Re{psi h^H} term is taken element-wise and so
 depends on the antenna basis, while user permutation and joint scaling
 leave it unchanged.
 
 The instances above are far from the command line's operating point. The last
-two properties draw generate_scenario cells at a 1 W budget instead, and check
+properties draw generate_scenario cells at a 1 W budget instead. They check
 every id but rzf and alg1 under a rotation and under the reduction of the
-channels to K antennas.
+channels to K antennas, and the orderings that the ids promise: a fixed-offset
+design's power rises with r, max-r's offset does not fall with the budget,
+maxr_powersave spends at most what maxr_reschedule spends, and each served
+user meets its offset with equality.
 """
 
 import numpy as np
@@ -21,14 +24,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from offsetbf import cli
 from offsetbf.channel import CellConfig, Scenario, generate_scenario
+from offsetbf.design import ALGORITHM_IDS, FIXED_R_ALGORITHMS, designer
 from offsetbf.directions import const_offset_directions
 from offsetbf.errors import (ConvergenceError, DegenerateChannelsError,
                              InfeasibleLoadingError)
 from offsetbf.powerload import coupling_matrix, max_r_power_load
 
-from helpers import scenario_from_rows, standard_complex
+from helpers import (DESIGN_DEFAULTS, design_report, scenario_from_rows, standard_complex,
+                     unit_scale_scenario)
 
 DESIGN_ERRORS = (ConvergenceError, DegenerateChannelsError, InfeasibleLoadingError)
 # The transformed designs differ by rounding only (about 1e-14 observed);
@@ -119,27 +123,32 @@ def test_joint_scaling_leaves_powers_unchanged(instance, log10_c):
 # the same three symmetries for every algorithm id (rotation: all but alg1)
 # ---------------------------------------------------------------------------
 
-ROTATION_IDS = tuple(name for name in cli.ALGORITHM_IDS if name != "alg1")
+def test_designer_rejects_an_unknown_id():
+    # A config's ids are checked on loading; designer checks its own.
+    with pytest.raises(ValueError, match="unknown algorithm 'socp'"):
+        design_report("socp", unit_scale_scenario(seed=3), 2.0)
+
+
+ROTATION_IDS = tuple(name for name in ALGORITHM_IDS if name != "alg1")
 FIXED_R = 2.0
 
 
-def cli_powers(name, h, gammas, noise, sigma_e, mode, total_power):
-    """Powers of cli.run_algorithm's design, zero for dropped users."""
+def id_powers(name, h, gammas, noise, sigma_e, mode, total_power):
+    """Powers of id `name`'s design at FIXED_R, zero for dropped users."""
     scenario = scenario_from_rows(h, sigma_e=sigma_e, noise=noise, gamma=gammas)
-    cfg = cli.RunConfig(algorithm=name, r=FIXED_R, total_power=total_power,
-                        variance_mode=mode)
-    report = cli.run_algorithm(name, scenario, cfg)
+    report = design_report(name, scenario, FIXED_R, total_power=total_power,
+                           variance_mode=mode)
     beta = np.zeros(h.shape[0])
     beta[report.served_indices] = report.powers
     return beta
 
 
-def cli_reference(name, h, gammas, noise, sigma_e, mode):
+def id_reference(name, h, gammas, noise, sigma_e, mode):
     """The design of the untransformed instance and its budget, three times
     the zero-offset QoS power of the constant-offset design."""
     try:
         _, total_power = max_r_powers(h, gammas, noise, sigma_e, mode)
-        beta = cli_powers(name, h, gammas, noise, sigma_e, mode, total_power)
+        beta = id_powers(name, h, gammas, noise, sigma_e, mode, total_power)
     except DESIGN_ERRORS:
         assume(False)
     return beta, total_power
@@ -150,35 +159,35 @@ def cli_reference(name, h, gammas, noise, sigma_e, mode):
 @given(instances())
 def test_every_id_antenna_basis_rotation(name, instance):
     h, gammas, noise, sigma_e, mode, rng = instance
-    beta, total_power = cli_reference(name, h, gammas, noise, sigma_e, mode)
+    beta, total_power = id_reference(name, h, gammas, noise, sigma_e, mode)
     nt = h.shape[1]
     unitary, _ = np.linalg.qr(standard_complex(rng, (nt, nt)))
-    beta_rot = cli_powers(name, h @ unitary.T, gammas, noise, sigma_e, mode,
-                          total_power)
+    beta_rot = id_powers(name, h @ unitary.T, gammas, noise, sigma_e, mode,
+                         total_power)
     assert_close(beta_rot, beta)
 
 
-@pytest.mark.parametrize("name", cli.ALGORITHM_IDS)
+@pytest.mark.parametrize("name", ALGORITHM_IDS)
 @SETTINGS
 @given(instances(), st.data())
 def test_every_id_user_permutation(name, instance, data):
     h, gammas, noise, sigma_e, mode, _ = instance
-    beta, total_power = cli_reference(name, h, gammas, noise, sigma_e, mode)
+    beta, total_power = id_reference(name, h, gammas, noise, sigma_e, mode)
     perm = np.array(data.draw(st.permutations(range(h.shape[0]))))
-    beta_perm = cli_powers(name, h[perm], gammas[perm], noise[perm], sigma_e[perm],
-                           mode, total_power)
+    beta_perm = id_powers(name, h[perm], gammas[perm], noise[perm], sigma_e[perm],
+                          mode, total_power)
     assert_close(beta_perm, beta[perm])
 
 
-@pytest.mark.parametrize("name", cli.ALGORITHM_IDS)
+@pytest.mark.parametrize("name", ALGORITHM_IDS)
 @SETTINGS
 @given(instances(), st.floats(-3.0, 3.0))
 def test_every_id_joint_scaling(name, instance, log10_c):
     h, gammas, noise, sigma_e, mode, _ = instance
-    beta, total_power = cli_reference(name, h, gammas, noise, sigma_e, mode)
+    beta, total_power = id_reference(name, h, gammas, noise, sigma_e, mode)
     c = 10.0 ** log10_c
-    beta_scaled = cli_powers(name, c * h, gammas, c ** 2 * noise, c * sigma_e, mode,
-                             total_power)
+    beta_scaled = id_powers(name, c * h, gammas, c ** 2 * noise, c * sigma_e, mode,
+                            total_power)
     assert_close(beta_scaled, beta)
 
 
@@ -195,7 +204,7 @@ def test_every_id_joint_scaling(name, instance, log10_c):
 #   cells. Its element-wise Re{psi h^H} depends on the antenna basis (item 1).
 # Every other id stayed within 3e-13, with the same outcome on every cell.
 OPERATING_POINT_EXCLUDED = ("rzf", "alg1")
-OPERATING_POINT_IDS = tuple(name for name in cli.ALGORITHM_IDS
+OPERATING_POINT_IDS = tuple(name for name in ALGORITHM_IDS
                             if name not in OPERATING_POINT_EXCLUDED)
 
 
@@ -209,14 +218,19 @@ def operating_cells(draw):
     return generate_scenario(cell, seed), np.random.default_rng(seed)
 
 
+def operating_designer(name, scenario, total_power=1.0):
+    """design.designer of id `name` on scenario, in exact mode."""
+    return designer(name, scenario, **{**DESIGN_DEFAULTS, "total_power": total_power,
+                                       "variance_mode": "exact"})
+
+
 def operating_outcome(name, scenario, h_est):
     """The design error class of `name` on scenario with its channels replaced
     by h_est, or the served users and their powers."""
     moved = Scenario(h_est=h_est, sigma_e=scenario.sigma_e,
                      noise_power=scenario.noise_power, sinr_target=scenario.sinr_target)
-    cfg = cli.RunConfig(algorithm=name, r=FIXED_R, total_power=1.0, variance_mode="exact")
     try:
-        report = cli.run_algorithm(name, moved, cfg)
+        report = operating_designer(name, moved)(FIXED_R)
     except DESIGN_ERRORS as exc:
         return type(exc)
     return report.served_indices, report.powers
@@ -251,3 +265,75 @@ def test_every_id_reduction_to_k_antennas_at_the_operating_point(name, cell):
     scenario, _ = cell
     q, _ = np.linalg.qr(scenario.h_est.conj().T)
     assert_same_outcome(name, scenario, scenario.h_est @ q)
+
+
+# The orderings at the same operating point. Every served user meets its offset
+# with equality (mu_f = r sigma_f) except under avg_outage, whose perturbation
+# leaves the offsets it reports: on 300 such cells its ratio was off by more
+# than 1e-6 in 195 of its 252 designs (ROADMAP item 20). The other properties
+# held on all 300 cells.
+R_GRID = (0.5, 1.0, 1.5, 2.0)
+BUDGETS = (0.1, 1.0, 10.0)
+OFFSET_EQUALITY_EXCLUDED = ("avg_outage",)
+
+
+@pytest.mark.parametrize("name", FIXED_R_ALGORITHMS)
+@SETTINGS
+@given(operating_cells())
+def test_fixed_offset_power_rises_with_r_at_the_operating_point(name, cell):
+    scenario, _ = cell
+    powers = []
+    try:
+        design_at = operating_designer(name, scenario)
+        for r in R_GRID:
+            powers.append(design_at(r).total_power)
+    except DESIGN_ERRORS:
+        pass        # the grid's feasible part ends at the first design error
+    assert all(low < high for low, high in zip(powers, powers[1:])), powers
+
+
+@SETTINGS
+@given(operating_cells())
+def test_maxr_offset_does_not_fall_with_the_budget_at_the_operating_point(cell):
+    scenario, _ = cell
+    offsets = []
+    for total_power in BUDGETS:
+        try:
+            report = operating_designer("maxr", scenario, total_power)(None)
+        except DESIGN_ERRORS:
+            assert not offsets      # a larger budget keeps a design feasible
+            continue
+        offsets.append(report.offsets[0])
+    assert offsets == sorted(offsets)
+
+
+@SETTINGS
+@given(operating_cells())
+def test_powersave_spends_at_most_what_reschedule_spends_at_the_operating_point(cell):
+    scenario, _ = cell
+    outcomes = []
+    for name in ("maxr_reschedule", "maxr_powersave"):
+        try:
+            outcomes.append(operating_designer(name, scenario)(None))
+        except DESIGN_ERRORS as exc:
+            outcomes.append(type(exc))
+    rescheduled, saved = outcomes
+    if isinstance(rescheduled, type) or isinstance(saved, type):
+        assert saved == rescheduled
+    else:
+        assert saved.served_indices == rescheduled.served_indices
+        assert saved.total_power <= rescheduled.total_power
+
+
+@pytest.mark.parametrize("name", [name for name in ALGORITHM_IDS
+                                  if name not in OFFSET_EQUALITY_EXCLUDED])
+@SETTINGS
+@given(operating_cells())
+def test_every_served_user_meets_its_offset_at_the_operating_point(name, cell):
+    scenario, _ = cell
+    try:
+        report = operating_designer(name, scenario)(FIXED_R)
+    except DESIGN_ERRORS:
+        return
+    target = report.offsets * report.sigma_f
+    assert np.all(np.abs(report.mu_f - target) <= 1e-6 * np.abs(target))

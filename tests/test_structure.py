@@ -7,8 +7,9 @@ powerload.reschedule and powerload.max_r_power_load that the benchmark
 tracer reads, the package loads no scipy module, only the lapack
 module reaches numpy.linalg's private gufunc module, every gufunc it
 exports has a caller, so has every private module-level function, no public
-function takes a private parameter, cli imports no numpy, and the package
-version is read from offsetbf.__version__."""
+function takes a private parameter, cli imports no numpy and reaches the
+design chain through offsetbf.design alone, only the cli tests import cli, and
+the package version is read from offsetbf.__version__."""
 
 import ast
 import importlib
@@ -26,6 +27,7 @@ from offsetbf.powerload import CouplingMatrix, DesignReport
 from helpers import unit_scale_scenario
 
 PACKAGE_DIR = Path(__file__).resolve().parents[1] / "src" / "offsetbf"
+TESTS_DIR = Path(__file__).resolve().parent
 MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE_DIR.glob("*.py"))}
 
@@ -67,7 +69,7 @@ def test_no_function_level_imports():
 
 def test_intra_package_imports_are_acyclic():
     graph = {name: _imported_modules(tree) - {name} for name, tree in MODULES.items()}
-    assert graph["cli"] >= {"channel", "directions", "powerload"}
+    assert graph["cli"] >= {"channel", "design", "powerload"}
     try:
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
@@ -198,6 +200,21 @@ def test_cli_imports_no_numpy():
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported and "numpy" not in imported
+
+
+def test_cli_reaches_the_design_chain_through_design_alone():
+    """design.designer is the one place that pairs an id with its directions
+    and loading, so cli imports neither the direction solvers nor the LAPACK
+    gufuncs beneath them."""
+    assert not _imported_modules(MODULES["cli"]) & {"directions", "lapack"}
+
+
+def test_only_the_cli_tests_import_cli():
+    """The other tests design through offsetbf.design, with explicit options,
+    and build their cells with generate_scenario."""
+    importers = {path.name for path in TESTS_DIR.glob("*.py")
+                 if "cli" in _imported_modules(ast.parse(path.read_text()))}
+    assert importers == {"test_cli.py"}
 
 
 def test_package_version_is_read_from_the_package():
